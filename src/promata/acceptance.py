@@ -274,7 +274,7 @@ def criterion_7(tier: str = TIER_FAST) -> CriterionResult:
     checks.expect("built machine is big enough", built.state_count >= 4)
     report = promise_check(built, problem, 7)
     checks.expect("built machine solves", report.verdict == SOLVES)
-    extra = [f"tables examined: {result.candidates_checked}"]
+    extra = [f"search nodes: {result.candidates_checked}"]
     return CriterionResult(
         7, "three-state exhaustion for segments", checks.passed, checks.details(extra)
     )

@@ -1,10 +1,11 @@
 """Exhaustive minimality searches and empirical structure checks.
 
 The searches here are oracles: they find the true minimum state count for a
-promise problem over a bounded instance set by enumerating machines in a
-documented normal form, smallest first. Minimality is always relative to
-the (max_length, machine-kind cap) pair in the search spec; every witness is
-re-validated with the ordinary simulator before being returned.
+promise problem over a bounded instance set by enumerating, or backtracking
+over, machines in a documented normal form, smallest first. Minimality is
+always relative to the (max_length, machine-kind cap) pair in the search
+spec; every witness is re-validated with the ordinary simulator before being
+returned.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ KIND_UNARY_DFA = "unary-dfa"
 KIND_DFA = "dfa"
 KIND_UNARY_NFA = "unary-nfa"
 
-_KIND_CAPS = {KIND_UNARY_DFA: 18, KIND_DFA: 4, KIND_UNARY_NFA: 4}
+_KIND_CAPS = {KIND_UNARY_DFA: 18, KIND_DFA: 8, KIND_UNARY_NFA: 4}
+
+# Transition sentinels and instance label bits of the general DFA search.
+_UNSET = -2
+_DEAD = -1
+_YES = 1
+_NO = 2
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class SearchSpec:
         if self.machine_kind != KIND_DFA and len(self.problem.alphabet) != 1:
             raise ValueError(f"{self.machine_kind} search needs a one-symbol alphabet")
         if self.machine_kind == KIND_DFA and len(self.problem.alphabet) > 3:
-            raise ValueError("general table search is capped at 3 alphabet symbols")
+            raise ValueError("general dfa search is capped at 3 alphabet symbols")
         if self.max_length < 0:
             raise ValueError("max_length must be nonnegative")
 
@@ -136,69 +143,155 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 
+def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], list[bool]]:
+    """Prefix trie of the instance set, numbered in BFS order from the root 0.
+
+    Returns per node its parent, the symbol index on the edge from the
+    parent (both -1 at the root), its label bits (_YES, _NO, or both when
+    one word was enumerated in both classes), and whether a yes instance
+    ends at or below it. Children follow alphabet order, so the numbering is
+    fixed by the instance set alone.
+    """
+    index = {sym: i for i, sym in enumerate(spec.problem.alphabet)}
+    children: list[dict[int, int]] = [{}]
+    bits = [0]
+    for word, cls in spec.problem.enumerate_instances(spec.max_length):
+        node = 0
+        for ch in word:
+            ix = index[ch]
+            child = children[node].get(ix)
+            if child is None:
+                child = len(children)
+                children[node][ix] = child
+                children.append({})
+                bits.append(0)
+            node = child
+        bits[node] |= _YES if cls == "yes" else _NO
+    order = [0]
+    parent = [-1]
+    symbol = [-1]
+    for pos, node in enumerate(order):
+        for ix in sorted(children[node]):
+            order.append(children[node][ix])
+            parent.append(pos)
+            symbol.append(ix)
+    label = [bits[node] for node in order]
+    yes_below = [bool(b & _YES) for b in label]
+    for pos in range(len(order) - 1, 0, -1):
+        if yes_below[pos]:
+            yes_below[parent[pos]] = True
+    return parent, symbol, label, yes_below
+
+
 def min_dfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
     """Smallest deterministic one-way machine over an arbitrary alphabet.
 
-    Enumerates full transition tables with state 0 initial (fixing the
-    initial state loses nothing up to isomorphism); table entry s is the
-    undefined sentinel. Accepting sets are resolved by constraint
-    propagation per table, equivalent to enumerating them all. Sizes are
-    tried in ascending order, so tables with unreachable states merely
-    duplicate smaller candidates and cannot distort the minimum.
+    Exact identification from the labelled instances (the minimal
+    consistent DFA problem). For each size in ascending order, a
+    backtracking search walks the instance trie in BFS order with state 0 at
+    the root and assigns a transition only when a trie node first needs it:
+    to an existing state, to the next unused state number, or to nothing,
+    the last only when no yes instance lies below that node (a partial
+    machine rejects by getting stuck). Numbering new states in first-need
+    order removes relabelings and unreachable duplicates, and transitions
+    no instance reads stay undefined. A branch dies as soon as one state
+    must both accept and reject, or a yes instance gets stuck. Ascending
+    sizes make the first machine found minimal; exhaustion means no machine
+    up to max_states solves the problem on instances up to max_length.
+
+    candidates_checked counts search nodes, one per trie node placed on one
+    branch, and the search raises ResourceCapError once it exceeds work_cap.
     """
     if spec.machine_kind != KIND_DFA:
         raise ValueError("spec.machine_kind must be 'dfa'")
     symbols = tuple(spec.problem.alphabet)
     nsym = len(symbols)
-    index = {sym: i for i, sym in enumerate(symbols)}
-    words = [
-        (tuple(index[ch] for ch in word), cls)
-        for word, cls in spec.problem.enumerate_instances(spec.max_length)
-    ]
+    parent, symbol, label, yes_below = _instance_trie(spec)
+    nodes = len(parent)
     checked = 0
     for size in range(1, spec.max_states + 1):
-        tables = (size + 1) ** (size * nsym)
-        if tables * max(1, len(words)) > work_cap:
-            raise ResourceCapError(
-                f"table enumeration at {size} states needs {tables} candidates, "
-                f"above the work cap"
-            )
-        for table in itertools.product(range(size + 1), repeat=size * nsym):
-            checked += 1
-            need_one = 0
-            need_zero = 0
-            alive = True
-            for encoded, cls in words:
-                state = 0
-                for ix in encoded:
-                    state = table[state * nsym + ix]
-                    if state == size:
-                        break
-                if state == size:
-                    if cls == "yes":
-                        alive = False
-                        break
+        trans = [_UNSET] * (size * nsym)
+        accept = [0] * size  # label bits each state is committed to
+        node_state = [0] * nodes
+        trail: list[int] = []  # states whose accept bits were set, for undo
+        frames: list[list[int]] = []  # [pos, key, choice, trail length, used]
+        used = 1
+        pos = 1
+        ok = label[0] != _YES | _NO
+        accept[0] = label[0]
+        while True:
+            while ok and pos < nodes:
+                checked += 1
+                if checked > work_cap:
+                    raise ResourceCapError(
+                        f"transition search at {size} states exceeded the work cap "
+                        f"of {work_cap} search nodes"
+                    )
+                source = node_state[parent[pos]]
+                if source == _DEAD:
+                    node_state[pos] = _DEAD
+                    pos += 1
                     continue
-                if cls == "yes":
-                    need_one |= 1 << state
+                key = source * nsym + symbol[pos]
+                target = trans[key]
+                if target == _UNSET:
+                    frames.append([pos, key, 0, len(trail), used])
+                    target = trans[key] = 0
+                if target == _DEAD:
+                    if yes_below[pos]:
+                        ok = False
+                        break
+                    node_state[pos] = _DEAD
+                    pos += 1
+                    continue
+                node_state[pos] = target
+                bits = label[pos]
+                if bits:
+                    held = accept[target]
+                    if held | bits == _YES | _NO:
+                        ok = False
+                        break
+                    if held != bits:
+                        accept[target] = bits
+                        trail.append(target)
+                pos += 1
+            if ok:
+                transitions = {
+                    (q, symbols[ix]): trans[q * nsym + ix]
+                    for q in range(size)
+                    for ix in range(nsym)
+                    if trans[q * nsym + ix] >= 0
+                }
+                witness = OneWayDfa(
+                    state_count=size,
+                    alphabet=symbols,
+                    initial=0,
+                    transitions=transitions,
+                    accepting=frozenset(q for q in range(size) if accept[q] == _YES),
+                )
+                return _revalidated(spec, witness, checked)
+            while frames:
+                frame = frames[-1]
+                pos, key, choice, mark, used = frame
+                while len(trail) > mark:
+                    accept[trail.pop()] = 0
+                # Choices in order: states 0..used-1, the new state `used`
+                # while the size allows it, then undefined.
+                if choice != _DEAD and choice + 1 < min(used + 1, size):
+                    choice += 1
+                elif choice != _DEAD and not yes_below[pos]:
+                    choice = _DEAD
                 else:
-                    need_zero |= 1 << state
-            if not alive or need_one & need_zero:
-                continue
-            transitions = {
-                (q, symbols[ix]): table[q * nsym + ix]
-                for q in range(size)
-                for ix in range(nsym)
-                if table[q * nsym + ix] != size
-            }
-            witness = OneWayDfa(
-                state_count=size,
-                alphabet=symbols,
-                initial=0,
-                transitions=transitions,
-                accepting=frozenset(q for q in range(size) if need_one >> q & 1),
-            )
-            return _revalidated(spec, witness, checked)
+                    trans[key] = _UNSET
+                    frames.pop()
+                    continue
+                frame[2] = trans[key] = choice
+                if choice == used:
+                    used += 1
+                ok = True
+                break
+            else:
+                break
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 

@@ -603,7 +603,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p_min)
     p_min.add_argument("--max-states", type=int, required=True)
     p_min.add_argument("--max-length", type=int, required=True)
-    p_min.add_argument("--work-cap", type=int, help="max candidate-times-instance work")
+    p_min.add_argument(
+        "--work-cap",
+        type=int,
+        help="max search nodes (dfa) or candidate-times-instance work (unary-nfa)",
+    )
     p_min.add_argument("--out")
     p_min.set_defaults(handler=_cmd_minsize)
 

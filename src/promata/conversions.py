@@ -397,23 +397,30 @@ def _ceil_cbrt(m: int) -> int:
     """Smallest k with k^3 >= m, exact for any non-negative integer."""
     if m <= 0:
         return 0
-    k = round(m ** (1 / 3))
-    while k**3 >= m:
-        k -= 1
-    while k**3 < m:
-        k += 1
-    return k
+    # Integer Newton iteration from above converges to the floor cube root.
+    k = 1 << -(-m.bit_length() // 3)
+    while True:
+        nxt = (2 * k + m // (k * k)) // 3
+        if nxt >= k:
+            break
+        k = nxt
+    return k if k**3 == m else k + 1
 
 
 def bound_svfa_to_dfa(n: int) -> BoundValue:
     """Deterministic size bound 1 + 3^((n-1)/3) for n-state zero-error machines.
 
     Exact when n - 1 is divisible by 3; otherwise the value field carries the
-    ceiling and real_value the floating-point evaluation.
+    ceiling and real_value the floating-point evaluation. real_value is None
+    once the bound exceeds the float range (n of 1940 and above); value stays
+    exact at every n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    real = 1 + 3.0 ** ((n - 1) / 3)
+    try:
+        real = 1 + 3.0 ** ((n - 1) / 3)
+    except OverflowError:
+        real = None
     if (n - 1) % 3 == 0:
         exact = 1 + 3 ** ((n - 1) // 3)
         return BoundValue("svfa_to_dfa", n, exact, is_exact=True, real_value=real)

@@ -254,7 +254,9 @@ class OneWayAfa:
             )
         _check_labels(self.labels, self.state_count)
         object.__setattr__(self, "_symbols", symbols)
-        object.__setattr__(self, "_eps_order", _eps_topo_order(self.state_count, eps_out))
+        object.__setattr__(
+            self, "_eps_order", tuple(sorted(range(self.state_count), key=depth.__getitem__))
+        )
 
     @property
     def symbols(self) -> frozenset[str]:
@@ -270,31 +272,30 @@ class OneWayAfa:
 
 
 def _eps_chain_depths(count: int, eps_out: Mapping[int, list[int]]) -> list[int]:
-    """Longest EPSILON path (in edges) from each state; raises on a cycle."""
-    depth = [-1] * count
-    on_stack = [False] * count
+    """Longest EPSILON path (in edges) from each state; raises on a cycle.
 
-    def walk(state: int) -> int:
-        if depth[state] >= 0:
-            return depth[state]
-        if on_stack[state]:
-            raise ValueError("EPSILON transitions form a cycle")
-        on_stack[state] = True
-        best = 0
-        for target in eps_out.get(state, ()):
-            best = max(best, 1 + walk(target))
-        on_stack[state] = False
-        depth[state] = best
-        return best
-
-    for state in range(count):
-        walk(state)
+    Iterative topological pass from the sinks backwards, so chain length is
+    bounded by memory rather than by the interpreter's recursion limit."""
+    sources: list[list[int]] = [[] for _ in range(count)]
+    pending = [0] * count
+    for src, targets in eps_out.items():
+        pending[src] = len(targets)
+        for dst in targets:
+            sources[dst].append(src)
+    depth = [0] * count
+    ready = [state for state in range(count) if not pending[state]]
+    finished = 0
+    while ready:
+        state = ready.pop()
+        finished += 1
+        for src in sources[state]:
+            depth[src] = max(depth[src], depth[state] + 1)
+            pending[src] -= 1
+            if not pending[src]:
+                ready.append(src)
+    if finished < count:
+        raise ValueError("EPSILON transitions form a cycle")
     return depth
-
-
-def _eps_topo_order(count: int, eps_out: Mapping[int, list[int]]) -> tuple[int, ...]:
-    depths = _eps_chain_depths(count, eps_out)
-    return tuple(sorted(range(count), key=lambda q: depths[q]))
 
 
 def _check_stochastic_row(
@@ -581,7 +582,7 @@ def afa_accepts(afa: OneWayAfa, word: str) -> bool:
             eps.setdefault(src, []).append(dst)
         else:
             by_symbol.setdefault((src, sym), []).append(dst)
-    order = _eps_topo_order(afa.state_count, eps)
+    order = afa.eps_order
     next_row: list[bool] = []
     for pos in range(len(word), -1, -1):
         row = [False] * afa.state_count

@@ -17,6 +17,7 @@ from .machines import (
     OneWayPfa,
     PromiseProblem,
     VerificationReport,
+    _require_symbols,
 )
 
 
@@ -45,9 +46,7 @@ def _final_distribution(
 ) -> tuple[dict[int, Fraction], Fraction]:
     """Mass per state after reading the whole word, plus prematurely
     halted mass (rows missing for a reached (state, symbol))."""
-    for sym in word:
-        if sym not in pfa.symbols:
-            raise ValueError(f"symbol {sym!r} not in alphabet")
+    _require_symbols(word, pfa.symbols)
     dist: dict[int, Fraction] = {pfa.initial: Fraction(1)}
     halted = Fraction(0)
     for sym in word:
@@ -100,9 +99,7 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    for sym in word:
-        if sym not in pfa.symbols:
-            raise ValueError(f"symbol {sym!r} not in alphabet")
+    _require_symbols(word, pfa.symbols)
     rows: dict[tuple[int, str], tuple[list[float], list[int]]] = {}
     for key, row in pfa.transitions.items():
         cumulative: list[float] = []

@@ -1,5 +1,7 @@
 """Exhaustive searches, pumping agreement, and disjointness scanning."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,7 +38,7 @@ def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec("unary-dfa", 40, problem, 10)
     with pytest.raises(ValueError):
-        SearchSpec("dfa", 8, problem, 10)
+        SearchSpec("dfa", 9, problem, 10)
     with pytest.raises(ValueError):
         SearchSpec("unary-nfa", 4, trios_problem(1, 1), 10)
 
@@ -125,9 +127,104 @@ def test_dfa_search_finds_trivial_machines():
 
 
 def test_dfa_search_work_cap():
-    spec = SearchSpec("dfa", 4, trios_problem(1, 1), 4)
+    spec = SearchSpec("dfa", 3, trios_problem(2, 1), 7)
     with pytest.raises(ResourceCapError):
         min_dfa_size(spec, work_cap=1000)
+
+
+def _table_enumeration_size(spec):
+    """Reference minimum by brute force over every full transition table.
+
+    State 0 is initial and table entry `size` means undefined. Accepting
+    sets are fixed by the instances: a yes instance marks its final state,
+    a no instance forbids it, and a stuck yes instance kills the table."""
+    symbols = tuple(spec.problem.alphabet)
+    nsym = len(symbols)
+    index = {sym: i for i, sym in enumerate(symbols)}
+    words = [
+        (tuple(index[ch] for ch in word), cls)
+        for word, cls in spec.problem.enumerate_instances(spec.max_length)
+    ]
+    for size in range(1, spec.max_states + 1):
+        for table in itertools.product(range(size + 1), repeat=size * nsym):
+            need_one = need_zero = 0
+            alive = True
+            for encoded, cls in words:
+                state = 0
+                for ix in encoded:
+                    state = table[state * nsym + ix]
+                    if state == size:
+                        break
+                if state == size:
+                    if cls == "yes":
+                        alive = False
+                        break
+                    continue
+                if cls == "yes":
+                    need_one |= 1 << state
+                else:
+                    need_zero |= 1 << state
+            if alive and not need_one & need_zero:
+                return size
+    return None
+
+
+def _random_labelled_problem(rng):
+    symbols = ("a", "b", "c")[: rng.randint(1, 3)]
+    max_length = rng.randint(0, 5)
+    density = rng.choice((0.1, 0.3, 0.6))
+    labels = {}
+    for length in range(max_length + 1):
+        for letters in itertools.product(symbols, repeat=length):
+            if rng.random() < density:
+                labels["".join(letters)] = rng.choice(("yes", "no"))
+    problem = PromiseProblem(
+        alphabet=symbols,
+        yes_member=lambda w: labels.get(w) == "yes",
+        no_member=lambda w: labels.get(w) == "no",
+    )
+    return problem, max_length
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dfa_search_matches_table_enumeration(seed):
+    rng = random.Random(seed)
+    for _ in range(8):
+        problem, max_length = _random_labelled_problem(rng)
+        spec = SearchSpec("dfa", 3, problem, max_length)
+        result = min_dfa_size(spec)
+        assert result.size == _table_enumeration_size(spec)
+        if result.found:
+            assert result.witness.state_count == result.size
+            assert promise_check(result.witness, problem, max_length).verdict == SOLVES
+
+
+def test_dfa_search_exact_minimum_trios_2_1():
+    spec = SearchSpec("dfa", 8, trios_problem(2, 1), 7)
+    result = min_dfa_size(spec)
+    assert result.size == 4
+    assert promise_check(result.witness, trios_problem(2, 1), 7).verdict == SOLVES
+
+
+@pytest.mark.slow
+def test_dfa_search_exact_minimum_trios_2_2():
+    spec = SearchSpec("dfa", 8, trios_problem(2, 2), 14)
+    result = min_dfa_size(spec)
+    assert result.size == 4
+    assert promise_check(result.witness, trios_problem(2, 2), 14).verdict == SOLVES
+
+
+def test_dfa_search_deep_trie_needs_no_recursion():
+    # Every word over three symbols up to length 8 is an instance: a trie of
+    # 9,841 nodes, so a search nesting one call per trie node would pass the
+    # interpreter's recursion limit.
+    problem = PromiseProblem(
+        alphabet=("a", "b", "c"),
+        yes_member=lambda w: w.count("a") % 2 == 0,
+        no_member=lambda w: w.count("a") % 2 == 1,
+    )
+    result = min_dfa_size(SearchSpec("dfa", 8, problem, 8))
+    assert result.size == 2
 
 
 def test_yes_only_empty_word_problem():

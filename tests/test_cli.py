@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from promata import loads, machine_accepts
+from promata import EPSILON, OneWayAfa, loads, machine_accepts, save
 from promata.cli import ExperimentConfig, main, run
 
 
@@ -90,6 +90,31 @@ def test_bounds_report(capsys):
 
     code, out, _ = run_cli(capsys, "bounds", "--formula", "afa-to-dfa", "--n", "2")
     assert json.loads(out)["value"] == "256"
+
+
+def test_bounds_report_beyond_float_range(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--formula", "svfa-to-dfa", "--n", "1940")
+    assert code == 0
+    payload = json.loads(out)
+    assert "real_value" not in payload
+    assert len(payload["value"]) == 309
+
+
+def test_simulate_long_epsilon_chain(tmp_path, capsys):
+    chain = OneWayAfa(
+        state_count=1201,
+        alphabet=("a",),
+        initial=0,
+        transitions=frozenset((q, EPSILON, q + 1) for q in range(1200)),
+        accepting=frozenset({1200}),
+        existential=frozenset(range(1201)),
+        max_eps_chain=1200,
+    )
+    path = tmp_path / "chain.json"
+    save(chain, str(path))
+    code, out, _ = run_cli(capsys, "simulate", "--machine", str(path), "--word", "")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "accept"
 
 
 def test_prob_exact_and_neutral_merge(tmp_path, capsys):

@@ -370,6 +370,15 @@ def test_self_verifying_reports_real_value():
     assert not bound.is_exact
 
 
+@pytest.mark.parametrize("n", [200, 1001, 1940, 5000])
+def test_self_verifying_ceiling_at_large_n(n):
+    bound = bound_svfa_to_dfa(n)
+    assert (bound.real_value is None) == (n >= 1940)
+    assert not bound.is_exact
+    root = bound.value - 1
+    assert (root - 1) ** 3 < 3 ** (n - 1) <= root**3
+
+
 def test_bounds_reject_nonpositive_sizes():
     for formula in (bound_afa_to_dfa, bound_2nfa_to_dfa, bound_svfa_to_dfa):
         with pytest.raises(ValueError):

@@ -199,6 +199,25 @@ def test_afa_rejects_chain_longer_than_declared():
         )
 
 
+def test_afa_long_epsilon_chain():
+    def chain(bound):
+        return OneWayAfa(
+            state_count=1201,
+            alphabet=("a",),
+            initial=0,
+            transitions=frozenset((q, EPSILON, q + 1) for q in range(1200)),
+            accepting=frozenset({1200}),
+            existential=frozenset(range(1201)),
+            max_eps_chain=bound,
+        )
+
+    afa = chain(1200)
+    assert afa_accepts(afa, "")
+    assert not afa_accepts(afa, "a")
+    with pytest.raises(ValueError, match="1200 edges"):
+        chain(1199)
+
+
 def test_twoway_accepts_by_halting_anywhere():
     # Move right to the right marker, then halt in the accepting state.
     machine = TwoWayMachine(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from promata import (
     FAILS,
+    InputDomainError,
     ROLE_ACCEPTING,
     ROLE_NEUTRAL,
     ROLE_REJECTING,
@@ -38,6 +39,13 @@ from promata import (
 def _coin(p=Fraction(1, 2)):
     """Two-state chain: accept while the biased coin keeps landing heads."""
     return up_pfa(p)
+
+
+def test_foreign_symbol_is_an_input_domain_error():
+    with pytest.raises(InputDomainError):
+        outcome_dist(up_pfa(Fraction(1, 2)), "b")
+    with pytest.raises(InputDomainError):
+        monte_carlo(up_pfa(Fraction(1, 2)), "ab", 10, 1)
 
 
 def test_outcome_distribution_validates():
