@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 from .errors import ResourceCapError
 from .machines import (
-    EPSILON,
     FAILS,
     SOLVES,
     OneWayDfa,
     OneWayNfa,
     PromiseProblem,
     VerificationReport,
+    _nfa_tables,
     promise_check,
 )
 
@@ -473,48 +473,15 @@ def pumping_check(
 
 
 def _nfa_step_tables(nfa: OneWayNfa) -> tuple[dict[str, dict[int, int]], list[int]]:
-    """Per-symbol subset-step tables over bitmask subsets, silent moves folded in."""
+    """Per-symbol subset-step tables over every bitmask subset, silent moves
+    folded in, plus each state's silent closure."""
     if nfa.state_count > 20:
         raise ResourceCapError("subset tables above 20 states are too large")
-    eps: dict[int, int] = {q: 0 for q in range(nfa.state_count)}
-    by_symbol: dict[str, dict[int, int]] = {
-        sym: {q: 0 for q in range(nfa.state_count)} for sym in nfa.alphabet
-    }
-    for src, sym, dst in nfa.transitions:
-        if sym is EPSILON:
-            eps[src] |= 1 << dst
-        else:
-            by_symbol[sym][src] |= 1 << dst
-    closure = [1 << q for q in range(nfa.state_count)]
-    changed = True
-    while changed:
-        changed = False
-        for q in range(nfa.state_count):
-            mask = closure[q]
-            grow = mask
-            probe = mask
-            while probe:
-                low = probe & -probe
-                bit = low.bit_length() - 1
-                grow |= closure[bit] | eps[bit]
-                probe ^= low
-            if grow != mask:
-                closure[q] = grow
-                changed = True
-    full = 1 << nfa.state_count
+    closure, succ = _nfa_tables(nfa)
     tables: dict[str, dict[int, int]] = {}
-    for sym in nfa.alphabet:
-        single = []
-        for q in range(nfa.state_count):
-            mask = 0
-            probe = by_symbol[sym][q]
-            while probe:
-                low = probe & -probe
-                mask |= closure[low.bit_length() - 1]
-                probe ^= low
-            single.append(mask)
+    for sym, single in succ.items():
         table: dict[int, int] = {0: 0}
-        for subset in range(1, full):
+        for subset in range(1, 1 << nfa.state_count):
             low = subset & -subset
             table[subset] = table[subset ^ low] | single[low.bit_length() - 1]
         tables[sym] = table

@@ -8,12 +8,15 @@ from fractions import Fraction
 
 from .errors import AlphabetMismatchError, ResourceCapError
 from .machines import (
-    EPSILON,
     OneWayAfa,
     OneWayDfa,
     OneWayNfa,
-    _eps_closure,
-    _nfa_maps,
+    _afa_stepper,
+    _bits,
+    _image,
+    _mask,
+    _nfa_stepper,
+    _nfa_tables,
 )
 
 DEFAULT_SUBSET_CAP = 1 << 16
@@ -70,9 +73,8 @@ def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDf
     Transitions into the empty set are left undefined, so the result is a
     partial machine and never carries a dead state of its own.
     """
-    eps, by_symbol = _nfa_maps(nfa)
-    start = _eps_closure({nfa.initial}, eps)
-    index: dict[frozenset[int], int] = {start: 0}
+    start, step, accepts, _ = _nfa_stepper(nfa)
+    index: dict[int, int] = {start: 0}
     order = [start]
     transitions: dict[tuple[int, str], int] = {}
     head = 0
@@ -80,10 +82,7 @@ def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDf
         subset = order[head]
         head += 1
         for sym in nfa.alphabet:
-            moved: set[int] = set()
-            for state in subset:
-                moved |= by_symbol.get((state, sym), set())
-            target = _eps_closure(moved, eps)
+            target = step(subset, sym)
             if not target:
                 continue
             if target not in index:
@@ -99,12 +98,10 @@ def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDf
         alphabet=nfa.alphabet,
         initial=0,
         transitions=transitions,
-        accepting=frozenset(
-            index[s] for s in order if s & nfa.accepting
-        ),
+        accepting=frozenset(idx for idx, subset in enumerate(order) if accepts(subset)),
         labels={
-            idx: "{" + ",".join(map(str, sorted(subset))) + "}"
-            for subset, idx in index.items()
+            idx: "{" + ",".join(map(str, _bits(subset))) + "}"
+            for idx, subset in enumerate(order)
         },
     )
 
@@ -115,19 +112,16 @@ def remove_epsilon(nfa: OneWayNfa) -> OneWayNfa:
     Symbol moves are composed through closures on both sides, and a state
     becomes accepting when its closure meets an accepting state.
     """
-    eps, by_symbol = _nfa_maps(nfa)
+    closure, succ = _nfa_tables(nfa)
+    accepting_mask = _mask(nfa.accepting)
     transitions: set[tuple[int, str | None, int]] = set()
     accepting: set[int] = set()
     for state in range(nfa.state_count):
-        closure = _eps_closure({state}, eps)
-        if closure & nfa.accepting:
+        if closure[state] & accepting_mask:
             accepting.add(state)
         for sym in nfa.alphabet:
-            moved: set[int] = set()
-            for mid in closure:
-                moved |= by_symbol.get((mid, sym), set())
-            for target in _eps_closure(moved, eps):
-                transitions.add((state, sym, target))
+            moved = _image(closure[state], succ[sym])
+            transitions.update((state, sym, target) for target in _bits(moved))
     return OneWayNfa(
         state_count=nfa.state_count,
         alphabet=nfa.alphabet,
@@ -138,69 +132,28 @@ def remove_epsilon(nfa: OneWayNfa) -> OneWayNfa:
     )
 
 
-def _afa_unary_tables(
-    afa: OneWayAfa,
-) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Per-state EPSILON targets and single-symbol targets, plus eval order."""
-    sym = afa.alphabet[0]
-    eps_targets: list[list[int]] = [[] for _ in range(afa.state_count)]
-    sym_targets: list[list[int]] = [[] for _ in range(afa.state_count)]
-    for src, label, dst in afa.transitions:
-        if label is EPSILON:
-            eps_targets[src].append(dst)
-        elif label == sym:
-            sym_targets[src].append(dst)
-    return eps_targets, sym_targets, list(afa.eps_order)
-
-
 def unary_afa_to_dfa(
     afa: OneWayAfa, vector_cap: int = DEFAULT_VECTOR_CAP
 ) -> OneWayDfa:
     """Exact determinization of a unary alternating machine.
 
     Tracks the backward valuation vector v_j, where v_j[q] says whether the
-    machine accepts a^j when started in q: v_0 comes from the accepting set
-    filtered through the EPSILON layer, and one backward step per symbol
-    rebuilds the vector for j+1 from the one for j. Distinct vectors become
-    the states of the resulting (lasso-shaped) deterministic machine, so at
-    most 2^state_count states can ever appear.
+    machine accepts a^j when started in q: v_0 is the alternating machine's
+    end-of-input valuation, and one backward step per symbol rebuilds the
+    vector for j+1 from the one for j (the step afa_accepts folds). Distinct
+    vectors become the states of the resulting (lasso-shaped) deterministic
+    machine, so at most 2^state_count states can ever appear.
     """
     if len(afa.alphabet) != 1:
         raise ValueError("unary determinization needs a one-symbol alphabet")
-    eps_targets, sym_targets, order = _afa_unary_tables(afa)
-    existential = afa.existential
-    accepting = afa.accepting
-
-    def initial_vector() -> tuple[bool, ...]:
-        value = [False] * afa.state_count
-        for q in order:
-            if eps_targets[q]:
-                branch = (value[t] for t in eps_targets[q])
-                value[q] = any(branch) if q in existential else all(branch)
-            else:
-                value[q] = q in accepting
-        return tuple(value)
-
-    def backward_step(prev: tuple[bool, ...]) -> tuple[bool, ...]:
-        value = [False] * afa.state_count
-        for q in order:
-            if eps_targets[q]:
-                branch = (value[t] for t in eps_targets[q])
-                value[q] = any(branch) if q in existential else all(branch)
-            elif sym_targets[q]:
-                branch = (prev[t] for t in sym_targets[q])
-                value[q] = any(branch) if q in existential else all(branch)
-            # else: mid-word halt, value stays False
-        return tuple(value)
-
+    vector, step, accepts, _ = _afa_stepper(afa)
     sym = afa.alphabet[0]
-    vector = initial_vector()
-    index: dict[tuple[bool, ...], int] = {vector: 0}
+    index: dict[int, int] = {vector: 0}
     vectors = [vector]
     transitions: dict[tuple[int, str], int] = {}
     current = 0
     while True:
-        nxt = backward_step(vectors[current])
+        nxt = step(vectors[current], sym)
         if nxt in index:
             transitions[(current, sym)] = index[nxt]
             break
@@ -215,11 +168,9 @@ def unary_afa_to_dfa(
         alphabet=afa.alphabet,
         initial=0,
         transitions=transitions,
-        accepting=frozenset(
-            idx for idx, vec in enumerate(vectors) if vec[afa.initial]
-        ),
+        accepting=frozenset(idx for idx, vec in enumerate(vectors) if accepts(vec)),
         labels={
-            idx: "".join("1" if bit else "0" for bit in vec)
+            idx: "".join("1" if vec >> q & 1 else "0" for q in range(afa.state_count))
             for idx, vec in enumerate(vectors)
         },
     )

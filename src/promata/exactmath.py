@@ -124,8 +124,3 @@ def pow_less_than(base: Fraction, exponent: int, bound: Fraction) -> bool:
             "power comparison did not separate within the precision ladder"
         )
     return base**exponent < bound
-
-
-def pow_at_least(base: Fraction, exponent: int, bound: Fraction) -> bool:
-    """Decide base^exponent >= bound with certainty."""
-    return not pow_less_than(base, exponent, bound)

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceCapError
+from .errors import AlphabetMismatchError, ResourceCapError
 from .exactmath import ceil_ln, pow_less_than
 from .machines import (
     FAILS,
@@ -16,8 +16,11 @@ from .machines import (
     SOLVES,
     OneWayPfa,
     PromiseProblem,
+    Stepper,
     VerificationReport,
+    _fold,
     _require_symbols,
+    _resumed_outcomes,
 )
 
 
@@ -41,26 +44,35 @@ class OutcomeDistribution:
             raise ValueError("outcome probabilities must sum to exactly 1")
 
 
-def _final_distribution(
-    pfa: OneWayPfa, word: str
-) -> tuple[dict[int, Fraction], Fraction]:
-    """Mass per state after reading the whole word, plus prematurely
-    halted mass (rows missing for a reached (state, symbol))."""
-    _require_symbols(word, pfa.symbols)
-    dist: dict[int, Fraction] = {pfa.initial: Fraction(1)}
-    halted = Fraction(0)
-    for sym in word:
+def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
+    """The value is the exact mass per state still running; mass reaching a
+    (state, symbol) with no row halts and leaves the distribution."""
+    rows = pfa.transitions
+    roles = pfa.roles
+
+    def step(dist: dict[int, Fraction], sym: str) -> dict[int, Fraction]:
         nxt: dict[int, Fraction] = {}
         for state, mass in dist.items():
-            row = pfa.transitions.get((state, sym))
+            row = rows.get((state, sym))
             if row is None:
-                halted += mass
                 continue
             for target, prob in row:
                 if prob:
-                    nxt[target] = nxt.get(target, Fraction(0)) + mass * prob
-        dist = nxt
-    return dist, halted
+                    nxt[target] = nxt.get(target, 0) + mass * prob
+        return nxt
+
+    def outcome(dist: dict[int, Fraction]) -> OutcomeDistribution:
+        accept = Fraction(0)
+        reject = Fraction(0)
+        for state, mass in dist.items():
+            role = roles[state]
+            if role == ROLE_ACCEPTING:
+                accept += mass
+            elif role == ROLE_REJECTING:
+                reject += mass
+        return OutcomeDistribution(accept, reject, 1 - accept - reject)
+
+    return Stepper({pfa.initial: Fraction(1)}, step, outcome)
 
 
 def outcome_dist(pfa: OneWayPfa, word: str) -> OutcomeDistribution:
@@ -70,16 +82,8 @@ def outcome_dist(pfa: OneWayPfa, word: str) -> OutcomeDistribution:
     lack of a transition row, counts as neutral no matter which state it
     stopped in, alongside mass ending in neutral-role states.
     """
-    dist, _halted = _final_distribution(pfa, word)
-    accept = Fraction(0)
-    reject = Fraction(0)
-    for state, mass in dist.items():
-        role = pfa.roles[state]
-        if role == ROLE_ACCEPTING:
-            accept += mass
-        elif role == ROLE_REJECTING:
-            reject += mass
-    return OutcomeDistribution(accept, reject, 1 - accept - reject)
+    _require_symbols(word, pfa.symbols)
+    return _fold(_pfa_stepper(pfa), word)
 
 
 def accept_prob(pfa: OneWayPfa, word: str) -> Fraction:
@@ -163,15 +167,20 @@ def lasvegas_success(
     and accept probability at least the threshold (and above zero even when
     the threshold is 0, so a machine that never answers does not pass);
     symmetrically for no instances. measured carries the smallest decisive
-    probability seen.
+    probability seen. Each instance's distribution is propagated on from
+    the previous instance's at their longest common prefix.
     """
     threshold = Fraction(threshold)
     if frozenset(problem.alphabet) != pfa.symbols:
-        raise ValueError("machine and problem alphabets differ")
+        raise AlphabetMismatchError(
+            f"machine alphabet {sorted(pfa.symbols)} differs from problem "
+            f"alphabet {sorted(problem.alphabet)}"
+        )
     instances = problem.enumerate_instances(max_length)
+    measured: dict[str, object] = {"instances": len(instances), "threshold": threshold}
     min_success: Fraction | None = None
-    for word, cls in instances:
-        dist = outcome_dist(pfa, word)
+    runs = _resumed_outcomes(_pfa_stepper(pfa), pfa.symbols, instances)
+    for word, cls, dist in runs:
         good, bad = (
             (dist.accept, dist.reject) if cls == "yes" else (dist.reject, dist.accept)
         )
@@ -183,13 +192,9 @@ def lasvegas_success(
                     cls,
                     f"accept={dist.accept} reject={dist.reject}",
                 ),
-                measured={"instances": len(instances), "threshold": threshold},
+                measured=measured,
             )
         min_success = good if min_success is None else min(min_success, good)
-    measured: dict[str, object] = {
-        "instances": len(instances),
-        "threshold": threshold,
-    }
     if min_success is not None:
         measured["min_success"] = min_success
     return VerificationReport(SOLVES, measured=measured)

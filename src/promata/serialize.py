@@ -107,6 +107,8 @@ def _require(data: dict[str, Any], key: str) -> Any:
 
 
 def _int_keys(mapping: dict[str, Any], what: str) -> dict[int, Any]:
+    if not isinstance(mapping, dict):
+        raise MachineFormatError(f"{what} must be an object keyed by state number")
     try:
         return {int(key): value for key, value in mapping.items()}
     except (TypeError, ValueError) as exc:

@@ -397,6 +397,32 @@ def test_alphabet_mismatch_is_usage_error(tmp_path, capsys):
     assert "alphabet" in err
 
 
+def test_malformed_labels_are_usage_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run_cli(capsys, "build", "parity-dfa", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["labels"] = [1]
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(capsys, "simulate", "--machine", str(path), "--word", "aa")
+    assert code == 2
+    assert "labels" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_error_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "d.json"
+    run_cli(capsys, "build", "parity-dfa", "--out", str(path))
+
+    def broken(*args):
+        raise RuntimeError("simulator fault")
+
+    monkeypatch.setattr("promata.cli.dfa_run", broken)
+    code, out, err = run_cli(capsys, "simulate", "--machine", str(path), "--word", "aa")
+    assert code == 2
+    assert out == ""
+    assert err == "internal error: RuntimeError: simulator fault\n"
+
+
 def test_jobs_flag_is_accepted(capsys):
     code, out, _ = run_cli(capsys, "--jobs", "4", "bounds", "--formula", "2nfa-to-dfa", "--n", "2")
     assert code == 0

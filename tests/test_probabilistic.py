@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from promata import (
     FAILS,
+    AlphabetMismatchError,
     InputDomainError,
     ROLE_ACCEPTING,
     ROLE_NEUTRAL,
@@ -46,6 +47,12 @@ def test_foreign_symbol_is_an_input_domain_error():
         outcome_dist(up_pfa(Fraction(1, 2)), "b")
     with pytest.raises(InputDomainError):
         monte_carlo(up_pfa(Fraction(1, 2)), "ab", 10, 1)
+
+
+def test_lasvegas_alphabet_mismatch_is_typed():
+    with pytest.raises(AlphabetMismatchError, match="alphabet"):
+        lasvegas_success(up_pfa(Fraction(1, 2)), trios_problem(1, 1), 4)
+    assert issubclass(AlphabetMismatchError, ValueError)
 
 
 def test_outcome_distribution_validates():

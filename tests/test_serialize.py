@@ -143,6 +143,14 @@ def test_malformed_numbers_rejected():
         machine_from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["labels", "roles"])
+def test_state_maps_must_be_objects(field):
+    data = json.loads(dumps(up_pfa(Fraction(1, 2))))
+    data[field] = [1]
+    with pytest.raises(MachineFormatError, match=field):
+        loads(json.dumps(data))
+
+
 def test_bad_move_letter_rejected():
     data = machine_to_dict(trios_twoway_dfa(1, 1))
     data["transitions"][0][3] = "X"
