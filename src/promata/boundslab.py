@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
@@ -22,7 +23,7 @@ from .machines import (
     OneWayNfa,
     PromiseProblem,
     VerificationReport,
-    _nfa_tables,
+    _stepper,
     promise_check,
 )
 
@@ -363,47 +364,36 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 
-def _dfa_block_outcome(
-    dfa: OneWayDfa, start: int, sym: str, length: int
-) -> tuple[str, int]:
-    """Outcome of running sym^length from start: ('state', q) or ('stuck', d).
-
-    The orbit from any state enters a cycle or dies within state_count
-    steps, so arbitrary lengths are resolved by index arithmetic instead of
-    stepping."""
+def _orbit(
+    step: Callable[[object, str], object], sym: str, start: object
+) -> tuple[list, int]:
+    """The values start, step(start, sym), ... up to the first repeat, and
+    the index where the cycle they then run around begins."""
     path = [start]
     seen = {start: 0}
     while True:
-        nxt = dfa.transitions.get((path[-1], sym))
-        if nxt is None:
-            depth = len(path) - 1
-            if length <= depth:
-                return ("state", path[length])
-            return ("stuck", depth)
+        nxt = step(path[-1], sym)
         if nxt in seen:
-            entry = seen[nxt]
-            period = len(path) - entry
-            if length < len(path):
-                return ("state", path[length])
-            return ("state", path[entry + (length - entry) % period])
+            return path, seen[nxt]
         seen[nxt] = len(path)
         path.append(nxt)
 
 
-def _subset_orbit_at(step: dict[int, int], start: int, length: int) -> int:
-    """Reachable subset after length steps, via orbit index arithmetic."""
-    trace = [start]
-    seen = {start: 0}
-    while True:
-        nxt = step[trace[-1]]
-        if nxt in seen:
-            entry = seen[nxt]
-            period = len(trace) - entry
-            if length < len(trace):
-                return trace[length]
-            return trace[entry + (length - entry) % period]
-        seen[nxt] = len(trace)
-        trace.append(nxt)
+def _orbit_at(path: list, entry: int, length: int) -> object:
+    """The value after length steps, read off an orbit by index arithmetic."""
+    if length < len(path):
+        return path[length]
+    return path[entry + (length - entry) % (len(path) - entry)]
+
+
+def _dfa_block_outcome(
+    dfa: OneWayDfa, start: int, sym: str, length: int
+) -> tuple[str, int]:
+    """Outcome of running sym^length from start: ('state', q), or
+    ('stuck', d) when the symbol at index d has no transition."""
+    path, entry = _orbit(_stepper(dfa).step, sym, start)
+    state = _orbit_at(path, entry, length)
+    return ("stuck", path.index(None) - 1) if state is None else ("state", state)
 
 
 def pumping_check(
@@ -415,13 +405,14 @@ def pumping_check(
     same place, for every h requested.
 
     Requires a unary machine and m at least the state count; m is capped at
-    12 as a factorial overflow guard. For a deterministic machine the run
-    from the initial state is compared (state reached, or position stuck
-    at); the single run enters its cycle within state_count steps and the
-    cycle length divides m!, so this always holds. For a nondeterministic
-    machine the reachable subset from the initial state is compared; the
-    pumped word can only gain runs, so a strict subset on the shorter word
-    makes this fail, and the report says so rather than papering over it.
+    12 as a factorial overflow guard. Both lengths are read off one orbit
+    of the machine's Stepper from its start value: the state reached (None
+    once stuck) for a deterministic machine, the reachable subset for a
+    nondeterministic one. A deterministic run enters its cycle within
+    state_count <= m steps and the cycle length divides m!, so this always
+    holds. The pumped nondeterministic word can only gain runs, so a strict
+    subset on the shorter word makes this fail, and the report says so
+    rather than papering over it.
     """
     if len(machine.alphabet) != 1:
         raise ValueError("pumping_check needs a unary machine")
@@ -431,61 +422,29 @@ def pumping_check(
         raise ResourceCapError("m is capped at 12 (factorial overflow guard)")
     if any(h < 1 for h in h_values):
         raise ValueError("h values must be positive")
+    if not isinstance(machine, (OneWayDfa, OneWayNfa)):
+        raise TypeError(
+            "pumping_check handles one-way deterministic and nondeterministic machines"
+        )
     sym = machine.alphabet[0]
     pump = math.factorial(m)
     measured = {"m": m, "pump": pump, "h_values": tuple(h_values)}
-    if isinstance(machine, OneWayDfa):
-        base = _dfa_block_outcome(machine, machine.initial, sym, m)
-        for h in h_values:
-            pumped = _dfa_block_outcome(machine, machine.initial, sym, m + h * pump)
-            if pumped != base:
-                return VerificationReport(
-                    FAILS,
-                    counterexample=(
-                        f"{sym}^{m + h * pump}",
-                        f"same outcome as {sym}^{m}",
-                        f"{base} vs {pumped}",
-                    ),
-                    measured=measured,
-                )
-        return VerificationReport(SOLVES, measured=measured)
-    if isinstance(machine, OneWayNfa):
-        tables, closures = _nfa_step_tables(machine)
-        start = closures[machine.initial]
-        step = tables[sym]
-        base = _subset_orbit_at(step, start, m)
-        for h in h_values:
-            pumped = _subset_orbit_at(step, start, m + h * pump)
-            if pumped != base:
-                return VerificationReport(
-                    FAILS,
-                    counterexample=(
-                        f"{sym}^{m + h * pump}",
-                        f"same reachable set as {sym}^{m}",
-                        f"{base:b} vs {pumped:b}",
-                    ),
-                    measured=measured,
-                )
-        return VerificationReport(SOLVES, measured=measured)
-    raise TypeError(
-        "pumping_check handles one-way deterministic and nondeterministic machines"
-    )
-
-
-def _nfa_step_tables(nfa: OneWayNfa) -> tuple[dict[str, dict[int, int]], list[int]]:
-    """Per-symbol subset-step tables over every bitmask subset, silent moves
-    folded in, plus each state's silent closure."""
-    if nfa.state_count > 20:
-        raise ResourceCapError("subset tables above 20 states are too large")
-    closure, succ = _nfa_tables(nfa)
-    tables: dict[str, dict[int, int]] = {}
-    for sym, single in succ.items():
-        table: dict[int, int] = {0: 0}
-        for subset in range(1, 1 << nfa.state_count):
-            low = subset & -subset
-            table[subset] = table[subset ^ low] | single[low.bit_length() - 1]
-        tables[sym] = table
-    return tables, closure
+    stepper = _stepper(machine)
+    path, entry = _orbit(stepper.step, sym, stepper.start)
+    base = _orbit_at(path, entry, m)
+    for h in h_values:
+        pumped = _orbit_at(path, entry, m + h * pump)
+        if pumped != base:  # only a nondeterministic machine gets here
+            return VerificationReport(
+                FAILS,
+                counterexample=(
+                    f"{sym}^{m + h * pump}",
+                    f"same reachable set as {sym}^{m}",
+                    f"{base:b} vs {pumped:b}",
+                ),
+                measured=measured,
+            )
+    return VerificationReport(SOLVES, measured=measured)
 
 
 def disjointness_check(

@@ -518,12 +518,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="promata",
         description="Finite-automata workbench: build, simulate, convert, and verify.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker cap; execution is sequential and results never depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct a machine and print it as JSON")

@@ -555,10 +555,22 @@ def up_problem(p: Fraction) -> PromiseProblem:
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must be strictly between 0 and 1")
+
+    def enumerator(max_length: int):
+        num = den = 1  # p^j = num / den, one multiplication per length
+        for j in range(max_length + 1):
+            if 4 * num >= 3 * den:
+                yield "a" * j, "yes"
+            elif 4 * num <= den:
+                yield "a" * j, "no"
+            num *= p.numerator
+            den *= p.denominator
+
     return PromiseProblem(
         alphabet=("a",),
         yes_member=lambda w: p ** len(w) >= Fraction(3, 4),
         no_member=lambda w: p ** len(w) <= Fraction(1, 4),
+        enumerator=enumerator,
         name=f"up({p})",
     )
 

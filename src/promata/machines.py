@@ -33,7 +33,6 @@ _ROLES = (ROLE_ACCEPTING, ROLE_REJECTING, ROLE_NEUTRAL)
 
 SOLVES = "solves"
 FAILS = "fails"
-INCONCLUSIVE = "inconclusive"
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -44,6 +43,8 @@ def _check_alphabet(alphabet: tuple[str, ...]) -> None:
     for sym in alphabet:
         if not isinstance(sym, str) or not sym:
             raise ValueError(f"alphabet symbol {sym!r} must be a non-empty string")
+        if len(sym) > 1:  # words are strings, read one character at a time
+            raise ValueError(f"alphabet symbol {sym!r} must be a single character")
         if sym in (LEFT_MARKER, RIGHT_MARKER):
             raise ValueError(f"alphabet may not contain the endmarker {sym!r}")
 
@@ -53,91 +54,98 @@ def _check_state(state: int, count: int, what: str) -> None:
         raise ValueError(f"{what} {state!r} outside 0..{count - 1}")
 
 
-def _check_labels(labels: Mapping[int, str], count: int) -> None:
-    for state, name in labels.items():
-        _check_state(state, count, "labeled state")
-        if not isinstance(name, str):
-            raise ValueError(f"label for state {state} must be a string")
+@dataclass(frozen=True)
+class _Machine:
+    """The fields and checks every machine type shares.
+
+    Each type declares ``transitions`` and ``labels`` itself, after its own
+    fields, so its field order and positional construction stay as it
+    documents them. Construction freezes the fields and checks, in order,
+    the state count, the alphabet, the initial state, each state set named
+    in ``_state_sets``, the type's own rules (``_check_rules``) and the
+    labels.
+    """
+
+    state_count: int
+    alphabet: tuple[str, ...]
+    initial: int
+
+    # Not fields: how a type freezes its transitions, and its state sets.
+    _freeze = frozenset
+    _state_sets = ("accepting",)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "transitions", self._freeze(self.transitions))
+        object.__setattr__(self, "labels", dict(self.labels))
+        count = self.state_count
+        if count < 1:
+            raise ValueError("state_count must be at least 1")
+        _check_alphabet(self.alphabet)
+        symbols = frozenset(self.alphabet)
+        _check_state(self.initial, count, "initial state")
+        for name in self._state_sets:
+            states = frozenset(getattr(self, name))
+            object.__setattr__(self, name, states)
+            what = f"{name} state"
+            for state in states:
+                _check_state(state, count, what)
+        self._check_rules(symbols)
+        for state, label in self.labels.items():
+            _check_state(state, count, "labeled state")
+            if not isinstance(label, str):
+                raise ValueError(f"label for state {state} must be a string")
+        object.__setattr__(self, "_symbols", symbols)
+
+    def _check_rules(self, symbols: frozenset[str]) -> None:
+        """The type's own checks; symbols is the alphabet as a set."""
+        raise NotImplementedError
+
+    @property
+    def symbols(self) -> frozenset[str]:
+        return self._symbols  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
-class OneWayDfa:
+class OneWayDfa(_Machine):
     """Deterministic one-way acceptor with a partial transition function.
 
     ``transitions`` maps (state, symbol) to the successor state; a missing
     entry makes the run halt where it stands.
     """
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    initial: int
     transitions: Mapping[tuple[int, str], int]
     accepting: frozenset[int]
     labels: Mapping[int, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "labels", dict(self.labels))
-        if self.state_count < 1:
-            raise ValueError("state_count must be at least 1")
-        _check_alphabet(self.alphabet)
-        symbols = frozenset(self.alphabet)
-        _check_state(self.initial, self.state_count, "initial state")
-        for state in self.accepting:
-            _check_state(state, self.state_count, "accepting state")
+    _freeze = dict
+
+    def _check_rules(self, symbols: frozenset[str]) -> None:
         for (src, sym), dst in self.transitions.items():
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
             if sym not in symbols:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-        _check_labels(self.labels, self.state_count)
-        object.__setattr__(self, "_symbols", symbols)
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        return self._symbols  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
-class OneWayNfa:
+class OneWayNfa(_Machine):
     """Nondeterministic one-way acceptor; EPSILON labels consume no input."""
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    initial: int
     transitions: frozenset[tuple[int, str | None, int]]
     accepting: frozenset[int]
     labels: Mapping[int, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "labels", dict(self.labels))
-        if self.state_count < 1:
-            raise ValueError("state_count must be at least 1")
-        _check_alphabet(self.alphabet)
-        symbols = frozenset(self.alphabet)
-        _check_state(self.initial, self.state_count, "initial state")
-        for state in self.accepting:
-            _check_state(state, self.state_count, "accepting state")
+    def _check_rules(self, symbols: frozenset[str]) -> None:
         for src, sym, dst in self.transitions:
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
             if sym is not EPSILON and sym not in symbols:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-        _check_labels(self.labels, self.state_count)
-        object.__setattr__(self, "_symbols", symbols)
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        return self._symbols  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
-class TwoWayMachine:
+class TwoWayMachine(_Machine):
     """Two-way acceptor over an input taped between two endmarkers.
 
     The tape for word w is LEFT_MARKER + w + RIGHT_MARKER, the head starts on
@@ -147,26 +155,13 @@ class TwoWayMachine:
     an endmarker are rejected at construction time.
     """
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    initial: int
     transitions: frozenset[tuple[int, str, int, int]]
     accepting: frozenset[int]
     deterministic: bool = False
     labels: Mapping[int, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "labels", dict(self.labels))
-        if self.state_count < 1:
-            raise ValueError("state_count must be at least 1")
-        _check_alphabet(self.alphabet)
-        tape_symbols = frozenset(self.alphabet) | {LEFT_MARKER, RIGHT_MARKER}
-        _check_state(self.initial, self.state_count, "initial state")
-        for state in self.accepting:
-            _check_state(state, self.state_count, "accepting state")
+    def _check_rules(self, symbols: frozenset[str]) -> None:
+        tape_symbols = symbols | {LEFT_MARKER, RIGHT_MARKER}
         seen: set[tuple[int, str]] = set()
         for src, sym, dst, move in self.transitions:
             _check_state(src, self.state_count, "transition source")
@@ -185,16 +180,10 @@ class TwoWayMachine:
                         f"deterministic machine has two transitions on {(src, sym)!r}"
                     )
                 seen.add((src, sym))
-        _check_labels(self.labels, self.state_count)
-        object.__setattr__(self, "_symbols", frozenset(self.alphabet))
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        return self._symbols  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
-class OneWayAfa:
+class OneWayAfa(_Machine):
     """Alternating one-way acceptor with existential and universal states.
 
     Every state is existential or universal: ``existential`` lists the
@@ -204,30 +193,15 @@ class OneWayAfa:
     ``max_eps_chain``, so evaluation always terminates.
     """
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    initial: int
     transitions: frozenset[tuple[int, str | None, int]]
     accepting: frozenset[int]
     existential: frozenset[int]
     max_eps_chain: int = 3
     labels: Mapping[int, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "existential", frozenset(self.existential))
-        object.__setattr__(self, "labels", dict(self.labels))
-        if self.state_count < 1:
-            raise ValueError("state_count must be at least 1")
-        _check_alphabet(self.alphabet)
-        symbols = frozenset(self.alphabet)
-        _check_state(self.initial, self.state_count, "initial state")
-        for state in self.accepting:
-            _check_state(state, self.state_count, "accepting state")
-        for state in self.existential:
-            _check_state(state, self.state_count, "existential state")
+    _state_sets = ("accepting", "existential")
+
+    def _check_rules(self, symbols: frozenset[str]) -> None:
         eps_out: dict[int, list[int]] = {}
         sym_out: set[int] = set()
         for src, sym, dst in self.transitions:
@@ -253,15 +227,9 @@ class OneWayAfa:
                 f"longest EPSILON chain has {longest} edges, above the declared "
                 f"bound {self.max_eps_chain}"
             )
-        _check_labels(self.labels, self.state_count)
-        object.__setattr__(self, "_symbols", symbols)
         object.__setattr__(
             self, "_eps_order", tuple(sorted(range(self.state_count), key=depth.__getitem__))
         )
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        return self._symbols  # type: ignore[attr-defined]
 
     @property
     def eps_order(self) -> tuple[int, ...]:
@@ -314,8 +282,20 @@ def _check_stochastic_row(
         raise ValueError(f"probabilities on {key!r} sum to {total}, not 1")
 
 
+def _sorted_rows(
+    transitions: Mapping[tuple[int, str], Iterable[tuple[int, Fraction]]]
+) -> dict[tuple[int, str], tuple[tuple[int, Fraction], ...]]:
+    """Rows sorted by target state, so that equality is semantic: two
+    machines with the same distributions compare equal regardless of the
+    order their rows were written in."""
+    return {
+        key: tuple(sorted(row, key=lambda item: item[0]))
+        for key, row in dict(transitions).items()
+    }
+
+
 @dataclass(frozen=True)
-class OneWayPfa:
+class OneWayPfa(_Machine):
     """Probabilistic one-way acceptor with exact rational transitions.
 
     ``transitions`` maps (state, symbol) to a row of (target, probability)
@@ -324,33 +304,15 @@ class OneWayPfa:
     ROLE_ACCEPTING, ROLE_REJECTING, ROLE_NEUTRAL. No EPSILON moves exist.
     """
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    initial: int
     transitions: Mapping[tuple[int, str], tuple[tuple[int, Fraction], ...]]
     roles: Mapping[int, str]
     labels: Mapping[int, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        # Rows are kept sorted by target state so that equality is semantic:
-        # two machines with the same distributions compare equal regardless of
-        # the order their rows were written in.
-        object.__setattr__(
-            self,
-            "transitions",
-            {
-                key: tuple(sorted(row, key=lambda item: item[0]))
-                for key, row in dict(self.transitions).items()
-            },
-        )
+    _freeze = staticmethod(_sorted_rows)
+    _state_sets = ()
+
+    def _check_rules(self, symbols: frozenset[str]) -> None:
         object.__setattr__(self, "roles", dict(self.roles))
-        object.__setattr__(self, "labels", dict(self.labels))
-        if self.state_count < 1:
-            raise ValueError("state_count must be at least 1")
-        _check_alphabet(self.alphabet)
-        symbols = frozenset(self.alphabet)
-        _check_state(self.initial, self.state_count, "initial state")
         if set(self.roles) != set(range(self.state_count)):
             raise ValueError("roles must cover every state exactly")
         for state, role in self.roles.items():
@@ -361,12 +323,6 @@ class OneWayPfa:
             if sym not in symbols:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
             _check_stochastic_row(row, self.state_count, (src, sym))
-        _check_labels(self.labels, self.state_count)
-        object.__setattr__(self, "_symbols", symbols)
-
-    @property
-    def symbols(self) -> frozenset[str]:
-        return self._symbols  # type: ignore[attr-defined]
 
     def states_with_role(self, role: str) -> frozenset[int]:
         return frozenset(s for s, r in self.roles.items() if r == role)
@@ -464,7 +420,7 @@ class VerificationReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "measured", dict(self.measured))
-        if self.verdict not in (SOLVES, FAILS, INCONCLUSIVE):
+        if self.verdict not in (SOLVES, FAILS):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if (self.verdict == FAILS) != (self.counterexample is not None):
             raise ValueError("counterexample is present exactly when verdict is fails")

@@ -119,10 +119,12 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
     """Rebuild a machine from its interchange dict, validating as it goes."""
     kind = _require(data, "type")
     try:
-        states = _require(data, "states")
-        alphabet = tuple(_require(data, "alphabet"))
-        initial = _require(data, "initial")
-        labels = _int_keys(data.get("labels", {}), "labels")
+        common = {
+            "state_count": _require(data, "states"),
+            "alphabet": tuple(_require(data, "alphabet")),
+            "initial": _require(data, "initial"),
+            "labels": _int_keys(data.get("labels", {}), "labels"),
+        }
         if kind == "dfa":
             transitions = {
                 (src, sym): dst for src, sym, dst in _require(data, "transitions")
@@ -130,30 +132,22 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
             if len(transitions) != len(data["transitions"]):
                 raise MachineFormatError("dfa has duplicate (state, symbol) entries")
             return OneWayDfa(
-                state_count=states,
-                alphabet=alphabet,
-                initial=initial,
+                **common,
                 transitions=transitions,
                 accepting=frozenset(_require(data, "accepting")),
-                labels=labels,
             )
         if kind == "nfa":
             return OneWayNfa(
-                state_count=states,
-                alphabet=alphabet,
-                initial=initial,
+                **common,
                 transitions=frozenset(
                     (src, EPSILON if sym == "" else sym, dst)
                     for src, sym, dst in _require(data, "transitions")
                 ),
                 accepting=frozenset(_require(data, "accepting")),
-                labels=labels,
             )
         if kind == "afa":
             return OneWayAfa(
-                state_count=states,
-                alphabet=alphabet,
-                initial=initial,
+                **common,
                 transitions=frozenset(
                     (src, EPSILON if sym == "" else sym, dst)
                     for src, sym, dst in _require(data, "transitions")
@@ -161,7 +155,6 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
                 accepting=frozenset(_require(data, "accepting")),
                 existential=frozenset(_require(data, "existential")),
                 max_eps_chain=data.get("eps_chain", 3),
-                labels=labels,
             )
         if kind == "2way":
             moves = []
@@ -170,13 +163,10 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
                     raise MachineFormatError(f"bad move {move!r}, expected L/S/R")
                 moves.append((src, sym, dst, _MOVE_FROM_JSON[move]))
             return TwoWayMachine(
-                state_count=states,
-                alphabet=alphabet,
-                initial=initial,
+                **common,
                 transitions=frozenset(moves),
                 accepting=frozenset(_require(data, "accepting")),
                 deterministic=data.get("deterministic", False),
-                labels=labels,
             )
         if kind == "pfa":
             rows: dict[tuple[int, str], list[tuple[int, Fraction]]] = {}
@@ -184,12 +174,9 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
                 rows.setdefault((src, sym), []).append((dst, fraction_from_str(prob)))
             cls = LasVegasPfa if data.get("lasvegas") else OneWayPfa
             return cls(
-                state_count=states,
-                alphabet=alphabet,
-                initial=initial,
+                **common,
                 transitions={key: tuple(row) for key, row in rows.items()},
                 roles=_int_keys(_require(data, "roles"), "roles"),
-                labels=labels,
             )
     except MachineFormatError:
         raise

@@ -1,6 +1,7 @@
 """Exhaustive searches, pumping agreement, and disjointness scanning."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from promata import (
     trios_problem,
     up_problem,
 )
-from promata.machines import machine_accepts
+from promata.boundslab import _dfa_block_outcome
+from promata.machines import _fold, _stepper, dfa_run, machine_accepts
 
 
 def test_search_spec_validation():
@@ -321,6 +323,63 @@ def test_pumping_nfa_state_cap():
     )
     with pytest.raises(ResourceCapError):
         pumping_check(big, 25, (1,))
+
+
+def _random_unary_machine(rng, kind, size):
+    accepting = frozenset(q for q in range(size) if rng.random() < 0.5)
+    initial = rng.randrange(size)
+    if kind is OneWayDfa:
+        transitions = {(q, "a"): rng.randrange(size) for q in range(size) if rng.random() < 0.8}
+        return OneWayDfa(size, ("a",), initial, transitions, accepting)
+    # A cycle through every state plus a chord or two: subset orbits with
+    # tails longer than the state count, so both verdicts occur.
+    moves = {(q, "a", (q + 1) % size) for q in range(size)}
+    for _ in range(rng.randint(1, 2)):
+        moves.add((rng.randrange(size), rng.choice(["a", "a", EPSILON]), rng.randrange(size)))
+    return OneWayNfa(size, ("a",), initial, moves, accepting)
+
+
+@pytest.mark.parametrize("kind", [OneWayDfa, OneWayNfa], ids=lambda k: k.__name__)
+def test_pumping_matches_a_direct_fold(kind):
+    """pumping_check reads both lengths off one orbit; the oracle folds the
+    machine's step over both words symbol by symbol and compares the final
+    values (state or reachable set, not only acceptance)."""
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(40):
+        size = rng.randint(1, 5)
+        machine = _random_unary_machine(rng, kind, size)
+        m = rng.randint(size, 7 if rng.random() < 0.8 else 8)
+        h_values = rng.choice([(1,), (2,), (1, 2)])
+        final = _stepper(machine)._replace(outcome=lambda value: value)
+        base = _fold(final, "a" * m)
+        pump = math.factorial(m)
+        same = all(_fold(final, "a" * (m + h * pump)) == base for h in h_values)
+        report = pumping_check(machine, m, h_values)
+        assert report.verdict == (SOLVES if same else FAILS)
+        verdicts.add(report.verdict)
+    assert verdicts == ({SOLVES} if kind is OneWayDfa else {SOLVES, FAILS})
+
+
+def test_block_outcome_stuck_depth_matches_dfa_run():
+    rng = random.Random(77)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        dfa = OneWayDfa(
+            size,
+            ("a", "b"),
+            rng.randrange(size),
+            {(q, s): rng.randrange(size) for q in range(size) for s in "ab" if rng.random() < 0.7},
+            frozenset(q for q in range(size) if rng.random() < 0.5),
+        )
+        sym = rng.choice("ab")
+        for length in range(3 * size):
+            kind, value = _dfa_block_outcome(dfa, dfa.initial, sym, length)
+            run = dfa_run(dfa, sym * length)
+            if kind == "stuck":
+                assert (run.outcome, run.position) == ("stuck", value)
+            else:
+                assert run.outcome == ("accept" if value in dfa.accepting else "reject")
 
 
 # --- disjointness ---

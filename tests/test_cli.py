@@ -423,10 +423,28 @@ def test_unexpected_error_is_one_line_usage_error(tmp_path, capsys, monkeypatch)
     assert err == "internal error: RuntimeError: simulator fault\n"
 
 
-def test_jobs_flag_is_accepted(capsys):
-    code, out, _ = run_cli(capsys, "--jobs", "4", "bounds", "--formula", "2nfa-to-dfa", "--n", "2")
-    assert code == 0
-    assert json.loads(out)["value"] == "7"
+def test_jobs_flag_is_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "--jobs", "4", "bounds", "--formula", "2nfa-to-dfa", "--n", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "promata: error:" in err
+
+
+def test_multi_character_symbol_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    run_cli(capsys, "build", "parity-dfa", "--out", str(path))
+    data = json.loads(path.read_text())
+    data["alphabet"] = ["ab"]
+    data["transitions"] = [[src, "ab", dst] for src, _, dst in data["transitions"]]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "simulate", "--machine", str(path), "--word", "ab")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "single character" in err
+    assert "Traceback" not in err
 
 
 def test_run_config_dispatches(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from promata import (
     SOLVES,
+    PromiseProblem,
     afa_accepts,
     critical_lengths,
     dfa_run,
@@ -236,6 +237,18 @@ def test_up_pfa_geometric_decay(p):
     assert pfa.state_count == 2
     for j in range(30):
         assert outcome_dist(pfa, "a" * j).accept == p**j
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(49, 50)]
+)
+def test_up_enumerator_matches_brute_force(p):
+    problem = up_problem(p)
+    brute = PromiseProblem(problem.alphabet, problem.yes_member, problem.no_member)
+    for max_length in (0, 1, 2, 30, 120):
+        assert problem.enumerate_instances(max_length) == brute.enumerate_instances(
+            max_length
+        )
 
 
 def test_up_pfa_rejects_bad_probability():

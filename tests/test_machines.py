@@ -26,6 +26,7 @@ from promata import (
     promise_check,
     twoway_accepts,
 )
+from promata.machines import RIGHT
 
 
 def test_dfa_partial_transitions_stick():
@@ -68,6 +69,81 @@ def test_dfa_validation_errors():
         OneWayDfa(1, ("a",), 0, {(0, "a"): 5}, frozenset())
     with pytest.raises(ValueError):
         OneWayDfa(1, (), 0, {}, frozenset())
+
+
+def _build(kind, states=2, alphabet=("a",), initial=0, accepting=(1,), existential=(),
+           labels=None, symbol="a"):
+    """A valid two-state machine of the kind unless an argument breaks it;
+    every type is built positionally."""
+    labels = {} if labels is None else labels
+    if kind is OneWayDfa:
+        return OneWayDfa(states, alphabet, initial, {(0, symbol): 0}, accepting, labels)
+    if kind is OneWayNfa:
+        return OneWayNfa(states, alphabet, initial, {(0, symbol, 0)}, accepting, labels)
+    if kind is TwoWayMachine:
+        return TwoWayMachine(
+            states, alphabet, initial, {(0, symbol, 0, RIGHT)}, accepting, False, labels
+        )
+    if kind is OneWayAfa:
+        return OneWayAfa(
+            states, alphabet, initial, {(0, symbol, 0)}, accepting, existential, 3, labels
+        )
+    roles = {q: ROLE_ACCEPTING for q in range(states)}
+    return OneWayPfa(
+        states, alphabet, initial, {(0, symbol): ((0, Fraction(1)),)}, roles, labels
+    )
+
+
+_KINDS = (OneWayDfa, OneWayNfa, TwoWayMachine, OneWayAfa, OneWayPfa)
+_SHARED_FAULTS = {
+    "no-states": ({"states": 0}, "state_count must be at least 1"),
+    "empty-alphabet": ({"alphabet": ()}, "alphabet must be non-empty"),
+    "repeated-symbol": ({"alphabet": ("a", "a")}, "alphabet symbols must be distinct"),
+    "long-symbol": (
+        {"alphabet": ("ab",), "symbol": "ab"},
+        "alphabet symbol 'ab' must be a single character",
+    ),
+    "empty-symbol": (
+        {"alphabet": ("",), "symbol": ""},
+        "alphabet symbol '' must be a non-empty string",
+    ),
+    "non-string-symbol": (
+        {"alphabet": (1,), "symbol": 1},
+        "alphabet symbol 1 must be a non-empty string",
+    ),
+    "initial": ({"initial": 2}, "initial state 2 outside 0..1"),
+    "accepting": ({"accepting": (5,)}, "accepting state 5 outside 0..1"),
+    "existential": ({"existential": (5,)}, "existential state 5 outside 0..1"),
+    "label-type": ({"labels": {0: 7}}, "label for state 0 must be a string"),
+    "labeled-state": ({"labels": {9: "x"}}, "labeled state 9 outside 0..1"),
+    "foreign-symbol": ({"symbol": "b"}, "transition symbol 'b' not in alphabet"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,fault",
+    [
+        pytest.param(kind, fault, id=f"{kind.__name__}-{fault}")
+        for kind in _KINDS
+        for fault in _SHARED_FAULTS
+        if not (fault == "accepting" and kind is OneWayPfa)
+        and not (fault == "existential" and kind is not OneWayAfa)
+    ],
+)
+def test_shared_faults_give_one_message_on_every_type(kind, fault):
+    _build(kind)
+    arguments, message = _SHARED_FAULTS[fault]
+    if kind is TwoWayMachine and fault == "foreign-symbol":
+        # Two-way transitions may also read the endmarkers.
+        message = "tape symbol 'b' not in alphabet or endmarkers"
+    with pytest.raises(ValueError) as info:
+        _build(kind, **arguments)
+    assert str(info.value) == message
+
+
+def test_problem_alphabet_symbols_are_single_characters():
+    with pytest.raises(ValueError, match="single character"):
+        PromiseProblem(("ab",), lambda w: True, lambda w: False)
 
 
 def test_word_symbols_must_be_in_alphabet():

@@ -151,6 +151,18 @@ def test_state_maps_must_be_objects(field):
         loads(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "machine",
+    list({type(m): m for m in _sample_machines()}.values()),
+    ids=lambda m: type(m).__name__,
+)
+def test_multi_character_symbols_rejected(machine):
+    data = machine_to_dict(machine)
+    data["alphabet"] = ["ab"]
+    with pytest.raises(MachineFormatError, match="single character"):
+        loads(json.dumps(data))
+
+
 def test_bad_move_letter_rejected():
     data = machine_to_dict(trios_twoway_dfa(1, 1))
     data["transitions"][0][3] = "X"
