@@ -1,11 +1,14 @@
 """Exhaustive minimality searches and empirical structure checks.
 
 The searches here are oracles: they find the true minimum state count for a
-promise problem over a bounded instance set by enumerating, or backtracking
-over, machines in a documented normal form, smallest first. Minimality is
-always relative to the (max_length, machine-kind cap) pair in the search
-spec; every witness is re-validated with the ordinary simulator before being
-returned.
+promise problem over a bounded instance set, smallest size first, over
+machines in a documented normal form. Unary DFAs are enumerated as lasso
+families; general DFAs and unary NFAs are found by backtracking on an
+explicit frame stack, choosing a transition or a row of targets only when
+an instance first needs it and numbering new states in order of first need.
+Minimality is always relative to the (max_length, machine-kind cap) pair in
+the search spec; every witness is re-validated with the ordinary simulator
+before being returned.
 """
 
 from __future__ import annotations
@@ -299,68 +302,116 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
 def min_unary_nfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
     """Smallest nondeterministic one-way machine for a unary promise problem.
 
-    Enumerates target-set relations without silent transitions: removing
-    silent transitions never changes the state count, so the minimum over
-    plain relations is the overall minimum. For each relation the reachable
-    subset after every instance length is computed once; a no instance
-    forbids its whole final subset from accepting, and the relation works
-    exactly when every yes instance's final subset still meets the allowed
-    set."""
+    Searches relations without silent transitions: removing silent
+    transitions never changes the state count, so the minimum over plain
+    relations is the overall minimum. For each size in ascending order, a
+    backtracking search walks the subset trace S_0 = {0},
+    S_(t+1) = union of row[q] over q in S_t, and assigns row[q] only when q
+    first appears in a subset that must be stepped. A new row targets any
+    subset of the states already used plus the next j unused state numbers,
+    for j from 0 up to the states left; numbering states in first-need
+    order removes relabelings, and rows no instance reads stay empty. Each
+    instance is checked as soon as its subset is known: a no instance
+    forbids its whole subset from accepting, and every yes subset must keep
+    a state outside the forbidden set, when it is reached and after each
+    later no instance. A branch dies at the first violation; a trace that
+    reaches the longest instance gives a machine whose accepting set is
+    everything not forbidden. Ascending sizes make the first machine found
+    minimal; exhaustion means no machine up to max_states solves the
+    problem on instances up to max_length.
+
+    candidates_checked counts search nodes, one per row choice tried, and
+    the search raises ResourceCapError once it exceeds work_cap.
+    """
     if spec.machine_kind != KIND_UNARY_NFA:
         raise ValueError("spec.machine_kind must be 'unary-nfa'")
     sym = spec.problem.alphabet[0]
-    lengths = [
+    instances = [
         (len(word), cls) for word, cls in spec.problem.enumerate_instances(spec.max_length)
     ]
-    horizon = max((length for length, _ in lengths), default=0)
+    horizon = max((length for length, _ in instances), default=0)
+    label = [0] * (horizon + 1)
+    for length, cls in instances:
+        label[length] |= _YES if cls == "yes" else _NO
+    members = [
+        tuple(q for q in range(spec.max_states) if subset >> q & 1)
+        for subset in range(1 << spec.max_states)
+    ]
     checked = 0
     for size in range(1, spec.max_states + 1):
-        full = (1 << size) - 1
-        relations = (1 << size) ** size
-        if relations * max(1, horizon) > work_cap:
-            raise ResourceCapError(
-                f"relation enumeration at {size} states needs {relations} candidates, "
-                f"above the work cap"
-            )
-        for relation in itertools.product(range(1 << size), repeat=size):
+        row = [0] * size
+        unset = (1 << size) - 1  # states whose row is not assigned yet
+        trace = [1]  # S_0 .. S_t
+        forbidden = 1 if label[0] & _NO else 0
+        ok = not (label[0] & _YES and forbidden)
+        yes_sets = [1] if label[0] & _YES else []
+        frames: list[list[int]] = []  # [t, state, choice, forbidden, yes count, used]
+        used = 1
+        t = 0
+        while True:
+            if ok and t < horizon:
+                current = trace[t]
+                pending = current & unset
+                if not pending:
+                    subset = 0
+                    for q in members[current]:
+                        subset |= row[q]
+                    t += 1
+                    trace.append(subset)
+                    bits = label[t]
+                    if bits & _NO and subset & ~forbidden:
+                        forbidden |= subset
+                        ok = all(s & ~forbidden for s in yes_sets)
+                    if ok and bits & _YES:
+                        if subset & ~forbidden:
+                            yes_sets.append(subset)
+                        else:
+                            ok = False
+                    continue
+                low = pending & -pending
+                unset ^= low
+                frames.append([t, low.bit_length() - 1, -1, forbidden, len(yes_sets), used])
+            elif ok:
+                witness = OneWayNfa(
+                    state_count=size,
+                    alphabet=(sym,),
+                    initial=0,
+                    transitions=frozenset(
+                        (q, sym, p)
+                        for q in range(size)
+                        for p in range(size)
+                        if row[q] >> p & 1
+                    ),
+                    accepting=frozenset(q for q in range(size) if not forbidden >> q & 1),
+                )
+                return _revalidated(spec, witness, checked)
+            # Next row choice of the deepest frame, dropping exhausted ones.
+            # A choice's low `used` bits are the old targets and the rest
+            # counts the new states it adds.
+            while frames:
+                frame = frames[-1]
+                t, q, choice, forbidden, yes_count, used = frame
+                choice += 1
+                new = choice >> used
+                if new <= size - used:
+                    break
+                frames.pop()
+                row[q] = 0
+                unset |= 1 << q
+            else:
+                break
             checked += 1
-            step = [0] * (1 << size)
-            for subset in range(1, 1 << size):
-                low = subset & -subset
-                step[subset] = step[subset ^ low] | relation[low.bit_length() - 1]
-            trace = [1]
-            for _ in range(horizon):
-                trace.append(step[trace[-1]])
-            forbidden = 0
-            finals_yes = []
-            alive = True
-            for length, cls in lengths:
-                subset = trace[length]
-                if cls == "yes":
-                    if subset == 0:
-                        alive = False
-                        break
-                    finals_yes.append(subset)
-                else:
-                    forbidden |= subset
-            if not alive:
-                continue
-            allowed = full & ~forbidden
-            if any(subset & allowed == 0 for subset in finals_yes):
-                continue
-            witness = OneWayNfa(
-                state_count=size,
-                alphabet=(sym,),
-                initial=0,
-                transitions=frozenset(
-                    (q, sym, p)
-                    for q in range(size)
-                    for p in range(size)
-                    if relation[q] >> p & 1
-                ),
-                accepting=frozenset(q for q in range(size) if allowed >> q & 1),
-            )
-            return _revalidated(spec, witness, checked)
+            if checked > work_cap:
+                raise ResourceCapError(
+                    f"relation search at {size} states exceeded the work cap "
+                    f"of {work_cap} search nodes"
+                )
+            del trace[t + 1 :]
+            del yes_sets[yes_count:]
+            frame[2] = choice
+            row[q] = (choice & ((1 << used) - 1)) | (((1 << new) - 1) << used)
+            used += new
+            ok = True
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 

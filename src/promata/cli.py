@@ -600,7 +600,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_min.add_argument(
         "--work-cap",
         type=int,
-        help="max search nodes (dfa) or candidate-times-instance work (unary-nfa)",
+        help="max search nodes (dfa and unary-nfa)",
     )
     p_min.add_argument("--out")
     p_min.set_defaults(handler=_cmd_minsize)
@@ -647,6 +647,19 @@ def _cmd_prob_dispatch(args: argparse.Namespace) -> int:
     return _cmd_prob(args)
 
 
+def _check_global_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Reject an unknown option placed before the command by its name.
+
+    Left to argparse, `--jobs 4 bounds` reports `invalid choice: '4'`,
+    because the unknown option's value is read as the command.
+    """
+    for token in argv:
+        if token in ("-", "--") or not token.startswith("-"):
+            return
+        if token != "-h" and not (len(token) > 2 and "--help".startswith(token)):
+            parser.error(f"unrecognized arguments: {token}")
+
+
 def main(argv=None) -> int:
     # Exact round composition produces rationals with hundreds of thousands
     # of digits; lift the interpreter's int-to-str guard so reports can
@@ -654,7 +667,9 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        _check_global_options(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code

@@ -57,36 +57,82 @@ def ceil_ln(c: int) -> int:
         k += 1
 
 
-def _pow_enclosure(base: Fraction, exponent: int, digits: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] with lo <= base^exponent <= hi, via directed rounding.
+def _directed_contexts(digits: int) -> tuple[decimal.Context, decimal.Context]:
+    """Decimal contexts at the given precision that round toward -inf and
+    toward +inf, over the widest exponent range, with overflow and underflow
+    saturating instead of trapping.
+
+    Saturation keeps every bound rigorous for positive operands: rounding
+    down, an overflow gives the largest finite number and an underflow gives
+    0; rounding up, an overflow gives Infinity and an underflow the smallest
+    positive number.
+    """
+    return tuple(
+        decimal.Context(
+            prec=digits,
+            rounding=rounding,
+            Emin=decimal.MIN_EMIN,
+            Emax=decimal.MAX_EMAX,
+            traps=[decimal.InvalidOperation, decimal.DivisionByZero],
+        )
+        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
+    )
+
+
+def _int_enclosure(
+    n: int, floor_ctx: decimal.Context, ceil_ctx: decimal.Context
+) -> tuple[Decimal, Decimal]:
+    """Decimals lo <= n <= hi for an integer n >= 1, exact for short n.
+
+    A long n is read through its leading 4 * precision bits, top, as
+    top * 2^shift <= n < (top + 1) * 2^shift, so no conversion ever touches
+    all of its digits.
+    """
+    shift = n.bit_length() - 4 * floor_ctx.prec
+    if shift <= 0:
+        exact = Decimal(n)
+        return exact, exact
+    top = n >> shift
+    two = Decimal(2)
+    scale_lo, scale_hi = _pow_enclosure(two, two, shift, floor_ctx, ceil_ctx)
+    return (
+        floor_ctx.multiply(Decimal(top), scale_lo),
+        ceil_ctx.multiply(Decimal(top + 1), scale_hi),
+    )
+
+
+def _enclose(
+    value: Fraction, floor_ctx: decimal.Context, ceil_ctx: decimal.Context
+) -> tuple[Decimal, Decimal]:
+    """Decimals lo <= value <= hi for a positive rational, equal when value
+    has short terms and is representable at the contexts' precision."""
+    num_lo, num_hi = _int_enclosure(value.numerator, floor_ctx, ceil_ctx)
+    den_lo, den_hi = _int_enclosure(value.denominator, floor_ctx, ceil_ctx)
+    return floor_ctx.divide(num_lo, den_hi), ceil_ctx.divide(num_hi, den_lo)
+
+
+def _pow_enclosure(
+    base_lo: Decimal,
+    base_hi: Decimal,
+    exponent: int,
+    floor_ctx: decimal.Context,
+    ceil_ctx: decimal.Context,
+) -> tuple[Decimal, Decimal]:
+    """Decimals lo <= base^exponent <= hi for base in [base_lo, base_hi],
+    a positive interval, via directed rounding.
 
     Square-and-multiply over Decimal intervals: the lower track rounds every
     operation down, the upper track up, so the enclosure is rigorous at any
-    precision. base must be positive.
+    precision.
     """
-    if base <= 0:
-        raise ValueError("base must be positive")
-    floor_ctx = decimal.Context(
-        prec=digits, rounding=decimal.ROUND_FLOOR, Emin=-(10**9), Emax=10**9
-    )
-    ceil_ctx = decimal.Context(
-        prec=digits, rounding=decimal.ROUND_CEILING, Emin=-(10**9), Emax=10**9
-    )
-    num = Decimal(base.numerator)
-    den = Decimal(base.denominator)
-    base_lo = floor_ctx.divide(num, den)
-    base_hi = ceil_ctx.divide(num, den)
     result_lo, result_hi = Decimal(1), Decimal(1)
-    bits = bin(exponent)[2:] if exponent else "0"
-    for bit in bits:
+    for bit in bin(exponent)[2:]:
         result_lo = floor_ctx.multiply(result_lo, result_lo)
         result_hi = ceil_ctx.multiply(result_hi, result_hi)
         if bit == "1":
             result_lo = floor_ctx.multiply(result_lo, base_lo)
             result_hi = ceil_ctx.multiply(result_hi, base_hi)
-    if exponent == 0:
-        return Fraction(1), Fraction(1)
-    return Fraction(result_lo), Fraction(result_hi)
+    return result_lo, result_hi
 
 
 _PRECISIONS = (40, 80, 160, 320, 640)
@@ -95,9 +141,12 @@ _PRECISIONS = (40, 80, 160, 320, 640)
 def pow_less_than(base: Fraction, exponent: int, bound: Fraction) -> bool:
     """Decide base^exponent < bound with certainty, for 0 < base, 0 <= exp.
 
-    Uses enclosures of escalating precision; if they never separate, the two
-    sides are equal (or astronomically close), and the exact rational
-    comparison is attempted as a last resort with a size guard.
+    At escalating precision, an enclosure of the power is compared with an
+    enclosure of bound at the same precision, both in the Decimal domain;
+    the first precision whose enclosures separate decides. If they never
+    separate, the two sides are equal (or astronomically close), and the
+    exact rational comparison is attempted as a last resort with a size
+    guard.
     """
     base = Fraction(base)
     bound = Fraction(bound)
@@ -105,20 +154,26 @@ def pow_less_than(base: Fraction, exponent: int, bound: Fraction) -> bool:
         raise ValueError("exponent must be non-negative")
     if base <= 0:
         raise ValueError("base must be positive")
-    if exponent == 0:
-        return 1 < bound
-    if base == 1:
+    if bound <= 0:
+        return False
+    if exponent == 0 or base == 1:
         return 1 < bound
     for digits in _PRECISIONS:
-        lo, hi = _pow_enclosure(base, exponent, digits)
-        if hi < bound:
+        floor_ctx, ceil_ctx = _directed_contexts(digits)
+        base_lo, base_hi = _enclose(base, floor_ctx, ceil_ctx)
+        lo, hi = _pow_enclosure(base_lo, base_hi, exponent, floor_ctx, ceil_ctx)
+        bound_lo, bound_hi = _enclose(bound, floor_ctx, ceil_ctx)
+        if hi < bound_lo:
             return True
-        if lo >= bound:
+        if lo >= bound_hi:
             return False
     # Enclosures would only fail to separate when base^exponent = bound or
     # the gap needs more than 640 digits; fall back to exact arithmetic if
     # the operands stay manageable.
-    digit_estimate = exponent * len(str(max(base.numerator, base.denominator)))
+    # Decimal digits from the bit length: str() of a long int is quadratic
+    # and refused past the interpreter's digit limit.
+    digits_per_factor = max(base.numerator, base.denominator).bit_length() * 30103 // 100000 + 1
+    digit_estimate = exponent * digits_per_factor
     if digit_estimate > 2_000_000:
         raise ResourceCapError(
             "power comparison did not separate within the precision ladder"

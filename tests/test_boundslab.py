@@ -229,6 +229,93 @@ def test_dfa_search_deep_trie_needs_no_recursion():
     assert result.size == 2
 
 
+def _relation_enumeration_size(spec):
+    """Reference minimum by brute force over every unary relation.
+
+    Row q of a relation is the bitmask of q's targets. For each relation the
+    subset trace from {0} is computed up to the longest instance; a no
+    instance forbids its final subset from accepting, and the relation works
+    when every yes instance's final subset keeps an allowed state."""
+    lengths = [
+        (len(word), cls) for word, cls in spec.problem.enumerate_instances(spec.max_length)
+    ]
+    horizon = max((length for length, _ in lengths), default=0)
+    for size in range(1, spec.max_states + 1):
+        for relation in itertools.product(range(1 << size), repeat=size):
+            step = [0] * (1 << size)
+            for subset in range(1, 1 << size):
+                low = subset & -subset
+                step[subset] = step[subset ^ low] | relation[low.bit_length() - 1]
+            trace = [1]
+            for _ in range(horizon):
+                trace.append(step[trace[-1]])
+            forbidden = 0
+            finals_yes = []
+            for length, cls in lengths:
+                if cls == "yes":
+                    finals_yes.append(trace[length])
+                else:
+                    forbidden |= trace[length]
+            if all(subset & ~forbidden for subset in finals_yes):
+                return size
+    return None
+
+
+def _random_unary_problem(rng):
+    """Labels drawn per length, or per residue of a short period, which
+    tends to need more states."""
+    max_length = rng.randint(0, 14)
+    density = rng.choice((0.2, 0.5, 0.9))
+    period = rng.choice((max_length + 1, rng.randint(2, 5)))
+    pattern = [rng.choice(("yes", "no")) for _ in range(period)]
+    labels = {n: pattern[n % period] for n in range(max_length + 1) if rng.random() < density}
+    problem = PromiseProblem(
+        alphabet=("a",),
+        yes_member=lambda w: labels.get(len(w)) == "yes",
+        no_member=lambda w: labels.get(len(w)) == "no",
+    )
+    return problem, max_length
+
+
+def test_unary_nfa_search_matches_relation_enumeration():
+    outcomes = set()
+    for seed in (3, 8, 10):
+        rng = random.Random(seed)
+        for _ in range(40):
+            problem, max_length = _random_unary_problem(rng)
+            spec = SearchSpec("unary-nfa", rng.randint(1, 4), problem, max_length)
+            result = min_unary_nfa_size(spec)
+            assert result.size == _relation_enumeration_size(spec)
+            if result.found:
+                assert result.witness.state_count == result.size
+                assert promise_check(result.witness, problem, max_length).verdict == SOLVES
+            outcomes.add((spec.max_states, result.size))
+    # Every size is found, and searches exhaust, also at the 4-state cap.
+    assert {size for _, size in outcomes} == {None, 1, 2, 3, 4}
+    assert (4, None) in outcomes
+
+
+def test_unary_nfa_search_exhausts_evenodd_2():
+    result = min_unary_nfa_size(SearchSpec("unary-nfa", 4, evenodd_problem(2), 40))
+    assert result.size is None
+    assert result.witness is None
+    assert result.candidates_checked > 1000
+
+
+def test_unary_nfa_search_work_cap():
+    spec = SearchSpec("unary-nfa", 4, evenodd_problem(2), 40)
+    with pytest.raises(ResourceCapError):
+        min_unary_nfa_size(spec, work_cap=1000)
+
+
+def test_unary_nfa_search_long_trace_needs_no_recursion():
+    # A 5,000-step subset trace: a search nesting one call per trace step
+    # would pass the interpreter's recursion limit.
+    spec = SearchSpec("unary-nfa", 4, parity_problem(lambda n: True), 5000)
+    result = min_unary_nfa_size(spec)
+    assert result.size == 2
+
+
 def test_yes_only_empty_word_problem():
     problem = PromiseProblem(
         alphabet=("a",),

@@ -430,6 +430,38 @@ def test_jobs_flag_is_rejected(capsys):
     assert code == 2
     assert out == ""
     assert "promata: error:" in err
+    # The unknown option is named, not its value read as the command.
+    assert err.endswith("promata: error: unrecognized arguments: --jobs\n")
+
+
+def test_unknown_global_option_is_named(capsys):
+    code, out, err = run_cli(capsys, "--bogus", "bounds", "--formula", "2nfa-to-dfa", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.endswith("promata: error: unrecognized arguments: --bogus\n")
+
+
+def test_minsize_unary_nfa_work_cap_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "minsize",
+        "--kind",
+        "unary-nfa",
+        "--problem",
+        "evenodd",
+        "--k",
+        "2",
+        "--max-states",
+        "4",
+        "--max-length",
+        "40",
+        "--work-cap",
+        "1000",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap:")
+    assert "1000 search nodes" in err
 
 
 def test_multi_character_symbol_is_usage_error(tmp_path, capsys):
