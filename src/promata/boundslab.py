@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ResourceCapError
@@ -26,6 +25,8 @@ from .machines import (
     OneWayNfa,
     PromiseProblem,
     VerificationReport,
+    _orbit,
+    _orbit_at,
     _stepper,
     promise_check,
 )
@@ -413,28 +414,6 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
             used += new
             ok = True
     return SearchResult(size=None, witness=None, candidates_checked=checked)
-
-
-def _orbit(
-    step: Callable[[object, str], object], sym: str, start: object
-) -> tuple[list, int]:
-    """The values start, step(start, sym), ... up to the first repeat, and
-    the index where the cycle they then run around begins."""
-    path = [start]
-    seen = {start: 0}
-    while True:
-        nxt = step(path[-1], sym)
-        if nxt in seen:
-            return path, seen[nxt]
-        seen[nxt] = len(path)
-        path.append(nxt)
-
-
-def _orbit_at(path: list, entry: int, length: int) -> object:
-    """The value after length steps, read off an orbit by index arithmetic."""
-    if length < len(path):
-        return path[length]
-    return path[entry + (length - entry) % (len(path) - entry)]
 
 
 def _dfa_block_outcome(

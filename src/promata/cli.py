@@ -199,59 +199,60 @@ def _report_payload(report) -> dict:
     }
 
 
+def _dist_payload(dist) -> dict:
+    return {
+        "accept": _rational(dist.accept),
+        "reject": _rational(dist.reject),
+        "neutral": _rational(dist.neutral),
+    }
+
+
 def _verdict_exit(report) -> int:
     return 0 if report.verdict == SOLVES else 1
 
 
+# Problem families and machine builders by CLI name: the callable and the
+# flags it takes, in order.
+_PROBLEMS = {
+    "evenodd": (evenodd_problem, ("k",)),
+    "trios": (trios_problem, ("n", "r")),
+    "up": (up_problem, ("p",)),
+    "parity": (lambda: parity_problem(lambda _n: True), ()),
+}
+_BUILDS = {
+    "evenodd-dfa": (evenodd_dfa, ("k",)),
+    "evenodd-afa": (evenodd_afa_rt, ("k",)),
+    "evenodd-afa-epsfree": (evenodd_afa_epsfree, ("k",)),
+    "trios-pfa": (trios_lasvegas_pfa, ("n", "r")),
+    "trios-dfa": (trios_dfa, ("n", "r")),
+    "trios-2dfa": (trios_twoway_dfa, ("n", "r")),
+    "up-pfa": (up_pfa, ("p",)),
+    "up-dfa": (up_dfa, ("p",)),
+    "parity-dfa": (parity_dfa, ()),
+}
+
+# How each flag's text becomes a builder argument (`prob` reads --r as text).
+_FLAG_TYPES = {"k": int, "n": int, "r": int, "p": Fraction}
+
+
+def _from_flags(table: dict, name: str, args: argparse.Namespace):
+    """Call the table's entry for name on its flags, naming any that are missing."""
+    builder, flags = table[name]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        raise ValueError(f"{' and '.join(missing)} {verb} required for {name}")
+    return builder(*(_FLAG_TYPES[flag](getattr(args, flag)) for flag in flags))
+
+
 def _problem_from_args(args: argparse.Namespace):
-    name = args.problem
-    if name == "evenodd":
-        if args.k is None:
-            raise ValueError("--k is required for the evenodd problem")
-        return evenodd_problem(args.k)
-    if name == "trios":
-        if args.n is None or args.r is None:
-            raise ValueError("--n and --r are required for the trios problem")
-        return trios_problem(int(args.n), int(args.r))
-    if name == "up":
-        if args.p is None:
-            raise ValueError("--p is required for the up problem")
-        return up_problem(Fraction(args.p))
-    if name == "parity":
-        return parity_problem(lambda _n: True)
-    raise ValueError(f"unknown problem {name!r}")
+    if args.problem is None:
+        raise ValueError("--problem is required")
+    return _from_flags(_PROBLEMS, args.problem, args)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind in ("evenodd-dfa", "evenodd-afa", "evenodd-afa-epsfree"):
-        if args.k is None:
-            raise ValueError("--k is required")
-        builder = {
-            "evenodd-dfa": evenodd_dfa,
-            "evenodd-afa": evenodd_afa_rt,
-            "evenodd-afa-epsfree": evenodd_afa_epsfree,
-        }[kind]
-        machine = builder(args.k)
-    elif kind in ("trios-pfa", "trios-dfa", "trios-2dfa"):
-        if args.n is None or args.r is None:
-            raise ValueError("--n and --r are required")
-        builder = {
-            "trios-pfa": trios_lasvegas_pfa,
-            "trios-dfa": trios_dfa,
-            "trios-2dfa": trios_twoway_dfa,
-        }[kind]
-        machine = builder(args.n, args.r)
-    elif kind in ("up-pfa", "up-dfa"):
-        if args.p is None:
-            raise ValueError("--p is required")
-        builder = up_pfa if kind == "up-pfa" else up_dfa
-        machine = builder(Fraction(args.p))
-    elif kind == "parity-dfa":
-        machine = parity_dfa()
-    else:
-        raise ValueError(f"unknown build kind {kind!r}")
-    _emit(args, serialize.dumps(machine))
+    _emit(args, serialize.dumps(_from_flags(_BUILDS, args.kind, args)))
     return 0
 
 
@@ -261,11 +262,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(machine, OneWayPfa):
         dist = outcome_dist(machine, args.word)
         payload["kind"] = "pfa"
-        payload["distribution"] = {
-            "accept": _rational(dist.accept),
-            "reject": _rational(dist.reject),
-            "neutral": _rational(dist.neutral),
-        }
+        payload["distribution"] = _dist_payload(dist)
     elif isinstance(machine, OneWayDfa):
         result = dfa_run(machine, args.word)
         payload["kind"] = "dfa"
@@ -333,44 +330,31 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_prob(args: argparse.Namespace) -> int:
     mode = args.mode
-    if mode == "exact":
+    if mode in ("exact", "mc", "lasvegas"):
         machine = serialize.load(args.machine)
         if not isinstance(machine, OneWayPfa):
-            raise ValueError("exact analysis needs a probabilistic machine")
+            raise ValueError(f"prob {mode} needs a probabilistic machine")
+    if mode == "exact":
         dist = outcome_dist(machine, args.word)
-        accept, reject, neutral = dist.accept, dist.reject, dist.neutral
-        payload = {
-            "word": args.word,
-            "accept": _rational(accept),
-            "reject": _rational(reject),
-            "neutral": _rational(neutral),
-        }
+        payload = {"word": args.word, **_dist_payload(dist)}
         if args.neutral_as_reject:
-            payload["reject"] = _rational(reject + neutral)
+            payload["reject"] = _rational(dist.reject + dist.neutral)
             payload["neutral"] = _rational(Fraction(0))
             payload["reporting_mode"] = "neutral-as-reject"
         _emit(args, _json(payload))
         return 0
     if mode == "mc":
-        machine = serialize.load(args.machine)
-        if not isinstance(machine, OneWayPfa):
-            raise ValueError("sampling needs a probabilistic machine")
         dist = monte_carlo(machine, args.word, args.trials, args.seed)
         payload = {
             "word": args.word,
             "trials": args.trials,
             "seed": args.seed,
             "algorithm": MC_ALGORITHM,
-            "accept": _rational(dist.accept),
-            "reject": _rational(dist.reject),
-            "neutral": _rational(dist.neutral),
+            **_dist_payload(dist),
         }
         _emit(args, _json(payload))
         return 0
     if mode == "lasvegas":
-        machine = serialize.load(args.machine)
-        if not isinstance(machine, OneWayPfa):
-            raise ValueError("zero-error verification needs a probabilistic machine")
         problem = _problem_from_args(args)
         threshold = Fraction(args.threshold) if args.threshold else Fraction(0)
         report = lasvegas_success(machine, problem, args.max_length, threshold)
@@ -402,9 +386,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             "m": model.m,
             "n": model.n,
             "t": str(model.t),
-            "accept": _rational(dist.accept),
-            "reject": _rational(dist.reject),
-            "neutral": _rational(dist.neutral),
+            **_dist_payload(dist),
         }
         _emit(args, _json(payload))
         return 0
@@ -459,9 +441,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, _json(_report_payload(report)))
         return _verdict_exit(report)
     if mode == "lv-trios":
-        if args.n is None or args.r is None:
-            raise ValueError("--n and --r are required")
-        problem = trios_problem(args.n, args.r)
+        problem = _from_flags(_PROBLEMS, "trios", args)
         machine = trios_lasvegas_pfa(args.n, args.r)
         max_length = args.max_length or args.r * (1 + 3 * args.n)
         threshold = (
@@ -506,7 +486,7 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--problem", required=True, choices=["evenodd", "trios", "up", "parity"])
+    parser.add_argument("--problem", choices=_PROBLEMS)
     parser.add_argument("--k", type=int, help="order of the evenodd problem")
     parser.add_argument("--n", type=int, help="block width of the trios problem")
     parser.add_argument("--r", type=int, help="segment count of the trios problem")
@@ -521,20 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct a machine and print it as JSON")
-    p_build.add_argument(
-        "kind",
-        choices=[
-            "evenodd-dfa",
-            "evenodd-afa",
-            "evenodd-afa-epsfree",
-            "trios-pfa",
-            "trios-dfa",
-            "trios-2dfa",
-            "up-pfa",
-            "up-dfa",
-            "parity-dfa",
-        ],
-    )
+    p_build.add_argument("kind", choices=_BUILDS)
     p_build.add_argument("--k", type=int)
     p_build.add_argument("--n", type=int)
     p_build.add_argument("--r", type=int)
@@ -578,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--trials", type=int, default=10**5)
     p_prob.add_argument("--seed", type=int, default=0)
     p_prob.add_argument("--neutral-as-reject", action="store_true")
-    p_prob.add_argument("--problem", choices=["evenodd", "trios", "up", "parity"])
+    p_prob.add_argument("--problem", choices=_PROBLEMS)
     p_prob.add_argument("--k", type=int)
     p_prob.add_argument("--n", type=int)
     p_prob.add_argument("--r")
@@ -615,11 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="promise, zero-error, and disjointness checks")
     p_verify.add_argument("mode", choices=["promise", "lv-trios", "disjoint"])
     p_verify.add_argument("--machine")
-    p_verify.add_argument("--problem", choices=["evenodd", "trios", "up", "parity"])
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--r", type=int)
-    p_verify.add_argument("--p")
+    _add_problem_flags(p_verify)
     p_verify.add_argument("--max-length", type=int, default=16)
     p_verify.add_argument("--threshold")
     p_verify.add_argument("--work-cap", type=int, help="max words scanned by disjoint")
@@ -637,8 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_prob_dispatch(args: argparse.Namespace) -> int:
     if args.mode in ("exact", "mc", "lasvegas") and not args.machine:
         raise ValueError(f"--machine is required for prob {args.mode}")
-    if args.mode == "lasvegas" and not args.problem:
-        raise ValueError("--problem is required for prob lasvegas")
     if args.mode in ("expeq-params", "expeq-compose"):
         if args.c is None or args.m is None or args.n is None:
             raise ValueError("--c, --m, and --n are required")

@@ -13,6 +13,7 @@ from itertools import product
 
 from .errors import ResourceCapError
 from .machines import (
+    DEFAULT_STATE_CAP,
     EPSILON,
     LEFT,
     LEFT_MARKER,
@@ -30,7 +31,6 @@ from .machines import (
     TwoWayMachine,
 )
 
-DEFAULT_STATE_CAP = 1 << 20
 DEFAULT_ITERATION_CAP = 10**6
 
 
@@ -56,9 +56,19 @@ class _StateMap:
         return {idx: name for name, idx in self.index.items()}
 
 
-def _check_cap(states: int, cap: int, what: str) -> None:
-    if states > cap:
-        raise ResourceCapError(f"{what} needs {states} states, above the cap {cap}")
+def _check_cap(states: int, what: str) -> None:
+    if states > DEFAULT_STATE_CAP:
+        raise ResourceCapError(
+            f"{what} needs {states} states, above the cap {DEFAULT_STATE_CAP}"
+        )
+
+
+def _check_power_cap(exponent: int, what: str) -> None:
+    """Reject at least 2^exponent states above the cap without computing the power."""
+    if exponent >= DEFAULT_STATE_CAP.bit_length():
+        raise ResourceCapError(
+            f"{what} needs at least 2^{exponent} states, above the cap {DEFAULT_STATE_CAP}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +99,12 @@ def evenodd_problem(k: int) -> PromiseProblem:
     )
 
 
-def evenodd_dfa(k: int, state_cap: int = DEFAULT_STATE_CAP) -> OneWayDfa:
+def evenodd_dfa(k: int) -> OneWayDfa:
     """Cyclic counter modulo 2^(k+1); exactly 2^(k+1) states."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_power_cap(k + 1, "evenodd_dfa")
     period = 1 << (k + 1)
-    _check_cap(period, state_cap, "evenodd_dfa")
     return OneWayDfa(
         state_count=period,
         alphabet=("a",),
@@ -118,6 +128,7 @@ def evenodd_afa_rt(k: int) -> OneWayAfa:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_cap(7 * k + 2, "evenodd_afa_rt")
     sm = _StateMap()
     sm.add("s_ini")
     for i in range(k, -1, -1):
@@ -190,6 +201,7 @@ def evenodd_afa_epsfree(k: int) -> OneWayAfa:
     """
     if k < 3:
         raise ValueError("k must be at least 3")
+    _check_cap(11 * k - 14, "evenodd_afa_epsfree")
     source = evenodd_afa_rt(k - 2)
     names = source.labels
     sm = _StateMap()
@@ -341,6 +353,7 @@ def trios_lasvegas_pfa(n: int, r: int) -> LasVegasPfa:
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be at least 1")
+    _check_cap(4 * n + 3, "trios_lasvegas_pfa")
     ladder = trios_ladder(n)
     sm = _StateMap()
     sm.add("q_ini")
@@ -393,7 +406,7 @@ def trios_lasvegas_pfa(n: int, r: int) -> LasVegasPfa:
     )
 
 
-def trios_dfa(n: int, r: int, state_cap: int = DEFAULT_STATE_CAP) -> OneWayDfa:
+def trios_dfa(n: int, r: int) -> OneWayDfa:
     """Deterministic acceptor for TRIOS(n, r) with 3 * 2^n + n - 2 states.
 
     It memorizes the first block of each segment and compares the second
@@ -404,8 +417,9 @@ def trios_dfa(n: int, r: int, state_cap: int = DEFAULT_STATE_CAP) -> OneWayDfa:
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be at least 1")
+    _check_power_cap(n, "trios_dfa")
     count = 3 * (1 << n) + n - 2
-    _check_cap(count, state_cap, "trios_dfa")
+    _check_cap(count, "trios_dfa")
     sm = _StateMap()
     sm.add("seg")
     prefixes = [""]
@@ -449,7 +463,8 @@ def trios_dfa(n: int, r: int, state_cap: int = DEFAULT_STATE_CAP) -> OneWayDfa:
 
 
 def trios_twoway_dfa(n: int, r: int) -> TwoWayMachine:
-    """Two-way deterministic acceptor for TRIOS(n, r) with at most 12n+8 states.
+    """Two-way deterministic acceptor for TRIOS(n, r) with 9n+1 states (11 at
+    n = 1), within the paper's bound of 12n+8.
 
     Instead of memorizing blocks it shuttles: each bit of the second block is
     compared with the bit n positions to its left (first block), walking the
@@ -462,6 +477,8 @@ def trios_twoway_dfa(n: int, r: int) -> TwoWayMachine:
     """
     if n < 1 or r < 1:
         raise ValueError("n and r must be at least 1")
+    count = max(9 * n + 1, 11)
+    _check_cap(count, "trios_twoway_dfa")
     sm = _StateMap()
     sm.add("seek#")
     for d in range(2 * n - 1, 0, -1):
@@ -483,7 +500,7 @@ def trios_twoway_dfa(n: int, r: int) -> TwoWayMachine:
             sm.add(f"vL:{d}:{c}")
     for c in "01":
         sm.add(f"atU:{c}")
-    assert len(sm) <= 12 * n + 8
+    assert len(sm) == count
 
     moves: set[tuple[int, str, int, int]] = set()
     moves.add((sm["seek#"], LEFT_MARKER, sm["seek#"], RIGHT))

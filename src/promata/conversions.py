@@ -17,6 +17,7 @@ from .machines import (
     _mask,
     _nfa_stepper,
     _nfa_tables,
+    _orbit,
 )
 
 DEFAULT_SUBSET_CAP = 1 << 16
@@ -148,26 +149,13 @@ def unary_afa_to_dfa(
         raise ValueError("unary determinization needs a one-symbol alphabet")
     vector, step, accepts, _ = _afa_stepper(afa)
     sym = afa.alphabet[0]
-    index: dict[int, int] = {vector: 0}
-    vectors = [vector]
-    transitions: dict[tuple[int, str], int] = {}
-    current = 0
-    while True:
-        nxt = step(vectors[current], sym)
-        if nxt in index:
-            transitions[(current, sym)] = index[nxt]
-            break
-        if len(vectors) >= vector_cap:
-            raise ResourceCapError(f"valuation orbit exceeds {vector_cap} vectors")
-        index[nxt] = len(vectors)
-        vectors.append(nxt)
-        transitions[(current, sym)] = index[nxt]
-        current = index[nxt]
+    vectors, entry = _orbit(step, sym, vector, vector_cap)
+    last = len(vectors) - 1
     return OneWayDfa(
         state_count=len(vectors),
         alphabet=afa.alphabet,
         initial=0,
-        transitions=transitions,
+        transitions={(i, sym): i + 1 if i < last else entry for i in range(len(vectors))},
         accepting=frozenset(idx for idx, vec in enumerate(vectors) if accepts(vec)),
         labels={
             idx: "".join("1" if vec >> q & 1 else "0" for q in range(afa.state_count))

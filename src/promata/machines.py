@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import AlphabetMismatchError, InputDomainError
+from .errors import AlphabetMismatchError, InputDomainError, ResourceCapError
 
 EPSILON = None  # transition label for moves that consume no input
 
@@ -33,6 +33,9 @@ _ROLES = (ROLE_ACCEPTING, ROLE_REJECTING, ROLE_NEUTRAL)
 
 SOLVES = "solves"
 FAILS = "fails"
+
+# The most states a construction builds or a machine file may declare.
+DEFAULT_STATE_CAP = 1 << 20
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -459,6 +462,34 @@ def _fold(stepper: Stepper, word: str) -> object:
     for sym in reversed(word) if stepper.reverse else word:
         value = step(value, sym)
     return stepper.outcome(value)
+
+
+def _orbit(
+    step: Callable[[object, str], object],
+    sym: str,
+    start: object,
+    cap: int | None = None,
+) -> tuple[list, int]:
+    """The values start, step(start, sym), ... up to the first repeat, and
+    the index where the cycle they then run around begins. Raises
+    ResourceCapError when more than cap distinct values appear."""
+    path = [start]
+    seen = {start: 0}
+    while True:
+        nxt = step(path[-1], sym)
+        if nxt in seen:
+            return path, seen[nxt]
+        if cap is not None and len(path) >= cap:
+            raise ResourceCapError(f"orbit exceeds {cap} values")
+        seen[nxt] = len(path)
+        path.append(nxt)
+
+
+def _orbit_at(path: list, entry: int, length: int) -> object:
+    """The value after length steps, read off an orbit by index arithmetic."""
+    if length < len(path):
+        return path[length]
+    return path[entry + (length - entry) % (len(path) - entry)]
 
 
 def _dfa_stepper(dfa: OneWayDfa) -> Stepper:

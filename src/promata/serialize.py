@@ -13,6 +13,7 @@ from typing import Any
 
 from .errors import MachineFormatError
 from .machines import (
+    DEFAULT_STATE_CAP,
     EPSILON,
     LEFT,
     RIGHT,
@@ -36,6 +37,8 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def fraction_from_str(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise MachineFormatError(f"rational {text!r} must be a \"num/den\" string")
     try:
         num, _, den = text.partition("/")
         return Fraction(int(num), int(den) if den else 1)
@@ -118,9 +121,14 @@ def _int_keys(mapping: dict[str, Any], what: str) -> dict[int, Any]:
 def machine_from_dict(data: dict[str, Any]) -> Machine:
     """Rebuild a machine from its interchange dict, validating as it goes."""
     kind = _require(data, "type")
+    states = _require(data, "states")
+    if not isinstance(states, int) or states > DEFAULT_STATE_CAP:
+        raise MachineFormatError(
+            f"states {states!r} must be an integer up to the cap {DEFAULT_STATE_CAP}"
+        )
     try:
         common = {
-            "state_count": _require(data, "states"),
+            "state_count": states,
             "alphabet": tuple(_require(data, "alphabet")),
             "initial": _require(data, "initial"),
             "labels": _int_keys(data.get("labels", {}), "labels"),

@@ -1,11 +1,28 @@
 """Command-line interface: exit codes, JSON reports, file round-trips."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from promata import EPSILON, OneWayAfa, loads, machine_accepts, save
+from promata import (
+    EPSILON,
+    OneWayAfa,
+    dumps,
+    evenodd_afa_epsfree,
+    evenodd_afa_rt,
+    evenodd_dfa,
+    loads,
+    machine_accepts,
+    parity_dfa,
+    save,
+    trios_dfa,
+    trios_lasvegas_pfa,
+    trios_twoway_dfa,
+    up_dfa,
+    up_pfa,
+)
 from promata.cli import ExperimentConfig, main, run
 
 
@@ -36,6 +53,69 @@ def test_build_missing_parameter_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "build", "evenodd-dfa")
     assert code == 2
     assert "--k" in err
+
+
+_BUILD_CASES = [
+    (("evenodd-dfa", "--k", "2"), lambda: evenodd_dfa(2)),
+    (("evenodd-afa", "--k", "2"), lambda: evenodd_afa_rt(2)),
+    (("evenodd-afa-epsfree", "--k", "4"), lambda: evenodd_afa_epsfree(4)),
+    (("trios-pfa", "--n", "2", "--r", "1"), lambda: trios_lasvegas_pfa(2, 1)),
+    (("trios-dfa", "--n", "3", "--r", "2"), lambda: trios_dfa(3, 2)),
+    (("trios-2dfa", "--n", "2", "--r", "1"), lambda: trios_twoway_dfa(2, 1)),
+    (("up-pfa", "--p", "3/5"), lambda: up_pfa(Fraction(3, 5))),
+    (("up-dfa", "--p", "9/10"), lambda: up_dfa(Fraction(9, 10))),
+    (("parity-dfa",), parity_dfa),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,machine", _BUILD_CASES, ids=[argv[0] for argv, _ in _BUILD_CASES]
+)
+def test_build_prints_the_builders_machine(capsys, argv, machine):
+    code, out, _ = run_cli(capsys, "build", *argv)
+    assert code == 0
+    assert out == dumps(machine()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("build", "trios-pfa", "--n", "2"), "--r is required for trios-pfa"),
+        (("build", "up-dfa"), "--p is required for up-dfa"),
+        (("verify", "lv-trios"), "--n and --r are required for trios"),
+        (
+            ("minsize", "--kind", "dfa", "--max-states", "3", "--max-length", "7"),
+            "--problem is required",
+        ),
+        (("verify", "disjoint"), "--problem is required"),
+    ],
+)
+def test_missing_flags_are_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evenodd-afa", "--k", "100000000"),
+        ("evenodd-afa-epsfree", "--k", "100000000"),
+        ("trios-pfa", "--n", "100000000", "--r", "2"),
+        ("trios-2dfa", "--n", "100000000", "--r", "1"),
+        ("evenodd-dfa", "--k", "1000000000000"),
+        ("trios-dfa", "--n", "1000000000000", "--r", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_build_above_the_state_cap_exits_3(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "build", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap:") and err.count("\n") == 1
 
 
 def test_simulate_dfa(tmp_path, capsys):

@@ -163,6 +163,31 @@ def test_multi_character_symbols_rejected(machine):
         loads(json.dumps(data))
 
 
+@pytest.mark.parametrize("prob", [1, 0.5, True, None, ["1/2"], {"1": 2}], ids=repr)
+def test_non_string_probability_rejected(prob):
+    data = machine_to_dict(up_pfa(Fraction(1, 2)))
+    data["transitions"][0][3] = prob
+    with pytest.raises(MachineFormatError, match="num/den"):
+        loads(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "machine,states",
+    [
+        (dfa_to_nfa(evenodd_dfa(1)), 2**70),
+        (evenodd_afa_rt(1), 2**70),
+        (up_pfa(Fraction(1, 2)), 2**70),
+        (evenodd_dfa(1), 4.0),
+    ],
+    ids=["OneWayNfa", "OneWayAfa", "OneWayPfa", "OneWayDfa-float"],
+)
+def test_state_count_must_be_an_integer_within_the_cap(machine, states):
+    data = machine_to_dict(machine)
+    data["states"] = states
+    with pytest.raises(MachineFormatError, match="integer up to the cap"):
+        loads(json.dumps(data))
+
+
 def test_bad_move_letter_rejected():
     data = machine_to_dict(trios_twoway_dfa(1, 1))
     data["transitions"][0][3] = "X"
