@@ -344,6 +344,13 @@ def _cmd_prob(args: argparse.Namespace) -> int:
         _emit(args, _json(payload))
         return 0
     if mode == "mc":
+        work = args.trials * max(1, len(args.word))
+        work_cap = _cap(args, "work_cap", "PROMATA_WORK_CAP", 10**8)
+        if work > work_cap:
+            raise ResourceCapError(
+                f"{args.trials} trials of {len(args.word)} symbols exceed the "
+                f"{work_cap}-step work cap"
+            )
         dist = monte_carlo(machine, args.word, args.trials, args.seed)
         payload = {
             "word": args.word,
@@ -432,18 +439,23 @@ def _cmd_pumping(args: argparse.Namespace) -> int:
     return _verdict_exit(report)
 
 
+def _verify_horizon(args: argparse.Namespace, default: int) -> int:
+    """--max-length when given (0 included), else the mode's own horizon."""
+    return default if args.max_length is None else args.max_length
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "promise":
         machine = serialize.load(args.machine)
         problem = _problem_from_args(args)
-        report = promise_check(machine, problem, args.max_length)
+        report = promise_check(machine, problem, _verify_horizon(args, 16))
         _emit(args, _json(_report_payload(report)))
         return _verdict_exit(report)
     if mode == "lv-trios":
         problem = _from_flags(_PROBLEMS, "trios", args)
         machine = trios_lasvegas_pfa(args.n, args.r)
-        max_length = args.max_length or args.r * (1 + 3 * args.n)
+        max_length = _verify_horizon(args, args.r * (1 + 3 * args.n))
         threshold = (
             Fraction(args.threshold)
             if args.threshold
@@ -455,7 +467,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if mode == "disjoint":
         problem = _problem_from_args(args)
         report = disjointness_check(
-            problem, args.max_length, work_cap=_cap(args, "work_cap", "PROMATA_WORK_CAP", 10**7)
+            problem,
+            _verify_horizon(args, 16),
+            work_cap=_cap(args, "work_cap", "PROMATA_WORK_CAP", 10**7),
         )
         _emit(args, _json(_report_payload(report)))
         return _verdict_exit(report)
@@ -556,6 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--threshold")
     p_prob.add_argument("--sigma")
     p_prob.add_argument("--digit-cap", type=int, help="max digits for exact composition")
+    p_prob.add_argument("--work-cap", type=int, help="max trials x symbols sampled by mc")
     p_prob.add_argument("--out")
     p_prob.set_defaults(handler=_cmd_prob_dispatch)
 
@@ -583,7 +598,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("mode", choices=["promise", "lv-trios", "disjoint"])
     p_verify.add_argument("--machine")
     _add_problem_flags(p_verify)
-    p_verify.add_argument("--max-length", type=int, default=16)
+    p_verify.add_argument(
+        "--max-length",
+        type=int,
+        help="longest instance checked (default 16; lv-trios: the TRIOS word length r(3n+1))",
+    )
     p_verify.add_argument("--threshold")
     p_verify.add_argument("--work-cap", type=int, help="max words scanned by disjoint")
     p_verify.add_argument("--out")

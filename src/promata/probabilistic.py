@@ -45,34 +45,48 @@ class OutcomeDistribution:
 
 
 def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
-    """The value is the exact mass per state still running; mass reaching a
+    """The value is (masses, scale): the state still running holds exact
+    mass masses[state] / scale, with scale = D^j after j symbols, where D is
+    the lcm of every transition probability's denominator. Each row is kept
+    as integer weights over D, so a step multiplies and adds plain ints and
+    the fractions are reduced only in outcome. Mass reaching a
     (state, symbol) with no row halts and leaves the distribution."""
-    rows = pfa.transitions
+    unit = math.lcm(*(prob.denominator for row in pfa.transitions.values() for _, prob in row))
+    rows = {
+        key: tuple(
+            (target, prob.numerator * (unit // prob.denominator)) for target, prob in row if prob
+        )
+        for key, row in pfa.transitions.items()
+    }
     roles = pfa.roles
 
-    def step(dist: dict[int, Fraction], sym: str) -> dict[int, Fraction]:
-        nxt: dict[int, Fraction] = {}
-        for state, mass in dist.items():
+    def step(value: tuple[dict[int, int], int], sym: str) -> tuple[dict[int, int], int]:
+        masses, scale = value
+        nxt: dict[int, int] = {}
+        for state, mass in masses.items():
             row = rows.get((state, sym))
             if row is None:
                 continue
-            for target, prob in row:
-                if prob:
-                    nxt[target] = nxt.get(target, 0) + mass * prob
-        return nxt
+            for target, weight in row:
+                nxt[target] = nxt.get(target, 0) + mass * weight
+        return nxt, scale * unit
 
-    def outcome(dist: dict[int, Fraction]) -> OutcomeDistribution:
-        accept = Fraction(0)
-        reject = Fraction(0)
-        for state, mass in dist.items():
+    def outcome(value: tuple[dict[int, int], int]) -> OutcomeDistribution:
+        masses, scale = value
+        accept = reject = 0
+        for state, mass in masses.items():
             role = roles[state]
             if role == ROLE_ACCEPTING:
                 accept += mass
             elif role == ROLE_REJECTING:
                 reject += mass
-        return OutcomeDistribution(accept, reject, 1 - accept - reject)
+        return OutcomeDistribution(
+            Fraction(accept, scale),
+            Fraction(reject, scale),
+            Fraction(scale - accept - reject, scale),
+        )
 
-    return Stepper({pfa.initial: Fraction(1)}, step, outcome)
+    return Stepper(({pfa.initial: 1}, 1), step, outcome)
 
 
 def outcome_dist(pfa: OneWayPfa, word: str) -> OutcomeDistribution:
@@ -80,7 +94,9 @@ def outcome_dist(pfa: OneWayPfa, word: str) -> OutcomeDistribution:
 
     A decision requires reading the entire input: mass that halts early, for
     lack of a transition row, counts as neutral no matter which state it
-    stopped in, alongside mass ending in neutral-role states.
+    stopped in, alongside mass ending in neutral-role states. Mass is kept
+    as integer numerators over D^j (see _pfa_stepper), so the answer is
+    reduced to lowest terms once, not after every product and sum.
     """
     _require_symbols(word, pfa.symbols)
     return _fold(_pfa_stepper(pfa), word)

@@ -23,6 +23,7 @@ from promata import (
     up_dfa,
     up_pfa,
 )
+from promata import cli
 from promata.cli import ExperimentConfig, main, run
 
 
@@ -431,6 +432,53 @@ def test_verify_lv_trios_defaults(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "solves"
     assert payload["measured"]["min_success"] == "1/2"
+
+
+def test_verify_lv_trios_horizon_is_the_word_length(capsys):
+    # TRIOS(3,2) words have length 20, beyond the other modes' default of 16.
+    code, out, _ = run_cli(capsys, "verify", "lv-trios", "--n", "3", "--r", "2")
+    assert code == 0
+    measured = json.loads(out)["measured"]
+    assert measured["instances"] == 2738
+    assert measured["min_success"] == "5/9"
+    code, out, _ = run_cli(
+        capsys, "verify", "lv-trios", "--n", "3", "--r", "2", "--max-length", "19"
+    )
+    assert code == 0
+    assert json.loads(out)["measured"]["instances"] == 0
+
+
+def test_verify_promise_and_disjoint_default_horizon_is_16(tmp_path, capsys):
+    path = tmp_path / "e.json"
+    run_cli(capsys, "build", "evenodd-dfa", "--k", "1", "--out", str(path))
+    code, out, _ = run_cli(
+        capsys, "verify", "promise", "--machine", str(path), "--problem", "evenodd", "--k", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["measured"] == {"instances": 9, "max_length": 16}
+    code, out, _ = run_cli(capsys, "verify", "disjoint", "--problem", "evenodd", "--k", "1")
+    assert code == 0
+    assert json.loads(out)["measured"]["words"] == 17  # a^0 .. a^16
+
+
+def test_prob_mc_work_cap_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.json"
+    run_cli(capsys, "build", "up-pfa", "--p", "1/2", "--out", str(path))
+    mc = ("prob", "mc", "--machine", str(path), "--word", "aaaaa")
+    with monkeypatch.context() as patch:
+        # The cap is checked before sampling starts, so the sampler never runs.
+        patch.setattr(cli, "monte_carlo", lambda *args: pytest.fail("sampled past the cap"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *mc, "--trials", "1000000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert "work cap" in err
+        assert run_cli(capsys, *mc, "--work-cap", "499999")[0] == 3
+        patch.setenv("PROMATA_WORK_CAP", "499999")
+        assert run_cli(capsys, *mc)[0] == 3
+    code, out, _ = run_cli(capsys, *mc)
+    assert code == 0
+    assert json.loads(out)["trials"] == 10**5
 
 
 def test_verify_disjoint(capsys):

@@ -1,6 +1,8 @@
 """Exact distributions, sampling, zero-error verification, round composition."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from promata import (
     SOLVES,
     OneWayPfa,
     OutcomeDistribution,
+    PromiseProblem,
     ResourceCapError,
     RoundModel,
     accept_prob,
@@ -35,6 +38,8 @@ from promata import (
     trios_success_bound,
     up_pfa,
 )
+from promata.constructions import _trios_pairs
+from promata.probabilistic import _pfa_stepper
 
 
 def _coin(p=Fraction(1, 2)):
@@ -130,6 +135,177 @@ def test_monte_carlo_needs_positive_trials():
         monte_carlo(_coin(), "a", 0, 1)
 
 
+# --- integer-numerator propagation against a Fraction oracle ---
+
+
+def _oracle_dist(pfa, word):
+    """Per-word forward propagation with one reduced Fraction per state."""
+    dist = {pfa.initial: Fraction(1)}
+    for sym in word:
+        nxt = {}
+        for state, mass in dist.items():
+            for target, prob in pfa.transitions.get((state, sym), ()):
+                if prob:
+                    nxt[target] = nxt.get(target, 0) + mass * prob
+        dist = nxt
+    accept = sum((m for q, m in dist.items() if pfa.roles[q] == ROLE_ACCEPTING), Fraction(0))
+    reject = sum((m for q, m in dist.items() if pfa.roles[q] == ROLE_REJECTING), Fraction(0))
+    return accept, reject, 1 - accept - reject
+
+
+def _random_row(rng, size, denominator):
+    """Targets with probabilities over a denominator, zero entries allowed."""
+    targets = rng.sample(range(size), rng.randint(1, min(size, 3)))
+    cuts = sorted(rng.randint(0, denominator) for _ in targets[1:])
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, denominator])]
+    return tuple((t, Fraction(part, denominator)) for t, part in zip(targets, parts))
+
+
+def _random_pfa(rng):
+    """1-5 states, 1-2 symbols, denominators 1..12, some rows missing."""
+    size = rng.randint(1, 5)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    transitions = {
+        (q, sym): _random_row(rng, size, rng.randint(1, 12))
+        for q in range(size)
+        for sym in alphabet
+        if rng.random() < 0.8
+    }
+    roles = {
+        q: rng.choice((ROLE_ACCEPTING, ROLE_REJECTING, ROLE_NEUTRAL)) for q in range(size)
+    }
+    return OneWayPfa(size, alphabet, rng.randrange(size), transitions, roles)
+
+
+def _lcm_pfa():
+    """Rows over 8, 9, 5, 7 and 11, so the common scale D is 27,720."""
+    rows = {}
+    for idx, denominator in enumerate((8, 9, 5, 7, 11, 12, 10, 3, 6, 4)):
+        q, sym = divmod(idx, 2)
+        one = Fraction(1, denominator)
+        rows[(q, "ab"[sym])] = ((q, one), ((q + 1 + sym) % 5, 1 - one))
+    roles = {q: (ROLE_NEUTRAL, ROLE_ACCEPTING, ROLE_REJECTING)[q % 3] for q in range(5)}
+    return OneWayPfa(5, ("a", "b"), 0, rows, roles)
+
+
+def _oracle_pfas():
+    rng = random.Random("pfa-oracle")
+    return [_lcm_pfa()] + [_random_pfa(rng) for _ in range(44)]
+
+
+def _words(alphabet, max_length):
+    return [
+        "".join(w) for n in range(max_length + 1) for w in itertools.product(alphabet, repeat=n)
+    ]
+
+
+def test_pfa_sample_covers_the_integer_scale_edge_cases():
+    pfas = _oracle_pfas()
+    scales = [
+        math.lcm(*(p.denominator for row in pfa.transitions.values() for _, p in row))
+        for pfa in pfas
+    ]
+    assert max(scales) == 27720
+    assert {pfa.state_count for pfa in pfas} == {1, 2, 3, 4, 5}
+    assert {len(pfa.symbols) for pfa in pfas} == {1, 2}
+    rows = [row for pfa in pfas for row in pfa.transitions.values()]
+    assert any(p == 0 for row in rows for _, p in row)
+    assert any(len(pfa.transitions) < pfa.state_count * len(pfa.symbols) for pfa in pfas)
+    assert {role for pfa in pfas for role in pfa.roles.values()} == {
+        ROLE_ACCEPTING, ROLE_REJECTING, ROLE_NEUTRAL
+    }
+
+
+def test_outcome_dist_matches_fraction_oracle():
+    for pfa in _oracle_pfas():
+        for word in _words(sorted(pfa.symbols), 6):
+            dist = outcome_dist(pfa, word)
+            assert (dist.accept, dist.reject, dist.neutral) == _oracle_dist(pfa, word), word
+            assert accept_prob(pfa, word) == dist.accept
+
+
+def _oracle_lasvegas(pfa, instances, threshold):
+    measured = {"instances": len(instances), "threshold": threshold}
+    min_success = None
+    for word, cls in instances:
+        accept, reject, _ = _oracle_dist(pfa, word)
+        good, bad = (accept, reject) if cls == "yes" else (reject, accept)
+        if bad != 0 or good < threshold or good == 0:
+            return FAILS, (word, cls, f"accept={accept} reject={reject}"), measured
+        min_success = good if min_success is None else min(min_success, good)
+    if min_success is not None:
+        measured["min_success"] = min_success
+    return SOLVES, None, measured
+
+
+def test_lasvegas_success_matches_fraction_oracle():
+    """Lexicographic and shuffled instance orders, so runs resume from
+    shared prefixes of every length."""
+    rng = random.Random("lasvegas-oracle")
+    verdicts = set()
+    for pfa in _oracle_pfas():
+        alphabet = tuple(sorted(pfa.symbols))
+        words = _words(alphabet, 5)
+        own = {}
+        for word in words:
+            accept, reject, _ = _oracle_dist(pfa, word)
+            if accept and not reject:
+                own[word] = "yes"
+            elif reject and not accept:
+                own[word] = "no"
+        flipped = dict(own)
+        if own:
+            late = rng.choice(sorted(own, key=len)[len(own) // 2 :])
+            flipped[late] = "no" if own[late] == "yes" else "yes"
+        shuffled = list(words)
+        rng.shuffle(shuffled)
+        for labels in (own, flipped):
+            for order in (words, shuffled):
+                instances = [(w, labels[w]) for w in order if w in labels]
+                problem = PromiseProblem(
+                    alphabet=alphabet,
+                    yes_member=lambda w, labels=labels: labels.get(w) == "yes",
+                    no_member=lambda w, labels=labels: labels.get(w) == "no",
+                    enumerator=lambda n, instances=instances: instances,
+                )
+                for threshold in (Fraction(0), Fraction(1, 3)):
+                    report = lasvegas_success(pfa, problem, 5, threshold)
+                    got = (report.verdict, report.counterexample, report.measured)
+                    assert got == _oracle_lasvegas(pfa, instances, threshold)
+                    verdicts.add(report.verdict)
+    assert verdicts == {SOLVES, FAILS}
+
+
+def test_pfa_step_leaves_its_input_unchanged():
+    stepper = _pfa_stepper(_lcm_pfa())
+    value = stepper.start
+    for sym in "abba":
+        before = (dict(value[0]), value[1])
+        nxt = stepper.step(value, sym)
+        assert (dict(value[0]), value[1]) == before
+        value = nxt
+
+
+def test_long_word_exactness_pins():
+    p = Fraction(49, 50)
+    assert accept_prob(up_pfa(p), "a" * 6000) == p**6000
+    rng = random.Random("trios-long")
+    n = 2
+    for cls, side in (("yes", "accept"), ("no", "reject")):
+        segments = [rng.choice(_trios_pairs(n, cls)) for _ in range(1000)]
+        if cls == "yes":
+            word = "".join(f"#{x}{x}{y}" for x, y in segments)
+            hits = [sum(a == "0" and b == "1" for a, b in zip(x, y)) for x, y in segments]
+        else:
+            word = "".join(f"#{x}{y}{x}" for x, y in segments)
+            hits = [sum(a == "1" and b == "0" for a, b in zip(x, y)) for x, y in segments]
+        assert getattr(trios_problem(n, 1000), f"{cls}_member")(word)
+        undecided = math.prod((1 - Fraction(w, n) for w in hits), start=Fraction(1))
+        dist = outcome_dist(trios_lasvegas_pfa(n, 1000), word)
+        assert getattr(dist, side) == 1 - undecided
+        assert dist.neutral == undecided
+
+
 # --- zero-error verification ---
 
 
@@ -163,7 +339,7 @@ def test_lasvegas_success_bound_is_met_for_all_small_cases():
 
 @pytest.mark.slow
 def test_lasvegas_success_bound_largest_small_case():
-    # Roughly 100k enumerated instances; a half minute of exact arithmetic.
+    # Roughly 100k enumerated instances; a few seconds of exact arithmetic.
     _check_lasvegas_bound(3, 3)
 
 
