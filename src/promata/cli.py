@@ -73,7 +73,7 @@ from .probabilistic import (
     restart_bound,
 )
 
-MC_ALGORITHM = "mersenne-twister-per-trial"
+MC_ALGORITHM = "exact-integer-draws-per-4096-block"
 
 # Commands whose first argument is positional, and the parameter that fills it.
 _POSITIONALS = {"build": "kind", "prob": "mode", "verify": "mode"}
@@ -364,7 +364,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     if mode == "lasvegas":
         problem = _problem_from_args(args)
         threshold = Fraction(args.threshold) if args.threshold else Fraction(0)
-        report = lasvegas_success(machine, problem, args.max_length, threshold)
+        horizon = _trios_length(args) if args.problem == "trios" else 16
+        report = lasvegas_success(machine, problem, _verify_horizon(args, horizon), threshold)
         _emit(args, _json(_report_payload(report)))
         return _verdict_exit(report)
     if mode == "expeq-params":
@@ -444,6 +445,11 @@ def _verify_horizon(args: argparse.Namespace, default: int) -> int:
     return default if args.max_length is None else args.max_length
 
 
+def _trios_length(args: argparse.Namespace) -> int:
+    """r(3n+1), the length of every TRIOS(n, r) instance."""
+    return _FLAG_TYPES["r"](args.r) * (1 + 3 * args.n)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "promise":
@@ -455,7 +461,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if mode == "lv-trios":
         problem = _from_flags(_PROBLEMS, "trios", args)
         machine = trios_lasvegas_pfa(args.n, args.r)
-        max_length = _verify_horizon(args, args.r * (1 + 3 * args.n))
+        max_length = _verify_horizon(args, _trios_length(args))
         threshold = (
             Fraction(args.threshold)
             if args.threshold
@@ -566,7 +572,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--p")
     p_prob.add_argument("--c", type=int)
     p_prob.add_argument("--m", type=int)
-    p_prob.add_argument("--max-length", type=int, default=16)
+    p_prob.add_argument(
+        "--max-length",
+        type=int,
+        help="longest instance checked by lasvegas (default 16; --problem trios: r(3n+1))",
+    )
     p_prob.add_argument("--threshold")
     p_prob.add_argument("--sigma")
     p_prob.add_argument("--digit-cap", type=int, help="max digits for exact composition")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,6 +24,8 @@ from .machines import (
     _require_symbols,
     _resumed_outcomes,
 )
+
+BLOCK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -44,13 +48,12 @@ class OutcomeDistribution:
             raise ValueError("outcome probabilities must sum to exactly 1")
 
 
-def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
-    """The value is (masses, scale): the state still running holds exact
-    mass masses[state] / scale, with scale = D^j after j symbols, where D is
-    the lcm of every transition probability's denominator. Each row is kept
-    as integer weights over D, so a step multiplies and adds plain ints and
-    the fractions are reduced only in outcome. Mass reaching a
-    (state, symbol) with no row halts and leaves the distribution."""
+def _integer_rows(
+    pfa: OneWayPfa,
+) -> tuple[int, dict[tuple[int, str], tuple[tuple[int, int], ...]]]:
+    """(D, rows): D is the lcm of every transition probability's denominator,
+    and each row becomes (target, weight) pairs with integer weights over D,
+    zero entries dropped, so the weights of a row sum to exactly D."""
     unit = math.lcm(*(prob.denominator for row in pfa.transitions.values() for _, prob in row))
     rows = {
         key: tuple(
@@ -58,6 +61,16 @@ def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
         )
         for key, row in pfa.transitions.items()
     }
+    return unit, rows
+
+
+def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
+    """The value is (masses, scale): the state still running holds exact
+    mass masses[state] / scale, with scale = D^j after j symbols for the
+    common denominator D of _integer_rows. A step multiplies and adds plain
+    ints, and the fractions are reduced only in outcome. Mass reaching a
+    (state, symbol) with no row halts and leaves the distribution."""
+    unit, rows = _integer_rows(pfa)
     roles = pfa.roles
 
     def step(value: tuple[dict[int, int], int], sym: str) -> tuple[dict[int, int], int]:
@@ -110,57 +123,59 @@ def accept_prob(pfa: OneWayPfa, word: str) -> Fraction:
 def monte_carlo(
     pfa: OneWayPfa, word: str, trials: int, seed: int
 ) -> OutcomeDistribution:
-    """Sampled outcome frequencies over independent trials.
+    """Sampled outcome frequencies over independent trials, drawn exactly.
 
-    Each trial draws from its own sub-seeded generator, so the result is a
-    pure function of (word, trials, seed) and does not depend on how trials
-    would be sheared across workers. Frequencies come back as exact counts
-    over trials.
+    Each (state, symbol) row is read as integer weights over D, the lcm of
+    the row denominators (see _integer_rows), and becomes cumulative
+    thresholds; a digit d in [0, D) picks the target whose threshold range
+    holds d, so every target is chosen with exactly its rational
+    probability. The word is cut into chunks of up to 60 // D.bit_length()
+    symbols, and a trial makes one draw randrange(D ** len(chunk)) per
+    chunk, read as base-D digits: the chunk's first symbol takes the lowest
+    digit. A missing row sends the trial to a halting sink, which reads the
+    rest of the word and counts as neutral. Trials come in blocks of
+    BLOCK_TRIALS, each with its own generator random.Random(f"{seed}:{block}"),
+    so the result is a pure function of (word, trials, seed), does not
+    depend on how blocks would be shared across workers, and differs for
+    seeds s and -s. Frequencies come back as exact counts over trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _require_symbols(word, pfa.symbols)
-    rows: dict[tuple[int, str], tuple[list[float], list[int]]] = {}
-    for key, row in pfa.transitions.items():
-        cumulative: list[float] = []
-        targets: list[int] = []
-        running = 0.0
-        for target, prob in row:
-            if prob == 0:
-                continue  # keep the float fallback bucket off impossible targets
-            running += float(prob)
-            cumulative.append(running)
-            targets.append(target)
-        rows[key] = (cumulative, targets)
-    accept = reject = neutral = 0
-    accepting = pfa.states_with_role(ROLE_ACCEPTING)
-    rejecting = pfa.states_with_role(ROLE_REJECTING)
-    for trial in range(trials):
-        rng = random.Random((seed << 32) + trial)
-        state = pfa.initial
-        completed = True
-        for sym in word:
-            entry = rows.get((state, sym))
-            if entry is None:
-                completed = False
-                break
-            cumulative, targets = entry
-            draw = rng.random()
-            state = targets[-1]  # fallback absorbs float rounding in the last bucket
-            for idx, threshold in enumerate(cumulative):
-                if draw < threshold:
-                    state = targets[idx]
-                    break
-        if not completed:
-            neutral += 1
-        elif state in accepting:
-            accept += 1
-        elif state in rejecting:
-            reject += 1
-        else:
-            neutral += 1
+    unit, rows = _integer_rows(pfa)
+    halted = pfa.state_count  # a sink: every missing row, its own included, leads to it
+    tables: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for sym in pfa.symbols:
+        table = []
+        for state in range(halted + 1):
+            row = rows.get((state, sym), ((halted, unit),))
+            thresholds = tuple(itertools.accumulate(weight for _, weight in row[:-1]))
+            table.append((thresholds, tuple(target for target, _ in row)))
+        tables[sym] = table
+    width = max(1, 60 // unit.bit_length())
+    chunks = []
+    for start in range(0, len(word), width):
+        chunk = word[start : start + width]
+        chunks.append(([tables[sym] for sym in chunk], unit ** len(chunk)))
+    initial = pfa.initial
+    counts = [0] * (halted + 1)
+    for block, first in enumerate(range(0, trials, BLOCK_TRIALS)):
+        draw = random.Random(f"{seed}:{block}").randrange
+        for _ in range(min(BLOCK_TRIALS, trials - first)):
+            state = initial
+            for steps, span in chunks:
+                value = draw(span)
+                for table in steps:
+                    value, digit = divmod(value, unit)
+                    thresholds, targets = table[state]
+                    state = targets[bisect_right(thresholds, digit)]
+            counts[state] += 1
+    accept = sum(counts[state] for state in pfa.states_with_role(ROLE_ACCEPTING))
+    reject = sum(counts[state] for state in pfa.states_with_role(ROLE_REJECTING))
     return OutcomeDistribution(
-        Fraction(accept, trials), Fraction(reject, trials), Fraction(neutral, trials)
+        Fraction(accept, trials),
+        Fraction(reject, trials),
+        Fraction(trials - accept - reject, trials),
     )
 
 

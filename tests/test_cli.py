@@ -240,7 +240,7 @@ def test_prob_mc_records_seed_and_algorithm(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["seed"] == 7
     assert payload["trials"] == 1000
-    assert payload["algorithm"] == "mersenne-twister-per-trial"
+    assert payload["algorithm"] == "exact-integer-draws-per-4096-block"
     num, den = payload["accept"].split("/")
     assert abs(int(num) / int(den) - 0.5) < 0.1
 
@@ -252,6 +252,19 @@ def test_prob_mc_is_byte_stable(tmp_path, capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+    # Pinned, so a change of generator, keying or decoding shows on every
+    # Python version the suite runs on.
+    assert first == (
+        "{\n"
+        '  "accept": "81/100",\n'
+        '  "algorithm": "exact-integer-draws-per-4096-block",\n'
+        '  "neutral": "0/1",\n'
+        '  "reject": "19/100",\n'
+        '  "seed": 3,\n'
+        '  "trials": 500,\n'
+        '  "word": "aa"\n'
+        "}\n"
+    )
 
 
 def test_prob_lasvegas_verdict_exit(tmp_path, capsys):
@@ -459,6 +472,29 @@ def test_verify_promise_and_disjoint_default_horizon_is_16(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "disjoint", "--problem", "evenodd", "--k", "1")
     assert code == 0
     assert json.loads(out)["measured"]["words"] == 17  # a^0 .. a^16
+
+
+def test_prob_lasvegas_defaults_to_the_problem_horizon(tmp_path, capsys):
+    path = tmp_path / "lv.json"
+    run_cli(capsys, "build", "trios-pfa", "--n", "3", "--r", "2", "--out", str(path))
+    lv = ("prob", "lasvegas", "--machine", str(path), "--problem", "trios", "--n", "3", "--r", "2")
+    # TRIOS(3, 2) words have length r(3n+1) = 20, past the general default of 16.
+    code, out, _ = run_cli(capsys, *lv)
+    assert code == 0
+    assert json.loads(out)["measured"] == {
+        "instances": 2738,
+        "min_success": "5/9",
+        "threshold": "0/1",
+    }
+    code, out, _ = run_cli(capsys, *lv, "--max-length", "0")
+    assert json.loads(out)["measured"]["instances"] == 0
+    path = tmp_path / "up.json"
+    run_cli(capsys, "build", "up-pfa", "--p", "1/2", "--out", str(path))
+    code, out, _ = run_cli(
+        capsys, "prob", "lasvegas", "--machine", str(path), "--problem", "up", "--p", "1/2"
+    )
+    assert code == 1
+    assert json.loads(out)["measured"]["instances"] == 16  # a^1 .. a^16
 
 
 def test_prob_mc_work_cap_exits_3(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from promata import (
     trios_success_bound,
     up_pfa,
 )
+from promata import probabilistic
 from promata.constructions import _trios_pairs
 from promata.probabilistic import _pfa_stepper
 
@@ -199,13 +201,13 @@ def _words(alphabet, max_length):
     ]
 
 
+def _scale(pfa):
+    return math.lcm(*(p.denominator for row in pfa.transitions.values() for _, p in row))
+
+
 def test_pfa_sample_covers_the_integer_scale_edge_cases():
     pfas = _oracle_pfas()
-    scales = [
-        math.lcm(*(p.denominator for row in pfa.transitions.values() for _, p in row))
-        for pfa in pfas
-    ]
-    assert max(scales) == 27720
+    assert max(_scale(pfa) for pfa in pfas) == 27720
     assert {pfa.state_count for pfa in pfas} == {1, 2, 3, 4, 5}
     assert {len(pfa.symbols) for pfa in pfas} == {1, 2}
     rows = [row for pfa in pfas for row in pfa.transitions.values()]
@@ -304,6 +306,163 @@ def test_long_word_exactness_pins():
         dist = outcome_dist(trios_lasvegas_pfa(n, 1000), word)
         assert getattr(dist, side) == 1 - undecided
         assert dist.neutral == undecided
+
+
+# --- exact block sampler ---
+
+
+def _scripted_generators(monkeypatch, draw):
+    """Swap the sampler's generators for ones whose randrange(span) returns
+    draw(span); return the list of keys the generators are built with."""
+    keys = []
+
+    class Scripted:
+        def __init__(self, key):
+            keys.append(key)
+
+        def randrange(self, span):
+            return draw(span)
+
+    monkeypatch.setattr(probabilistic.random, "Random", Scripted)
+    return keys
+
+
+def test_monte_carlo_over_every_draw_is_the_exact_distribution(monkeypatch):
+    # With trials = D^len(w) and draws 0, 1, ..., D^len(w) - 1, each digit
+    # string is used once, so the counts are the exact masses over D^len(w).
+    cases = []
+    for pfa in _oracle_pfas():
+        unit = _scale(pfa)
+        width = 60 // unit.bit_length()
+        for word in _words(sorted(pfa.symbols), 3):
+            if len(word) <= width and unit ** len(word) <= 30_000:
+                cases.append((pfa, word, unit ** len(word)))
+    assert {len(word) for _, word, _ in cases} == {0, 1, 2, 3}
+    assert max(span for _, _, span in cases) == 27720
+    assert len({id(pfa) for pfa, word, _ in cases if word}) >= 30
+    for pfa, word, trials in cases:
+        counter = itertools.count()
+        _scripted_generators(monkeypatch, lambda span: next(counter) % span)
+        sampled = monte_carlo(pfa, word, trials, 1)
+        assert next(counter) == (trials if word else 0)
+        assert sampled == outcome_dist(pfa, word), (pfa, word)
+
+
+def _chunked_pfa(final):
+    """Rows over D = 3 on {a, b}; only the given state accepts."""
+    rows = {}
+    for q in range(4):
+        rows[(q, "a")] = (((q + 1) % 4, Fraction(1, 3)), ((q + 2) % 4, Fraction(2, 3)))
+        rows[(q, "b")] = ((q, Fraction(2, 3)), ((q + 3) % 4, Fraction(1, 3)))
+    roles = {q: ROLE_ACCEPTING if q == final else ROLE_REJECTING for q in range(4)}
+    return OneWayPfa(4, ("a", "b"), 0, rows, roles)
+
+
+def _walk_digits(word, digits):
+    """Hand walk of _chunked_pfa: digit d picks the first target whose
+    cumulative probability exceeds d / 3."""
+    state = 0
+    for sym, digit in zip(word, digits):
+        row = _chunked_pfa(0).transitions[(state, sym)]
+        running = Fraction(0)
+        for target, prob in row:
+            running += prob
+            if Fraction(digit, 3) < running:
+                state = target
+                break
+    return state
+
+
+def test_monte_carlo_decodes_digits_across_chunk_boundaries(monkeypatch):
+    # D = 3 gives chunks of 60 // 2 = 30 symbols: six full chunks and one of 20.
+    rng = random.Random("chunks")
+    word = "".join(rng.choice("ab") for _ in range(200))
+    mixed = [rng.randrange(3) for _ in word]
+    for digits in ([0] * 200, [2] * 200, mixed):
+        spans = []
+
+        def run(pfa):
+            pending = iter(digits)
+
+            def draw(span):
+                spans.append(span)
+                width = round(math.log(span, 3))
+                return sum(next(pending) * 3**i for i in range(width))
+
+            _scripted_generators(monkeypatch, draw)
+            return monte_carlo(pfa, word, 1, 0)
+
+        final = _walk_digits(word, digits)
+        assert run(_chunked_pfa(final)).accept == 1
+        assert spans == [3**30] * 6 + [3**20]
+        assert all(run(_chunked_pfa(q)).reject == 1 for q in range(4) if q != final)
+
+
+def test_monte_carlo_with_a_huge_denominator(monkeypatch):
+    big = 10**9 + 7
+    split = 123_456_789
+    pfa = OneWayPfa(
+        2,
+        ("a",),
+        0,
+        {(0, "a"): ((0, Fraction(split, big)), (1, 1 - Fraction(split, big)))},
+        {0: ROLE_ACCEPTING, 1: ROLE_REJECTING},
+    )
+    with monkeypatch.context() as patch:
+        # The last digit below the first threshold, then the threshold itself.
+        draws = iter((split - 1, split))
+        _scripted_generators(patch, lambda span: next(draws))
+        assert monte_carlo(pfa, "a", 2, 0) == OutcomeDistribution(
+            Fraction(1, 2), Fraction(1, 2), Fraction(0)
+        )
+    tracemalloc.start()
+    try:
+        sampled = monte_carlo(pfa, "aaa", 2000, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    exact = outcome_dist(pfa, "aaa")
+    sigma = math.sqrt(float(exact.accept) * (1 - float(exact.accept)) / 2000)
+    assert abs(float(sampled.accept) - float(exact.accept)) <= 4 * sigma
+
+
+def test_monte_carlo_golden_values():
+    assert monte_carlo(_coin(Fraction(9, 10)), "aa", 500, 3) == OutcomeDistribution(
+        Fraction(405, 500), Fraction(95, 500), Fraction(0)
+    )
+
+
+def test_monte_carlo_keys_one_generator_per_block(monkeypatch):
+    keys = {}
+    for seed in (5, -5):
+        keys[seed] = _scripted_generators(monkeypatch, lambda span: 0)
+        monte_carlo(_coin(), "a", 2 * probabilistic.BLOCK_TRIALS + 1, seed)
+    assert keys[5] == ["5:0", "5:1", "5:2"]
+    assert keys[-5] == ["-5:0", "-5:1", "-5:2"]
+    monkeypatch.undo()
+    assert monte_carlo(_coin(), "aaaa", 500, 5) != monte_carlo(_coin(), "aaaa", 500, -5)
+
+
+def test_monte_carlo_tracks_halting_mass_within_four_sigma():
+    pfa = OneWayPfa(
+        3,
+        ("a",),
+        0,
+        {
+            (0, "a"): ((0, Fraction(1, 2)), (1, Fraction(1, 3)), (2, Fraction(1, 6))),
+            (1, "a"): ((1, Fraction(1)),),
+        },
+        {0: ROLE_ACCEPTING, 1: ROLE_REJECTING, 2: ROLE_REJECTING},
+    )
+    exact = outcome_dist(pfa, "aa")
+    assert exact == OutcomeDistribution(Fraction(1, 4), Fraction(7, 12), Fraction(1, 6))
+    trials = 20_000
+    sampled = monte_carlo(pfa, "aa", trials, 2024)
+    for name in ("accept", "reject", "neutral"):
+        p = float(getattr(exact, name))
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(float(getattr(sampled, name)) - p) <= 4 * sigma
 
 
 # --- zero-error verification ---
