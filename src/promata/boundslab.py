@@ -37,6 +37,9 @@ KIND_UNARY_NFA = "unary-nfa"
 
 _KIND_CAPS = {KIND_UNARY_DFA: 18, KIND_DFA: 8, KIND_UNARY_NFA: 4}
 
+DEFAULT_WORK_CAP = 10**8  # search nodes visited by min_dfa_size and min_unary_nfa_size
+DEFAULT_WORD_CAP = 10**7  # words walked by disjointness_check
+
 # Transition sentinels and instance label bits of the general DFA search.
 _UNSET = -2
 _DEAD = -1
@@ -188,7 +191,7 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
     return parent, symbol, label, yes_below
 
 
-def min_dfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
+def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchResult:
     """Smallest deterministic one-way machine over an arbitrary alphabet.
 
     Exact identification from the labelled instances (the minimal
@@ -300,7 +303,7 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 
-def min_unary_nfa_size(spec: SearchSpec, work_cap: int = 10**8) -> SearchResult:
+def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchResult:
     """Smallest nondeterministic one-way machine for a unary promise problem.
 
     Searches relations without silent transitions: removing silent
@@ -478,7 +481,7 @@ def pumping_check(
 
 
 def disjointness_check(
-    problem: PromiseProblem, max_length: int, work_cap: int = 10**7
+    problem: PromiseProblem, max_length: int, work_cap: int = DEFAULT_WORD_CAP
 ) -> VerificationReport:
     """Walk every word up to max_length and confirm no word is classified
     both yes and no. Independent of any enumerator the problem carries."""

@@ -14,12 +14,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 from . import acceptance, serialize
 from .boundslab import (
+    DEFAULT_WORD_CAP,
+    DEFAULT_WORK_CAP,
     SearchSpec,
     disjointness_check,
     min_dfa_size,
@@ -43,6 +43,8 @@ from .constructions import (
     up_problem,
 )
 from .conversions import (
+    DEFAULT_SUBSET_CAP,
+    DEFAULT_VECTOR_CAP,
     bound_2nfa_to_dfa,
     bound_afa_to_dfa,
     bound_svfa_to_dfa,
@@ -58,12 +60,12 @@ from .machines import (
     OneWayDfa,
     OneWayNfa,
     OneWayPfa,
-    TwoWayMachine,
     dfa_run,
     machine_accepts,
     promise_check,
 )
 from .probabilistic import (
+    DEFAULT_DIGIT_CAP,
     expected_rounds,
     expeq_compose,
     expeq_params,
@@ -72,117 +74,32 @@ from .probabilistic import (
     outcome_dist,
     restart_bound,
 )
+from .serialize import fraction_to_str
 
 MC_ALGORITHM = "exact-integer-draws-per-4096-block"
 
-# Commands whose first argument is positional, and the parameter that fills it.
-_POSITIONALS = {"build": "kind", "prob": "mode", "verify": "mode"}
 
-# Cap flags a config may set; each falls back to an environment variable,
-# then to its conservative default.
-_CAP_FLAGS = ("subset-cap", "vector-cap", "work-cap", "digit-cap")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One fully described invocation: command, parameters, output, caps.
-
-    ``parameters`` uses the flag names (dashes or underscores both work);
-    boolean True emits a bare flag. The config is validated against the
-    command's argument schema before anything executes.
-    """
-
-    command: str
-    parameters: Mapping[str, object] = field(default_factory=dict)
-    output_path: str | None = None
-    seed: int | None = None
-    caps: Mapping[str, int] = field(default_factory=dict)
-
-
-def _config_argv(config: ExperimentConfig) -> list[str]:
-    argv = [config.command]
-    parameters = {k.replace("_", "-"): v for k, v in config.parameters.items()}
-    positional = _POSITIONALS.get(config.command)
-    if positional is not None:
-        if positional not in parameters:
-            raise ValueError(f"{config.command} needs a {positional!r} parameter")
-        argv.append(str(parameters.pop(positional)))
-    for name in sorted(parameters):
-        value = parameters[name]
-        if value is None or value is False:
-            continue
-        if value is True:
-            argv.append(f"--{name}")
-        else:
-            argv.extend([f"--{name}", str(value)])
-    if config.seed is not None and "seed" not in parameters:
-        argv.extend(["--seed", str(config.seed)])
-    if config.output_path is not None:
-        argv.extend(["--out", config.output_path])
-    for name in sorted(config.caps):
-        flag = name.replace("_", "-")
-        if flag not in _CAP_FLAGS:
-            raise ValueError(f"unknown cap {name!r}; known caps: {', '.join(_CAP_FLAGS)}")
-        argv.extend([f"--{flag}", str(config.caps[name])])
-    return argv
-
-
-def run(config: ExperimentConfig) -> int:
-    """Validate the config against the command schema, execute, return status.
-
-    Exit status meanings match the command line: 0 solved/succeeded, 1 a
-    verification failed or a search was exhausted, 2 usage error, 3 resource
-    cap reached.
-    """
-    try:
-        argv = _config_argv(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return main(argv)
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
+def _cap(args: argparse.Namespace, name: str, default: int) -> int:
+    """Resolve a resource cap: the flag, then PROMATA_<NAME>, then the library default."""
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    variable = f"PROMATA_{name.upper()}"
+    raw = os.environ.get(variable)
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError as exc:
-        raise ValueError(f"environment variable {name} must be an integer") from exc
-
-
-def _cap(args: argparse.Namespace, attr: str, env_name: str, default: int) -> int:
-    """Resolve a resource cap: explicit flag, then environment, then default."""
-    value = getattr(args, attr, None)
-    if value is not None:
-        return value
-    return _env_int(env_name, default)
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
-def _rational(value) -> str:
-    fraction = Fraction(value)
-    return f"{fraction.numerator}/{fraction.denominator}"
+        raise ValueError(f"environment variable {variable} must be an integer") from exc
 
 
 def _measured_payload(measured: dict) -> dict:
     out = {}
     for key, value in measured.items():
         if isinstance(value, Fraction):
-            out[key] = _rational(value)
-        elif isinstance(value, bool) or isinstance(value, int):
+            out[key] = fraction_to_str(value)
+        elif isinstance(value, int):
             out[key] = value
         elif isinstance(value, tuple):
             out[key] = list(value)
@@ -191,24 +108,22 @@ def _measured_payload(measured: dict) -> dict:
     return out
 
 
-def _report_payload(report) -> dict:
-    return {
+def _verdict(report) -> tuple[dict, int]:
+    """A verification report's payload, and exit 0 when it solves, else 1."""
+    payload = {
         "verdict": report.verdict,
         "counterexample": list(report.counterexample) if report.counterexample else None,
         "measured": _measured_payload(report.measured),
     }
+    return payload, 0 if report.verdict == SOLVES else 1
 
 
 def _dist_payload(dist) -> dict:
     return {
-        "accept": _rational(dist.accept),
-        "reject": _rational(dist.reject),
-        "neutral": _rational(dist.neutral),
+        "accept": fraction_to_str(dist.accept),
+        "reject": fraction_to_str(dist.reject),
+        "neutral": fraction_to_str(dist.neutral),
     }
-
-
-def _verdict_exit(report) -> int:
-    return 0 if report.verdict == SOLVES else 1
 
 
 # Problem families and machine builders by CLI name: the callable and the
@@ -251,71 +166,73 @@ def _problem_from_args(args: argparse.Namespace):
     return _from_flags(_PROBLEMS, args.problem, args)
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    _emit(args, serialize.dumps(_from_flags(_BUILDS, args.kind, args)))
-    return 0
+def _cmd_build(args: argparse.Namespace) -> tuple[dict, int]:
+    return serialize.machine_to_dict(_from_flags(_BUILDS, args.kind, args)), 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, int]:
     machine = serialize.load(args.machine)
-    payload: dict = {"word": args.word, "machine": args.machine}
-    if isinstance(machine, OneWayPfa):
-        dist = outcome_dist(machine, args.word)
-        payload["kind"] = "pfa"
-        payload["distribution"] = _dist_payload(dist)
-    elif isinstance(machine, OneWayDfa):
+    kind = serialize.type_tag(machine)
+    payload: dict = {"word": args.word, "machine": args.machine, "kind": kind}
+    if kind == "pfa":
+        payload["distribution"] = _dist_payload(outcome_dist(machine, args.word))
+    elif kind == "dfa":
         result = dfa_run(machine, args.word)
-        payload["kind"] = "dfa"
         payload["outcome"] = result.outcome
         if result.position is not None:
             payload["position"] = result.position
     else:
-        payload["kind"] = (
-            "afa"
-            if isinstance(machine, OneWayAfa)
-            else "2way" if isinstance(machine, TwoWayMachine) else "nfa"
-        )
         payload["outcome"] = "accept" if machine_accepts(machine, args.word) else "reject"
-    _emit(args, _json(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+# Each conversion: the machine type it needs, the error naming that type,
+# and the call.
+_CONVERSIONS = {
+    "subset": (
+        OneWayNfa,
+        "the subset algorithm needs a nondeterministic machine",
+        lambda machine, args: nfa_to_dfa(
+            machine, subset_cap=_cap(args, "subset_cap", DEFAULT_SUBSET_CAP)
+        ),
+    ),
+    "eps-remove": (
+        OneWayNfa,
+        "silent-move removal needs a nondeterministic machine",
+        lambda machine, args: remove_epsilon(machine),
+    ),
+    "unary-afa-dfa": (
+        OneWayAfa,
+        "valuation determinization needs an alternating machine",
+        lambda machine, args: unary_afa_to_dfa(
+            machine, vector_cap=_cap(args, "vector_cap", DEFAULT_VECTOR_CAP)
+        ),
+    ),
+    "minimize": (
+        OneWayDfa,
+        "minimization needs a deterministic machine",
+        lambda machine, args: dfa_minimize(machine),
+    ),
+}
+
+
+def _cmd_convert(args: argparse.Namespace) -> tuple[dict, int]:
     machine = serialize.load(getattr(args, "from"))
-    algorithm = args.algorithm
-    if algorithm == "subset":
-        if not isinstance(machine, OneWayNfa):
-            raise ValueError("the subset algorithm needs a nondeterministic machine")
-        converted = nfa_to_dfa(
-            machine, subset_cap=_cap(args, "subset_cap", "PROMATA_SUBSET_CAP", 1 << 16)
-        )
-    elif algorithm == "eps-remove":
-        if not isinstance(machine, OneWayNfa):
-            raise ValueError("silent-move removal needs a nondeterministic machine")
-        converted = remove_epsilon(machine)
-    elif algorithm == "unary-afa-dfa":
-        if not isinstance(machine, OneWayAfa):
-            raise ValueError("valuation determinization needs an alternating machine")
-        converted = unary_afa_to_dfa(
-            machine, vector_cap=_cap(args, "vector_cap", "PROMATA_VECTOR_CAP", 1 << 20)
-        )
-    elif algorithm == "minimize":
-        if not isinstance(machine, OneWayDfa):
-            raise ValueError("minimization needs a deterministic machine")
-        converted = dfa_minimize(machine)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    _emit(args, serialize.dumps(converted))
-    return 0
+    needed, message, convert = _CONVERSIONS[args.algorithm]
+    if not isinstance(machine, needed):
+        raise ValueError(message)
+    return serialize.machine_to_dict(convert(machine, args)), 0
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    formula = {
-        "afa-to-dfa": bound_afa_to_dfa,
-        "2nfa-to-dfa": bound_2nfa_to_dfa,
-        "svfa-to-dfa": bound_svfa_to_dfa,
-    }[args.formula]
-    bound = formula(args.n)
+_BOUNDS = {
+    "afa-to-dfa": bound_afa_to_dfa,
+    "2nfa-to-dfa": bound_2nfa_to_dfa,
+    "svfa-to-dfa": bound_svfa_to_dfa,
+}
+
+
+def _cmd_bounds(args: argparse.Namespace) -> tuple[dict, int]:
+    bound = _BOUNDS[args.formula](args.n)
     payload = {
         "formula": bound.formula,
         "n": bound.argument,
@@ -324,99 +241,89 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     }
     if bound.real_value is not None:
         payload["real_value"] = bound.real_value
-    _emit(args, _json(payload))
-    return 0
+    return payload, 0
 
 
-def _cmd_prob(args: argparse.Namespace) -> int:
+def _cmd_prob(args: argparse.Namespace) -> tuple[dict, int]:
     mode = args.mode
     if mode in ("exact", "mc", "lasvegas"):
+        if not args.machine:
+            raise ValueError(f"--machine is required for prob {mode}")
         machine = serialize.load(args.machine)
         if not isinstance(machine, OneWayPfa):
             raise ValueError(f"prob {mode} needs a probabilistic machine")
+    elif mode == "rounds":
+        if not args.sigma:
+            raise ValueError("--sigma is required for prob rounds")
+    elif args.c is None or args.m is None or args.n is None:
+        raise ValueError("--c, --m, and --n are required")
+    elif mode == "expeq-compose" and not args.r:
+        raise ValueError("--r is required to compose rounds")
+
     if mode == "exact":
         dist = outcome_dist(machine, args.word)
         payload = {"word": args.word, **_dist_payload(dist)}
         if args.neutral_as_reject:
-            payload["reject"] = _rational(dist.reject + dist.neutral)
-            payload["neutral"] = _rational(Fraction(0))
+            payload["reject"] = fraction_to_str(dist.reject + dist.neutral)
+            payload["neutral"] = fraction_to_str(Fraction(0))
             payload["reporting_mode"] = "neutral-as-reject"
-        _emit(args, _json(payload))
-        return 0
+        return payload, 0
     if mode == "mc":
-        work = args.trials * max(1, len(args.word))
-        work_cap = _cap(args, "work_cap", "PROMATA_WORK_CAP", 10**8)
-        if work > work_cap:
+        work_cap = _cap(args, "work_cap", DEFAULT_WORK_CAP)
+        if args.trials * max(1, len(args.word)) > work_cap:
             raise ResourceCapError(
                 f"{args.trials} trials of {len(args.word)} symbols exceed the "
                 f"{work_cap}-step work cap"
             )
         dist = monte_carlo(machine, args.word, args.trials, args.seed)
-        payload = {
+        return {
             "word": args.word,
             "trials": args.trials,
             "seed": args.seed,
             "algorithm": MC_ALGORITHM,
             **_dist_payload(dist),
-        }
-        _emit(args, _json(payload))
-        return 0
+        }, 0
     if mode == "lasvegas":
         problem = _problem_from_args(args)
         threshold = Fraction(args.threshold) if args.threshold else Fraction(0)
         horizon = _trios_length(args) if args.problem == "trios" else 16
-        report = lasvegas_success(machine, problem, _verify_horizon(args, horizon), threshold)
-        _emit(args, _json(_report_payload(report)))
-        return _verdict_exit(report)
-    if mode == "expeq-params":
-        model = expeq_params(args.c, args.m, args.n)
-        if args.r:
-            model = model.with_reject(Fraction(args.r))
-        payload = {
-            "c": model.c,
-            "m": model.m,
-            "n": model.n,
-            "a": _rational(model.a),
-            "r": _rational(model.r) if model.r is not None else None,
-            "t": str(model.t),
-        }
-        _emit(args, _json(payload))
-        return 0
-    if mode == "expeq-compose":
-        if not args.r:
-            raise ValueError("--r is required to compose rounds")
-        model = expeq_params(args.c, args.m, args.n).with_reject(Fraction(args.r))
-        dist = expeq_compose(
-            model, digit_cap=_cap(args, "digit_cap", "PROMATA_DIGIT_CAP", 500_000)
+        return _verdict(
+            lasvegas_success(machine, problem, _verify_horizon(args, horizon), threshold)
         )
-        payload = {
-            "c": model.c,
-            "m": model.m,
-            "n": model.n,
-            "t": str(model.t),
-            **_dist_payload(dist),
-        }
-        _emit(args, _json(payload))
-        return 0
     if mode == "rounds":
         sigma = Fraction(args.sigma)
-        payload = {"sigma": _rational(sigma), "expected_rounds": _rational(expected_rounds(sigma))}
+        payload = {
+            "sigma": fraction_to_str(sigma),
+            "expected_rounds": fraction_to_str(expected_rounds(sigma)),
+        }
         if args.n is not None:
             payload["closed_form_bound"] = restart_bound(args.n)
-        _emit(args, _json(payload))
-        return 0
-    raise ValueError(f"unknown prob mode {mode!r}")
+        return payload, 0
+    model = expeq_params(args.c, args.m, args.n)
+    if args.r:
+        model = model.with_reject(Fraction(args.r))
+    payload = {"c": model.c, "m": model.m, "n": model.n, "t": str(model.t)}
+    if mode == "expeq-params":
+        payload["a"] = fraction_to_str(model.a)
+        payload["r"] = fraction_to_str(model.r) if model.r is not None else None
+    else:
+        digit_cap = _cap(args, "digit_cap", DEFAULT_DIGIT_CAP)
+        payload.update(_dist_payload(expeq_compose(model, digit_cap=digit_cap)))
+    return payload, 0
 
 
-def _cmd_minsize(args: argparse.Namespace) -> int:
+_SEARCHES = {
+    "unary-dfa": min_unary_dfa_size,
+    "dfa": min_dfa_size,
+    "unary-nfa": min_unary_nfa_size,
+}
+
+
+def _cmd_minsize(args: argparse.Namespace) -> tuple[dict, int]:
     problem = _problem_from_args(args)
     spec = SearchSpec(args.kind, args.max_states, problem, args.max_length)
-    search = {
-        "unary-dfa": min_unary_dfa_size,
-        "dfa": min_dfa_size,
-        "unary-nfa": min_unary_nfa_size,
-    }[args.kind]
-    work_cap = _cap(args, "work_cap", "PROMATA_WORK_CAP", 10**8)
+    search = _SEARCHES[args.kind]
+    work_cap = _cap(args, "work_cap", DEFAULT_WORK_CAP)
     result = search(spec) if args.kind == "unary-dfa" else search(spec, work_cap=work_cap)
     payload = {
         "kind": args.kind,
@@ -426,18 +333,15 @@ def _cmd_minsize(args: argparse.Namespace) -> int:
         "candidates_checked": result.candidates_checked,
         "witness": serialize.machine_to_dict(result.witness) if result.witness else None,
     }
-    _emit(args, _json(payload))
-    return 0 if result.found else 1
+    return payload, 0 if result.found else 1
 
 
-def _cmd_pumping(args: argparse.Namespace) -> int:
+def _cmd_pumping(args: argparse.Namespace) -> tuple[dict, int]:
     machine = serialize.load(args.machine)
     if not isinstance(machine, (OneWayDfa, OneWayNfa)):
         raise ValueError("pumping checks need a one-way machine")
     h_values = tuple(int(part) for part in args.h.split(",") if part)
-    report = pumping_check(machine, args.m, h_values)
-    _emit(args, _json(_report_payload(report)))
-    return _verdict_exit(report)
+    return _verdict(pumping_check(machine, args.m, h_values))
 
 
 def _verify_horizon(args: argparse.Namespace, default: int) -> int:
@@ -450,15 +354,12 @@ def _trios_length(args: argparse.Namespace) -> int:
     return _FLAG_TYPES["r"](args.r) * (1 + 3 * args.n)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    mode = args.mode
-    if mode == "promise":
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.mode == "promise":
         machine = serialize.load(args.machine)
         problem = _problem_from_args(args)
-        report = promise_check(machine, problem, _verify_horizon(args, 16))
-        _emit(args, _json(_report_payload(report)))
-        return _verdict_exit(report)
-    if mode == "lv-trios":
+        return _verdict(promise_check(machine, problem, _verify_horizon(args, 16)))
+    if args.mode == "lv-trios":
         problem = _from_flags(_PROBLEMS, "trios", args)
         machine = trios_lasvegas_pfa(args.n, args.r)
         max_length = _verify_horizon(args, _trios_length(args))
@@ -467,22 +368,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if args.threshold
             else 1 - Fraction(args.n - 1, args.n) ** args.r
         )
-        report = lasvegas_success(machine, problem, max_length, threshold)
-        _emit(args, _json(_report_payload(report)))
-        return _verdict_exit(report)
-    if mode == "disjoint":
-        problem = _problem_from_args(args)
-        report = disjointness_check(
-            problem,
-            _verify_horizon(args, 16),
-            work_cap=_cap(args, "work_cap", "PROMATA_WORK_CAP", 10**7),
-        )
-        _emit(args, _json(_report_payload(report)))
-        return _verdict_exit(report)
-    raise ValueError(f"unknown verify mode {mode!r}")
+        return _verdict(lasvegas_success(machine, problem, max_length, threshold))
+    problem = _problem_from_args(args)
+    work_cap = _cap(args, "work_cap", DEFAULT_WORD_CAP)
+    return _verdict(disjointness_check(problem, _verify_horizon(args, 16), work_cap=work_cap))
 
 
-def _cmd_reproduce_all(args: argparse.Namespace) -> int:
+def _cmd_reproduce_all(args: argparse.Namespace) -> tuple[dict | None, int]:
     results = acceptance.run_all(args.tier)
     for result in results:
         print(result.line)
@@ -500,17 +392,30 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
         ],
         "all_passed": all(result.passed for result in results),
     }
-    if getattr(args, "out", None):
-        _emit(args, _json(payload))
-    return 0 if payload["all_passed"] else 1
+    # The criterion lines are the report on stdout; the JSON goes only to --out.
+    return payload if args.out else None, 0 if payload["all_passed"] else 1
 
 
-def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--problem", choices=_PROBLEMS)
-    parser.add_argument("--k", type=int, help="order of the evenodd problem")
-    parser.add_argument("--n", type=int, help="block width of the trios problem")
-    parser.add_argument("--r", type=int, help="segment count of the trios problem")
-    parser.add_argument("--p", help="stay probability for the up problem, as num/den")
+# The problem-family flags: argparse type and help text. `build` and `prob`
+# take them without help, and `prob` reads --r as text, since its expeq modes
+# use --r as a reject probability.
+_FAMILY_FLAGS = {
+    "k": (int, "order of the evenodd problem"),
+    "n": (int, "block width of the trios problem"),
+    "r": (int, "segment count of the trios problem"),
+    "p": (None, "stay probability for the up problem, as num/den"),
+}
+
+
+def _add_family_flags(
+    parser: argparse.ArgumentParser, problem: bool = True, r_type=int, helps: bool = True
+) -> None:
+    if problem:
+        parser.add_argument("--problem", choices=_PROBLEMS)
+    for flag, (kind, text) in _FAMILY_FLAGS.items():
+        parser.add_argument(
+            f"--{flag}", type=r_type if flag == "r" else kind, help=text if helps else None
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -520,42 +425,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="construct a machine and print it as JSON")
-    p_build.add_argument("kind", choices=_BUILDS)
-    p_build.add_argument("--k", type=int)
-    p_build.add_argument("--n", type=int)
-    p_build.add_argument("--r", type=int)
-    p_build.add_argument("--p")
-    p_build.add_argument("--out")
-    p_build.set_defaults(handler=_cmd_build)
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    p_sim = sub.add_parser("simulate", help="run a machine file on one word")
+    p_build = command("build", _cmd_build, "construct a machine and print it as JSON")
+    p_build.add_argument("kind", choices=_BUILDS)
+    _add_family_flags(p_build, problem=False, helps=False)
+
+    p_sim = command("simulate", _cmd_simulate, "run a machine file on one word")
     p_sim.add_argument("--machine", required=True)
     p_sim.add_argument("--word", required=True)
-    p_sim.add_argument("--out")
-    p_sim.set_defaults(handler=_cmd_simulate)
 
-    p_conv = sub.add_parser("convert", help="run a conversion algorithm on a machine file")
+    p_conv = command("convert", _cmd_convert, "run a conversion algorithm on a machine file")
     p_conv.add_argument("--from", required=True, dest="from")
-    p_conv.add_argument(
-        "--algorithm",
-        required=True,
-        choices=["subset", "eps-remove", "unary-afa-dfa", "minimize"],
-    )
+    p_conv.add_argument("--algorithm", required=True, choices=_CONVERSIONS)
     p_conv.add_argument("--subset-cap", type=int, help="max subsets before giving up")
     p_conv.add_argument("--vector-cap", type=int, help="max valuation vectors before giving up")
-    p_conv.add_argument("--out")
-    p_conv.set_defaults(handler=_cmd_convert)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate a closed-form trade-off bound")
-    p_bounds.add_argument(
-        "--formula", required=True, choices=["afa-to-dfa", "2nfa-to-dfa", "svfa-to-dfa"]
-    )
+    p_bounds = command("bounds", _cmd_bounds, "evaluate a closed-form trade-off bound")
+    p_bounds.add_argument("--formula", required=True, choices=_BOUNDS)
     p_bounds.add_argument("--n", type=int, required=True)
-    p_bounds.add_argument("--out")
-    p_bounds.set_defaults(handler=_cmd_bounds)
 
-    p_prob = sub.add_parser("prob", help="exact, sampled, and composed probabilities")
+    p_prob = command("prob", _cmd_prob, "exact, sampled, and composed probabilities")
     p_prob.add_argument(
         "mode",
         choices=["exact", "mc", "lasvegas", "expeq-params", "expeq-compose", "rounds"],
@@ -565,11 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--trials", type=int, default=10**5)
     p_prob.add_argument("--seed", type=int, default=0)
     p_prob.add_argument("--neutral-as-reject", action="store_true")
-    p_prob.add_argument("--problem", choices=_PROBLEMS)
-    p_prob.add_argument("--k", type=int)
-    p_prob.add_argument("--n", type=int)
-    p_prob.add_argument("--r")
-    p_prob.add_argument("--p")
+    _add_family_flags(p_prob, r_type=None, helps=False)
     p_prob.add_argument("--c", type=int)
     p_prob.add_argument("--m", type=int)
     p_prob.add_argument(
@@ -581,33 +470,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--sigma")
     p_prob.add_argument("--digit-cap", type=int, help="max digits for exact composition")
     p_prob.add_argument("--work-cap", type=int, help="max trials x symbols sampled by mc")
-    p_prob.add_argument("--out")
-    p_prob.set_defaults(handler=_cmd_prob_dispatch)
 
-    p_min = sub.add_parser("minsize", help="exhaustive minimal-size search")
-    p_min.add_argument("--kind", required=True, choices=["unary-dfa", "dfa", "unary-nfa"])
-    _add_problem_flags(p_min)
+    p_min = command("minsize", _cmd_minsize, "exhaustive minimal-size search")
+    p_min.add_argument("--kind", required=True, choices=_SEARCHES)
+    _add_family_flags(p_min)
     p_min.add_argument("--max-states", type=int, required=True)
     p_min.add_argument("--max-length", type=int, required=True)
-    p_min.add_argument(
-        "--work-cap",
-        type=int,
-        help="max search nodes (dfa and unary-nfa)",
-    )
-    p_min.add_argument("--out")
-    p_min.set_defaults(handler=_cmd_minsize)
+    p_min.add_argument("--work-cap", type=int, help="max search nodes (dfa and unary-nfa)")
 
-    p_pump = sub.add_parser("pumping", help="block-pumping agreement check")
+    p_pump = command("pumping", _cmd_pumping, "block-pumping agreement check")
     p_pump.add_argument("--machine", required=True)
     p_pump.add_argument("--m", type=int, required=True)
     p_pump.add_argument("--h", default="1,2", help="comma-separated pump multiples")
-    p_pump.add_argument("--out")
-    p_pump.set_defaults(handler=_cmd_pumping)
 
-    p_verify = sub.add_parser("verify", help="promise, zero-error, and disjointness checks")
+    p_verify = command("verify", _cmd_verify, "promise, zero-error, and disjointness checks")
     p_verify.add_argument("mode", choices=["promise", "lv-trios", "disjoint"])
     p_verify.add_argument("--machine")
-    _add_problem_flags(p_verify)
+    _add_family_flags(p_verify)
     p_verify.add_argument(
         "--max-length",
         type=int,
@@ -615,26 +494,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--threshold")
     p_verify.add_argument("--work-cap", type=int, help="max words scanned by disjoint")
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(handler=_cmd_verify)
 
-    p_repro = sub.add_parser("reproduce-all", help="run the acceptance checks")
+    p_repro = command("reproduce-all", _cmd_reproduce_all, "run the acceptance checks")
     p_repro.add_argument("--tier", default="fast", choices=["fast", "slow"])
-    p_repro.add_argument("--out")
-    p_repro.set_defaults(handler=_cmd_reproduce_all)
 
+    for subparser in sub.choices.values():
+        subparser.add_argument("--out")
     return parser
-
-
-def _cmd_prob_dispatch(args: argparse.Namespace) -> int:
-    if args.mode in ("exact", "mc", "lasvegas") and not args.machine:
-        raise ValueError(f"--machine is required for prob {args.mode}")
-    if args.mode in ("expeq-params", "expeq-compose"):
-        if args.c is None or args.m is None or args.n is None:
-            raise ValueError("--c, --m, and --n are required")
-    if args.mode == "rounds" and not args.sigma:
-        raise ValueError("--sigma is required for prob rounds")
-    return _cmd_prob(args)
 
 
 def _check_global_options(parser: argparse.ArgumentParser, argv: list[str]) -> None:
@@ -665,7 +531,15 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        payload, code = args.handler(args)
+        if payload is not None:
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

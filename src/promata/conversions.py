@@ -22,6 +22,9 @@ from .machines import (
 
 DEFAULT_SUBSET_CAP = 1 << 16
 DEFAULT_VECTOR_CAP = 1 << 20
+# Most bits of any integer a closed-form bound builds; its decimal report
+# still prints in a few seconds.
+BOUND_BITS_CAP = 1 << 19
 
 
 def dfa_to_nfa(dfa: OneWayDfa) -> OneWayNfa:
@@ -303,33 +306,53 @@ class BoundValue:
     real_value: float | None = None
 
 
-def bound_afa_to_dfa(n: int, max_bits: int = 10**7) -> BoundValue:
-    """Worst-case deterministic blowup for an n-state alternating machine."""
+def _bound_cap_error(n: int) -> ResourceCapError:
+    return ResourceCapError(f"bound at n={n} exceeds the {BOUND_BITS_CAP}-bit cap")
+
+
+def bound_afa_to_dfa(n: int) -> BoundValue:
+    """Worst-case deterministic blowup 2^(n 2^n) for an n-state alternating machine."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    exponent = n * (1 << n)
-    if exponent > max_bits:
-        raise ResourceCapError(f"2^{exponent} exceeds the {max_bits}-bit cap")
-    return BoundValue("afa_to_dfa", n, 1 << exponent)
+    # n 2^n >= 2^n, so a large n is refused before its power is built.
+    if n > BOUND_BITS_CAP.bit_length() or n << n >= BOUND_BITS_CAP:
+        raise _bound_cap_error(n)
+    return BoundValue("afa_to_dfa", n, 1 << (n << n))
 
 
-def bound_2nfa_to_dfa(n: int, max_bits: int = 10**7) -> BoundValue:
+def bound_2nfa_to_dfa(n: int) -> BoundValue:
     """Worst-case one-way deterministic blowup for an n-state two-way machine.
 
-    The double sum counts the reachable transition behaviors; the 0^0 = 1
-    convention applies at i = j = 0.
+    The bound is the double sum over i, j < n of C(n,i) C(n,j) (2^i - 1)^j,
+    with 0^0 = 1. Summing over j gives 2^(in) - (2^i - 1)^n; expanding that
+    power binomially and exchanging the sums leaves one sum over k < n of
+    (-1)^(n-k+1) C(n,k) B(2^k), where B(y) = sum over i < n of C(n,i) y^i.
+    B at a power of two is built from shifts alone. Every integer built is
+    below 2^(n^2 + n).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n * n + n > max_bits:
-        raise ResourceCapError(f"bound at n={n} exceeds the {max_bits}-bit cap")
-    total = 0
-    for i in range(n):
-        for j in range(n):
-            base = (1 << i) - 1
-            power = 1 if j == 0 else base**j
-            total += math.comb(n, i) * math.comb(n, j) * power
-    return BoundValue("2nfa_to_dfa", n, total)
+    if n * n + n > BOUND_BITS_CAP:
+        raise _bound_cap_error(n)
+    row = [math.comb(n, i) for i in range(n)]
+    return BoundValue(
+        "2nfa_to_dfa",
+        n,
+        sum(
+            (row[k] if (n - k) % 2 else -row[k]) * _at_power_of_two(row, k)
+            for k in range(n)
+        ),
+    )
+
+
+def _at_power_of_two(coefficients: list[int], shift: int) -> int:
+    """The sum of c_i 2^(shift i), adding neighbouring terms pairwise level by level."""
+    terms = list(coefficients)
+    while len(terms) > 1:
+        terms.append(0)  # pads an odd level; an even one drops it in the zip
+        terms = [low + (high << shift) for low, high in zip(terms[::2], terms[1::2])]
+        shift *= 2
+    return terms[0]
 
 
 def _ceil_cbrt(m: int) -> int:
@@ -352,10 +375,14 @@ def bound_svfa_to_dfa(n: int) -> BoundValue:
     Exact when n - 1 is divisible by 3; otherwise the value field carries the
     ceiling and real_value the floating-point evaluation. real_value is None
     once the bound exceeds the float range (n of 1940 and above); value stays
-    exact at every n.
+    exact at every n under the cap on the bits of 3^(n-1).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    # 3^(n-1) has more than n - 1 bits, so a large n is refused unbuilt.
+    power = 3 ** (n - 1) if n - 1 < BOUND_BITS_CAP else None
+    if power is None or power.bit_length() > BOUND_BITS_CAP:
+        raise _bound_cap_error(n)
     try:
         real = 1 + 3.0 ** ((n - 1) / 3)
     except OverflowError:
@@ -363,5 +390,4 @@ def bound_svfa_to_dfa(n: int) -> BoundValue:
     if (n - 1) % 3 == 0:
         exact = 1 + 3 ** ((n - 1) // 3)
         return BoundValue("svfa_to_dfa", n, exact, is_exact=True, real_value=real)
-    value = 1 + _ceil_cbrt(3 ** (n - 1))
-    return BoundValue("svfa_to_dfa", n, value, is_exact=False, real_value=real)
+    return BoundValue("svfa_to_dfa", n, 1 + _ceil_cbrt(power), is_exact=False, real_value=real)

@@ -26,6 +26,7 @@ from .machines import (
 )
 
 BLOCK_TRIALS = 4096
+DEFAULT_DIGIT_CAP = 500_000  # digits of the tail power expeq_compose may build
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,9 @@ def _tail_probability_digits(model: RoundModel) -> int:
     return model.t * len(str(q.denominator))
 
 
-def expeq_compose(model: RoundModel, digit_cap: int = 500_000) -> OutcomeDistribution:
+def expeq_compose(
+    model: RoundModel, digit_cap: int = DEFAULT_DIGIT_CAP
+) -> OutcomeDistribution:
     """Exact outcome split of t composed rounds.
 
     Undecided mass is (1 - a - r)^t; the decided mass splits between accept

@@ -50,46 +50,35 @@ def _label_map(labels: dict[int, str]) -> dict[str, str]:
     return {str(state): name for state, name in sorted(labels.items())}
 
 
+# Each machine class and its "type" tag; LasVegasPfa falls under OneWayPfa.
+_TYPE_TAGS = (
+    (OneWayDfa, "dfa"),
+    (OneWayAfa, "afa"),
+    (OneWayNfa, "nfa"),
+    (TwoWayMachine, "2way"),
+    (OneWayPfa, "pfa"),
+)
+
+
+def type_tag(machine: Machine) -> str:
+    """The interchange "type" tag of a machine."""
+    for cls, tag in _TYPE_TAGS:
+        if isinstance(machine, cls):
+            return tag
+    raise TypeError(f"unsupported machine type {type(machine).__name__}")
+
+
 def machine_to_dict(machine: Machine) -> dict[str, Any]:
     """Serialize any machine to its interchange dict."""
+    tag = type_tag(machine)
     base: dict[str, Any] = {
+        "type": tag,
         "states": machine.state_count,
         "alphabet": list(machine.alphabet),
         "initial": machine.initial,
         "labels": _label_map(machine.labels),
     }
-    if isinstance(machine, OneWayDfa):
-        base["type"] = "dfa"
-        base["accepting"] = sorted(machine.accepting)
-        base["transitions"] = sorted(
-            [src, sym, dst] for (src, sym), dst in machine.transitions.items()
-        )
-    elif isinstance(machine, OneWayAfa):
-        base["type"] = "afa"
-        base["accepting"] = sorted(machine.accepting)
-        base["existential"] = sorted(machine.existential)
-        base["eps_chain"] = machine.max_eps_chain
-        base["transitions"] = sorted(
-            [src, "" if sym is EPSILON else sym, dst]
-            for src, sym, dst in machine.transitions
-        )
-    elif isinstance(machine, OneWayNfa):
-        base["type"] = "nfa"
-        base["accepting"] = sorted(machine.accepting)
-        base["transitions"] = sorted(
-            [src, "" if sym is EPSILON else sym, dst]
-            for src, sym, dst in machine.transitions
-        )
-    elif isinstance(machine, TwoWayMachine):
-        base["type"] = "2way"
-        base["accepting"] = sorted(machine.accepting)
-        base["deterministic"] = machine.deterministic
-        base["transitions"] = sorted(
-            [src, sym, dst, _MOVE_TO_JSON[move]]
-            for src, sym, dst, move in machine.transitions
-        )
-    elif isinstance(machine, OneWayPfa):
-        base["type"] = "pfa"
+    if tag == "pfa":
         base["roles"] = {str(s): role for s, role in sorted(machine.roles.items())}
         base["transitions"] = sorted(
             [src, sym, dst, fraction_to_str(prob)]
@@ -98,8 +87,26 @@ def machine_to_dict(machine: Machine) -> dict[str, Any]:
         )
         if isinstance(machine, LasVegasPfa):
             base["lasvegas"] = True
+        return base
+    base["accepting"] = sorted(machine.accepting)
+    if tag == "dfa":
+        base["transitions"] = sorted(
+            [src, sym, dst] for (src, sym), dst in machine.transitions.items()
+        )
+    elif tag == "2way":
+        base["deterministic"] = machine.deterministic
+        base["transitions"] = sorted(
+            [src, sym, dst, _MOVE_TO_JSON[move]]
+            for src, sym, dst, move in machine.transitions
+        )
     else:
-        raise TypeError(f"unsupported machine type {type(machine).__name__}")
+        if tag == "afa":
+            base["existential"] = sorted(machine.existential)
+            base["eps_chain"] = machine.max_eps_chain
+        base["transitions"] = sorted(
+            [src, "" if sym is EPSILON else sym, dst]
+            for src, sym, dst in machine.transitions
+        )
     return base
 
 

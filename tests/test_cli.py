@@ -9,22 +9,29 @@ import pytest
 from promata import (
     EPSILON,
     OneWayAfa,
+    OneWayNfa,
+    dfa_minimize,
     dumps,
     evenodd_afa_epsfree,
     evenodd_afa_rt,
     evenodd_dfa,
     loads,
     machine_accepts,
+    nfa_to_dfa,
     parity_dfa,
+    remove_epsilon,
     save,
     trios_dfa,
     trios_lasvegas_pfa,
     trios_twoway_dfa,
+    unary_afa_to_dfa,
     up_dfa,
     up_pfa,
 )
 from promata import cli
-from promata.cli import ExperimentConfig, main, run
+from promata.acceptance import CriterionResult
+from promata.cli import main
+from promata.serialize import load
 
 
 def run_cli(capsys, *argv):
@@ -643,73 +650,6 @@ def test_multi_character_symbol_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_run_config_dispatches(tmp_path, capsys):
-    config = ExperimentConfig(
-        command="build",
-        parameters={"kind": "evenodd-afa", "k": 2},
-        output_path=str(tmp_path / "m.json"),
-    )
-    assert run(config) == 0
-    capsys.readouterr()
-    machine = loads((tmp_path / "m.json").read_text())
-    assert machine.state_count == 16
-
-
-def test_run_config_underscore_names(capsys):
-    config = ExperimentConfig(
-        command="verify",
-        parameters={"mode": "lv-trios", "n": 2, "r": 1, "max_length": 7},
-    )
-    assert run(config) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["verdict"] == "solves"
-
-
-def test_run_config_bad_parameter_is_usage_error(capsys):
-    config = ExperimentConfig(command="bounds", parameters={"formula": "svfa-to-dfa"})
-    assert run(config) == 2  # --n missing
-    capsys.readouterr()
-    config = ExperimentConfig(command="prob", parameters={})
-    assert run(config) == 2  # positional mode missing
-    capsys.readouterr()
-
-
-def test_run_config_caps_apply(capsys):
-    config = ExperimentConfig(
-        command="verify",
-        parameters={"mode": "disjoint", "problem": "trios", "n": 1, "r": 1, "max_length": 8},
-        caps={"work_cap": 10},
-    )
-    assert run(config) == 3
-    capsys.readouterr()
-
-
-def test_run_config_unknown_cap(capsys):
-    config = ExperimentConfig(
-        command="bounds",
-        parameters={"formula": "afa-to-dfa", "n": 1},
-        caps={"woods-cap": 10},
-    )
-    assert run(config) == 2
-    assert "unknown cap" in capsys.readouterr().err
-
-
-def test_run_config_seed_threads_through(tmp_path, capsys):
-    path = tmp_path / "p.json"
-    run_cli(capsys, "build", "up-pfa", "--p", "1/2", "--out", str(path))
-    config = ExperimentConfig(
-        command="prob",
-        parameters={"mode": "mc", "machine": str(path), "word": "a", "trials": 300},
-        seed=11,
-    )
-    assert run(config) == 0
-    first = capsys.readouterr().out
-    assert run(config) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    assert json.loads(first)["seed"] == 11
-
-
 def test_explicit_cap_flag_beats_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROMATA_WORK_CAP", "10")
     code, out, _ = run_cli(
@@ -748,3 +688,195 @@ def test_env_cap_override(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "cap" in err.lower()
+
+
+def test_missing_required_flag_exits_2(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--formula", "svfa-to-dfa")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: the following arguments are required: --n\n")
+    code, out, err = run_cli(capsys, "prob")
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: mode" in err
+
+
+def test_cap_flag_exits_3(capsys):
+    disjoint = ("verify", "disjoint", "--problem", "trios", "--n", "1", "--r", "1")
+    code, out, err = run_cli(capsys, *disjoint, "--max-length", "8", "--work-cap", "10")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: 9841 words above the 10 cap\n"
+
+
+_NFA = OneWayNfa(
+    state_count=3,
+    alphabet=("a", "b"),
+    initial=0,
+    transitions=frozenset(
+        {(0, "a", 0), (0, "b", 0), (0, "a", 1), (1, EPSILON, 2), (1, "b", 2)}
+    ),
+    accepting=frozenset({2}),
+)
+
+
+@pytest.fixture
+def machine_files(tmp_path):
+    """One machine file per type the commands below read, by type tag."""
+    machines = {
+        "nfa": _NFA,
+        "afa": evenodd_afa_rt(1),
+        "dfa": evenodd_dfa(1),
+        "pfa": up_pfa(Fraction(1, 2)),
+    }
+    paths = {}
+    for tag, machine in machines.items():
+        paths[tag] = str(tmp_path / f"{tag}.json")
+        save(machine, paths[tag])
+    return paths
+
+
+# Each cap: its flag, a command that finishes under the default cap, the
+# machine file the command reads (if any), and a cap value that stops it.
+_CAP_CASES = [
+    ("subset-cap", ("convert", "--algorithm", "subset", "--from"), "nfa", "1"),
+    ("vector-cap", ("convert", "--algorithm", "unary-afa-dfa", "--from"), "afa", "1"),
+    ("work-cap", ("prob", "mc", "--word", "aaaaa", "--trials", "100", "--machine"), "pfa", "10"),
+    (
+        "work-cap",
+        ("minsize", "--kind", "dfa", "--problem", "trios", "--n", "2", "--r", "1",
+         "--max-states", "8", "--max-length", "7"),
+        None,
+        "5",
+    ),
+    (
+        "work-cap",
+        ("verify", "disjoint", "--problem", "trios", "--n", "1", "--r", "1",
+         "--max-length", "8"),
+        None,
+        "10",
+    ),
+    (
+        "digit-cap",
+        ("prob", "expeq-compose", "--c", "3", "--m", "1", "--n", "1", "--r", "1/2916"),
+        None,
+        "10",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,argv,machine,low", _CAP_CASES, ids=[f"{c[0]}-{c[1][0]}" for c in _CAP_CASES]
+)
+def test_each_cap_from_flag_and_environment(
+    capsys, monkeypatch, machine_files, flag, argv, machine, low
+):
+    argv = argv + ((machine_files[machine],) if machine else ())
+    variable = "PROMATA_" + flag.replace("-", "_").upper()
+    monkeypatch.delenv(variable, raising=False)
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, f"--{flag}", low)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource cap:") and err.count("\n") == 1
+    monkeypatch.setenv(variable, low)
+    assert run_cli(capsys, *argv)[:2] == (3, "")
+    monkeypatch.setenv(variable, "ten")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: environment variable {variable} must be an integer\n",
+    )
+
+
+# Each algorithm: the machine type it reads, the library call, and its error
+# on a machine of the wrong type.
+_CONVERT_CASES = [
+    ("subset", "nfa", nfa_to_dfa, "the subset algorithm needs a nondeterministic machine"),
+    ("eps-remove", "nfa", remove_epsilon, "silent-move removal needs a nondeterministic machine"),
+    (
+        "unary-afa-dfa",
+        "afa",
+        unary_afa_to_dfa,
+        "valuation determinization needs an alternating machine",
+    ),
+    ("minimize", "dfa", dfa_minimize, "minimization needs a deterministic machine"),
+]
+
+
+@pytest.mark.parametrize(
+    "algorithm,tag,convert,message", _CONVERT_CASES, ids=[c[0] for c in _CONVERT_CASES]
+)
+def test_convert_each_algorithm(capsys, machine_files, algorithm, tag, convert, message):
+    argv = ("convert", "--algorithm", algorithm, "--from")
+    code, out, err = run_cli(capsys, *argv, machine_files[tag])
+    assert (code, err) == (0, "")
+    assert out == dumps(convert(load(machine_files[tag]))) + "\n"
+    for other in machine_files:
+        if other != tag:
+            assert run_cli(capsys, *argv, machine_files[other]) == (2, "", f"error: {message}\n")
+
+
+def _fake_results(failing=()):
+    return [
+        CriterionResult(number, f"title {number}", number not in failing, [f"d{number}"])
+        for number in range(1, 12)
+    ]
+
+
+def test_reproduce_all_prints_lines_and_writes_json_only_under_out(
+    tmp_path, capsys, monkeypatch
+):
+    tiers = []
+    monkeypatch.setattr(
+        cli.acceptance, "run_all", lambda tier: tiers.append(tier) or _fake_results()
+    )
+    code, out, err = run_cli(capsys, "reproduce-all")
+    assert (code, err, tiers) == (0, "", ["fast"])
+    assert out.splitlines() == [f"criterion {n}: PASS - title {n}" for n in range(1, 12)]
+    path = tmp_path / "report.json"
+    code, out_with_file, _ = run_cli(capsys, "reproduce-all", "--tier", "slow", "--out", str(path))
+    assert (code, out_with_file, tiers[-1]) == (0, out, "slow")
+    report = json.loads(path.read_text())
+    assert report["tier"] == "slow" and report["all_passed"] is True
+    assert report["criteria"][3] == {
+        "number": 4,
+        "title": "title 4",
+        "passed": True,
+        "details": ["d4"],
+        "deviations": [],
+    }
+
+
+def test_reproduce_all_exits_1_when_a_criterion_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda tier: _fake_results(failing={7}))
+    path = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "reproduce-all", "--out", str(path))
+    assert code == 1
+    assert out.splitlines()[6] == "criterion 7: FAIL - title 7"
+    assert json.loads(path.read_text())["all_passed"] is False
+
+
+@pytest.mark.parametrize(
+    "formula,n",
+    [
+        ("afa-to-dfa", 16),
+        ("afa-to-dfa", 19),
+        ("afa-to-dfa", 10**9),
+        ("2nfa-to-dfa", 724),
+        ("2nfa-to-dfa", 10**12),
+        ("svfa-to-dfa", 330790),
+        ("svfa-to-dfa", 4000002),
+        ("svfa-to-dfa", 10**15),
+    ],
+)
+def test_bounds_above_the_bit_cap_exit_3_at_once(capsys, formula, n):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--formula", formula, "--n", str(n))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == f"resource cap: bound at n={n} exceeds the 524288-bit cap\n"
+
+
+def test_bounds_2nfa_at_400_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bounds", "--formula", "2nfa-to-dfa", "--n", "400")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert len(json.loads(out)["value"]) == 47930

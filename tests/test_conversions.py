@@ -1,5 +1,6 @@
 """Model conversions checked against language equality on bounded ranges."""
 
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from promata import (
     remove_epsilon,
     unary_afa_to_dfa,
 )
+from promata.conversions import BOUND_BITS_CAP
 
 
 def _random_nfa(rng, max_states=5, alphabet=("a", "b")):
@@ -342,13 +344,46 @@ def test_double_sum_closed_form():
     and the 0^0 = 1 convention at i = j = 0."""
     from math import comb
 
-    for n in range(1, 10):
+    for n in range(1, 41):
         expected = sum(
             comb(n, i) * comb(n, j) * (1 if j == 0 else (2**i - 1) ** j)
             for i in range(n)
             for j in range(n)
         )
         assert bound_2nfa_to_dfa(n).value == expected
+
+
+def test_double_sum_modulo_a_prime_at_150():
+    # The double sum term by term, modulo a prime, where the exact one is slow.
+    from math import comb
+
+    n, prime = 150, 2**61 - 1
+    expected = sum(
+        comb(n, i) * comb(n, j) * pow(2**i - 1, j, prime)
+        for i in range(n)
+        for j in range(n)
+    )
+    assert bound_2nfa_to_dfa(n).value % prime == expected % prime
+
+
+def test_each_bound_returns_at_its_largest_n_under_the_bit_cap():
+    # afa builds 2^(n 2^n), svfa 3^(n-1); 2nfa stays below 2^(n^2 + n).
+    afa = max(n for n in range(1, 30) if (n << n) + 1 <= BOUND_BITS_CAP)
+    nfa = max(n for n in range(1, 2000) if n * n + n <= BOUND_BITS_CAP)
+    svfa = 1 + math.floor(BOUND_BITS_CAP / math.log2(3))
+    while (3 ** (svfa - 1)).bit_length() > BOUND_BITS_CAP:
+        svfa -= 1
+    while (3**svfa).bit_length() <= BOUND_BITS_CAP:
+        svfa += 1
+    assert (afa, nfa, svfa) == (15, 723, 330789)
+    for formula, n in (
+        (bound_afa_to_dfa, afa),
+        (bound_2nfa_to_dfa, nfa),
+        (bound_svfa_to_dfa, svfa),
+    ):
+        assert formula(n).value.bit_length() <= BOUND_BITS_CAP
+        with pytest.raises(ResourceCapError, match=f"bound at n={n + 1} exceeds"):
+            formula(n + 1)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
