@@ -356,6 +356,8 @@ def _trios_length(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mode == "promise":
+        if not args.machine:
+            raise ValueError("--machine is required for verify promise")
         machine = serialize.load(args.machine)
         problem = _problem_from_args(args)
         return _verdict(promise_check(machine, problem, _verify_horizon(args, 16)))

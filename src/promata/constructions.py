@@ -6,6 +6,7 @@ auditable; the advertised state counts are enforced at construction time.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable
 from fractions import Fraction
@@ -18,7 +19,6 @@ from .machines import (
     LEFT,
     LEFT_MARKER,
     RIGHT,
-    RIGHT_MARKER,
     ROLE_ACCEPTING,
     ROLE_NEUTRAL,
     ROLE_REJECTING,
@@ -615,23 +615,48 @@ def critical_lengths(
 ) -> tuple[int, int]:
     """(A, R): the last length with p^j >= 3/4 and first with p^j <= 1/4.
 
-    Computed by exact rational iteration of the powers, never by logarithms,
-    so boundary cases land on the right side. Raises ResourceCapError when R
-    would exceed the iteration cap.
+    Logarithms only guess each length. Exact integer comparisons of the
+    powers confirm or correct the guess, so boundary cases land on the right
+    side whatever the guess. Raises ResourceCapError when R would exceed the
+    iteration cap, at once when the guess exceeds it by more than rounding
+    could explain.
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must be strictly between 0 and 1")
-    lo, hi = Fraction(1, 4), Fraction(3, 4)
-    power = Fraction(1)
-    last_high = 0
-    for j in range(iteration_cap + 1):
-        if power >= hi:
-            last_high = j
-        if power <= lo:
-            return last_high, j
-        power *= p
-    raise ResourceCapError(f"critical lengths exceed the iteration cap {iteration_cap}")
+    num, den = p.numerator, p.denominator
+    # -ln p: log1p keeps its precision near 1, and the logarithms of the
+    # integers stay finite below the float range. The guess of R is refused
+    # only beyond a relative 1e-9 of slack, far above any rounding error.
+    rate = -math.log1p(-(den - num) / den) if 2 * num > den else math.log(den) - math.log(num)
+    capped = f"critical lengths exceed the iteration cap {iteration_cap}"
+    if math.log(4) > rate * (iteration_cap * (1 + 1e-9) + 1):
+        raise ResourceCapError(capped)
+    reject_from = _first_length(
+        lambda j: j > iteration_cap or 4 * num**j <= den**j, math.ceil(math.log(4) / rate)
+    )
+    if reject_from > iteration_cap:
+        raise ResourceCapError(capped)
+    accept_until = _first_length(
+        lambda j: 4 * num**j < 3 * den**j, math.floor(math.log(4 / 3) / rate) + 1
+    )
+    return accept_until - 1, reject_from
+
+
+def _first_length(holds: Callable[[int], bool], guess: int) -> int:
+    """Least j >= 0 with holds(j), where holds is false below some length and
+    true from it on: gallop away from guess until the answer is bracketed,
+    then bisect."""
+    low, high, step = guess - 1, guess, 1
+    while not holds(high):
+        low, high, step = high, high + step, step * 2
+    while low >= 0 and holds(low):
+        low, high, step = low - step, low, step * 2
+    low = max(low, -1)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if holds(mid) else (mid, high)
+    return high
 
 
 def up_dfa(

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Any
 
 from .errors import AlphabetMismatchError, ResourceCapError
 from .machines import (
@@ -17,7 +18,6 @@ from .machines import (
     _mask,
     _nfa_stepper,
     _nfa_tables,
-    _orbit,
 )
 
 DEFAULT_SUBSET_CAP = 1 << 16
@@ -71,6 +71,41 @@ def dfa_complete(dfa: OneWayDfa) -> OneWayDfa:
     )
 
 
+def _reachable(
+    start: Hashable,
+    step: Callable[[Any, str], Any],
+    alphabet: tuple[str, ...],
+    dead: Hashable = None,
+    cap: int | None = None,
+    message: str = "",
+) -> tuple[list, dict[tuple[int, str], int]]:
+    """Number the values reachable from start in breadth-first order.
+
+    Each value is stepped on the symbols in alphabet order. Returns the
+    values by number and the moves {(source number, symbol): target
+    number}; moves into dead are left out. Raises
+    ResourceCapError(message.format(cap=cap)) before numbering a value
+    beyond cap. Every conversion to a deterministic machine reads its states
+    off this one walk, so each result is numbered breadth-first from 0.
+    """
+    index = {start: 0}
+    order = [start]
+    moves: dict[tuple[int, str], int] = {}
+    for source, value in enumerate(order):  # order grows while it is walked
+        for sym in alphabet:
+            target = step(value, sym)
+            if target == dead:
+                continue
+            number = index.get(target)
+            if number is None:
+                if cap is not None and len(order) >= cap:
+                    raise ResourceCapError(message.format(cap=cap))
+                number = index[target] = len(order)
+                order.append(target)
+            moves[(source, sym)] = number
+    return order, moves
+
+
 def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDfa:
     """Subset construction over reachable EPSILON-closed state sets.
 
@@ -78,25 +113,10 @@ def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDf
     partial machine and never carries a dead state of its own.
     """
     start, step, accepts, _ = _nfa_stepper(nfa)
-    index: dict[int, int] = {start: 0}
-    order = [start]
-    transitions: dict[tuple[int, str], int] = {}
-    head = 0
-    while head < len(order):
-        subset = order[head]
-        head += 1
-        for sym in nfa.alphabet:
-            target = step(subset, sym)
-            if not target:
-                continue
-            if target not in index:
-                if len(index) >= subset_cap:
-                    raise ResourceCapError(
-                        f"subset construction exceeds {subset_cap} states"
-                    )
-                index[target] = len(order)
-                order.append(target)
-            transitions[(index[subset], sym)] = index[target]
+    order, transitions = _reachable(
+        start, step, nfa.alphabet, dead=0, cap=subset_cap,
+        message="subset construction exceeds {cap} states",
+    )
     return OneWayDfa(
         state_count=len(order),
         alphabet=nfa.alphabet,
@@ -151,35 +171,20 @@ def unary_afa_to_dfa(
     if len(afa.alphabet) != 1:
         raise ValueError("unary determinization needs a one-symbol alphabet")
     vector, step, accepts, _ = _afa_stepper(afa)
-    sym = afa.alphabet[0]
-    vectors, entry = _orbit(step, sym, vector, vector_cap)
-    last = len(vectors) - 1
+    vectors, transitions = _reachable(
+        vector, step, afa.alphabet, cap=vector_cap, message="orbit exceeds {cap} values"
+    )
     return OneWayDfa(
         state_count=len(vectors),
         alphabet=afa.alphabet,
         initial=0,
-        transitions={(i, sym): i + 1 if i < last else entry for i in range(len(vectors))},
+        transitions=transitions,
         accepting=frozenset(idx for idx, vec in enumerate(vectors) if accepts(vec)),
         labels={
             idx: "".join("1" if vec >> q & 1 else "0" for q in range(afa.state_count))
             for idx, vec in enumerate(vectors)
         },
     )
-
-
-def _reachable_states(dfa: OneWayDfa) -> list[int]:
-    seen = {dfa.initial}
-    queue = [dfa.initial]
-    head = 0
-    while head < len(queue):
-        state = queue[head]
-        head += 1
-        for sym in dfa.alphabet:
-            target = dfa.transitions.get((state, sym))
-            if target is not None and target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return queue
 
 
 def dfa_minimize(dfa: OneWayDfa) -> OneWayDfa:
@@ -190,75 +195,44 @@ def dfa_minimize(dfa: OneWayDfa) -> OneWayDfa:
     dead class again unless it is the initial one, so the reported size
     follows the convention that a plain rejecting sink does not count.
     """
-    reachable = _reachable_states(dfa)
-    position = {state: i for i, state in enumerate(reachable)}
+    move = dfa.transitions.get
+    reachable, moves = _reachable(dfa.initial, lambda state, sym: move((state, sym)), dfa.alphabet)
     dead = len(reachable)  # completion sink, possibly merged with real states
     count = dead + 1
-    symbols = list(dfa.alphabet)
-    table: list[list[int]] = []
-    for state in reachable:
-        row = []
-        for sym in symbols:
-            target = dfa.transitions.get((state, sym))
-            row.append(position[target] if target is not None else dead)
-        table.append(row)
-    table.append([dead] * len(symbols))
+    table = [[moves.get((state, sym), dead) for sym in dfa.alphabet] for state in range(count)]
     is_accepting = [state in dfa.accepting for state in reachable] + [False]
 
     # Moore refinement to a fixed point.
     block = [0 if acc else 1 for acc in is_accepting]
     while True:
-        signature = {}
-        new_block = [0] * count
-        for state in range(count):
-            key = (block[state], tuple(block[t] for t in table[state]))
-            if key not in signature:
-                signature[key] = len(signature)
-            new_block[state] = signature[key]
+        signature: dict[tuple, int] = {}
+        new_block = [
+            signature.setdefault((block[s], tuple(block[t] for t in table[s])), len(signature))
+            for s in range(count)
+        ]
         if new_block == block:
             break
         block = new_block
 
-    # Renumber classes in breadth-first order from the initial class.
-    initial_class = block[position[dfa.initial]]
+    # Number the classes breadth-first from the initial one. The classes are
+    # a congruence, so the dead class leads only to itself, and leaving it
+    # out renumbers no other class.
     rep: dict[int, int] = {}
     for state in range(count):
         rep.setdefault(block[state], state)
-    numbering = {initial_class: 0}
-    order = [initial_class]
-    head = 0
-    while head < len(order):
-        cls = order[head]
-        head += 1
-        for target in table[rep[cls]]:
-            cls_t = block[target]
-            if cls_t not in numbering:
-                numbering[cls_t] = len(numbering)
-                order.append(cls_t)
     dead_class = block[dead]
-    drop_dead = dead_class in numbering and numbering[dead_class] != 0
-    final_ids: dict[int, int] = {}
-    for cls in order:
-        if drop_dead and cls == dead_class:
-            continue
-        final_ids[cls] = len(final_ids)
-
-    transitions: dict[tuple[int, str], int] = {}
-    accepting: set[int] = set()
-    for cls, ident in final_ids.items():
-        if is_accepting[rep[cls]]:
-            accepting.add(ident)
-        for sym_idx, sym in enumerate(symbols):
-            target_class = block[table[rep[cls]][sym_idx]]
-            if drop_dead and target_class == dead_class:
-                continue
-            transitions[(ident, sym)] = final_ids[target_class]
+    classes, transitions = _reachable(
+        block[0],
+        lambda cls, sym: block[moves.get((rep[cls], sym), dead)],
+        dfa.alphabet,
+        dead=dead_class if dead_class != block[0] else None,
+    )
     return OneWayDfa(
-        state_count=len(final_ids),
+        state_count=len(classes),
         alphabet=dfa.alphabet,
         initial=0,
         transitions=transitions,
-        accepting=frozenset(accepting),
+        accepting=frozenset(i for i, cls in enumerate(classes) if is_accepting[rep[cls]]),
     )
 
 
@@ -268,27 +242,14 @@ def dfa_equivalent(left: OneWayDfa, right: OneWayDfa) -> bool:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(left.symbols)} vs {sorted(right.symbols)}"
         )
-    start = (left.initial, right.initial)
-    seen = {start}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        a, b = queue[head]
-        head += 1
-        a_acc = a is not None and a in left.accepting
-        b_acc = b is not None and b in right.accepting
-        if a_acc != b_acc:
-            return False
-        for sym in left.alphabet:
-            a_next = left.transitions.get((a, sym)) if a is not None else None
-            b_next = right.transitions.get((b, sym)) if b is not None else None
-            if a_next is None and b_next is None:
-                continue
-            pair = (a_next, b_next)
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    left_move, right_move = left.transitions.get, right.transitions.get
+    pairs, _ = _reachable(
+        (left.initial, right.initial),
+        lambda pair, sym: (left_move((pair[0], sym)), right_move((pair[1], sym))),
+        left.alphabet,
+        dead=(None, None),
+    )
+    return all((a in left.accepting) == (b in right.accepting) for a, b in pairs)
 
 
 @dataclass(frozen=True)
@@ -359,14 +320,24 @@ def _ceil_cbrt(m: int) -> int:
     """Smallest k with k^3 >= m, exact for any non-negative integer."""
     if m <= 0:
         return 0
-    # Integer Newton iteration from above converges to the floor cube root.
-    k = 1 << -(-m.bit_length() // 3)
+    k = _floor_cbrt(m)
+    return k if k**3 == m else k + 1
+
+
+def _floor_cbrt(m: int) -> int:
+    """Largest k with k^3 <= m, for m >= 1, by precision doubling.
+
+    The floor root r of m >> 3s, for s a sixth of m's bits, gives the start
+    (r + 1) << s, above the answer by a relative 1/r at most; integer Newton
+    iteration from above then needs only a few divisions at each precision.
+    """
+    s = m.bit_length() // 6
+    k = (_floor_cbrt(m >> 3 * s) + 1) << s if s else 4
     while True:
         nxt = (2 * k + m // (k * k)) // 3
         if nxt >= k:
-            break
+            return k
         k = nxt
-    return k if k**3 == m else k + 1
 
 
 def bound_svfa_to_dfa(n: int) -> BoundValue:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import AlphabetMismatchError, InputDomainError, ResourceCapError
+from .errors import AlphabetMismatchError, InputDomainError
 
 EPSILON = None  # transition label for moves that consume no input
 
@@ -465,22 +465,16 @@ def _fold(stepper: Stepper, word: str) -> object:
 
 
 def _orbit(
-    step: Callable[[object, str], object],
-    sym: str,
-    start: object,
-    cap: int | None = None,
+    step: Callable[[object, str], object], sym: str, start: object
 ) -> tuple[list, int]:
     """The values start, step(start, sym), ... up to the first repeat, and
-    the index where the cycle they then run around begins. Raises
-    ResourceCapError when more than cap distinct values appear."""
+    the index where the cycle they then run around begins."""
     path = [start]
     seen = {start: 0}
     while True:
         nxt = step(path[-1], sym)
         if nxt in seen:
             return path, seen[nxt]
-        if cap is not None and len(path) >= cap:
-            raise ResourceCapError(f"orbit exceeds {cap} values")
         seen[nxt] = len(path)
         path.append(nxt)
 

@@ -210,6 +210,8 @@ def loads(text: str) -> Machine:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MachineFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MachineFormatError("JSON nests too deeply to be a machine") from exc
     if not isinstance(data, dict):
         raise MachineFormatError("machine JSON must be an object")
     return machine_from_dict(data)

@@ -1,11 +1,16 @@
 """Command-line interface: exit codes, JSON reports, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import promata
 from promata import (
     EPSILON,
     OneWayAfa,
@@ -580,6 +585,22 @@ def test_malformed_labels_are_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_deeply_nested_machine_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "simulate", "--machine", str(path), "--word", "a")
+    assert code == 2
+    assert out == ""
+    assert err == "error: JSON nests too deeply to be a machine\n"
+
+
+def test_verify_promise_needs_a_machine(capsys):
+    code, out, err = run_cli(capsys, "verify", "promise", "--problem", "evenodd", "--k", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --machine is required for verify promise\n"
+
+
 def test_unexpected_error_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.json"
     run_cli(capsys, "build", "parity-dfa", "--out", str(path))
@@ -880,3 +901,35 @@ def test_bounds_2nfa_at_400_is_fast(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert len(json.loads(out)["value"]) == 47930
+
+
+def _child_cli(*argv, timeout):
+    """Exit code, stdout, stderr and wall seconds of the CLI run in a fresh
+    interpreter, which the timeout stops if the command hangs."""
+    src = str(Path(promata.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "promata.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+def test_up_dfa_near_one_builds_in_seconds():
+    code, out, _, _ = _child_cli("build", "up-dfa", "--p", "99999/100000", timeout=30)
+    assert code == 0
+    assert json.loads(out)["states"] == 28769
+
+
+def test_up_dfa_past_the_iteration_cap_exits_3_within_a_second():
+    *_, startup = _child_cli("bounds", "--formula", "2nfa-to-dfa", "--n", "1", timeout=30)
+    code, out, err, seconds = _child_cli("build", "up-dfa", "--p", "999999/1000000", timeout=30)
+    assert (code, out) == (3, "")
+    assert err == "resource cap: critical lengths exceed the iteration cap 1000000\n"
+    assert seconds - startup < 1
+

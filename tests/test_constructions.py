@@ -5,6 +5,10 @@ agreement with a directly computed predicate (divisibility, segment
 comparison, geometric decay) over an explicit range of inputs.
 """
 
+import decimal
+import math
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from promata import (
     SOLVES,
     PromiseProblem,
+    ResourceCapError,
     afa_accepts,
     critical_lengths,
     dfa_run,
@@ -33,6 +38,7 @@ from promata import (
     up_pfa,
     up_problem,
 )
+from promata.constructions import _first_length
 
 
 # --- evenodd family ---
@@ -282,6 +288,83 @@ def test_critical_lengths_definition():
         assert p**reject_at <= Fraction(1, 4)
         if reject_at:
             assert p ** (reject_at - 1) > Fraction(1, 4)
+
+
+def _critical_lengths_by_iteration(p, iteration_cap):
+    """The reference: step the exact powers p^0, p^1, ... one at a time."""
+    power = Fraction(1)
+    last_high = 0
+    for j in range(iteration_cap + 1):
+        if power >= Fraction(3, 4):
+            last_high = j
+        if power <= Fraction(1, 4):
+            return last_high, j
+        power *= p
+    raise ResourceCapError(f"critical lengths exceed the iteration cap {iteration_cap}")
+
+
+def test_critical_lengths_match_iteration_on_seeded_p():
+    rng = random.Random(52017)
+    checked = capped = 0
+    while checked < 300:
+        den = rng.choice([rng.randint(2, 50), rng.randint(2, 10**6), 10 ** rng.randint(1, 9)])
+        num = rng.randint(max(1, den - max(1, den // rng.choice([1, 10, 1000]))), den - 1)
+        p = Fraction(num, den)
+        if math.log(4) > 1900 * -math.log(p):  # R is near or above the oracle's cap
+            continue
+        expected = _critical_lengths_by_iteration(p, 2000)
+        cap = rng.choice([2000, expected[1], expected[1] - 1])
+        if cap < expected[1]:
+            with pytest.raises(ResourceCapError):
+                critical_lengths(p, cap)
+            capped += 1
+        else:
+            assert critical_lengths(p, cap) == expected, p
+        checked += 1
+    assert capped > 50
+
+
+def _root_neighbours(level, j, digits=40):
+    """The two fractions over 10^digits around level^(1/j): p_lo^j <= level < p_hi^j."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * digits
+        low = int((Decimal(level.numerator) / level.denominator) ** (Decimal(1) / j) * 10**digits)
+    den = 10**digits
+    while low**j * level.denominator > level.numerator * den**j:
+        low -= 1
+    while (low + 1) ** j * level.denominator <= level.numerator * den**j:
+        low += 1
+    return Fraction(low, den), Fraction(low + 1, den)
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 100, 300])
+@pytest.mark.parametrize("level", [Fraction(1, 4), Fraction(3, 4)])
+def test_critical_lengths_at_close_boundaries(level, j):
+    """p^j lands within 10^-38 of 1/4 or 3/4, closer than a float logarithm
+    can tell, or exactly on it (1/2 and 1/4 to 1/4, 3/4 to 3/4)."""
+    cases = list(_root_neighbours(level, j))
+    cases += [p for p in (Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)) if p**j == level]
+    for p in cases:
+        if 0 < p < 1:
+            assert critical_lengths(p) == _critical_lengths_by_iteration(p, 2000), p
+
+
+@pytest.mark.parametrize("answer", [0, 1, 2, 37, 1000])
+def test_first_length_does_not_depend_on_the_guess(answer):
+    for guess in [0, 1, answer - 1, answer, answer + 1, 3 * answer + 7, 10**6]:
+        assert _first_length(lambda j: j >= answer, max(guess, 0)) == answer
+
+
+def test_critical_lengths_within_float_precision_of_0_and_1():
+    assert critical_lengths(Fraction(1, 10**400)) == (0, 1)
+    assert critical_lengths(Fraction(1, 3**5000)) == (0, 1)
+    for p in (Fraction(10**400 - 1, 10**400), 1 - Fraction(1, 2**60), Fraction(999999, 1000000)):
+        with pytest.raises(ResourceCapError):
+            critical_lengths(p)
+
+
+def test_critical_lengths_near_one():
+    assert critical_lengths(Fraction(99999, 100000)) == (28768, 138629)
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5), Fraction(9, 10)])

@@ -1,5 +1,6 @@
 """Model conversions checked against language equality on bounded ranges."""
 
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from promata import (
     EPSILON,
     OneWayAfa,
+    OneWayDfa,
     OneWayNfa,
     ResourceCapError,
     bound_2nfa_to_dfa,
@@ -19,6 +21,7 @@ from promata import (
     dfa_equivalent,
     dfa_minimize,
     dfa_to_nfa,
+    dumps,
     evenodd_afa_rt,
     evenodd_dfa,
     machine_accepts,
@@ -27,7 +30,7 @@ from promata import (
     remove_epsilon,
     unary_afa_to_dfa,
 )
-from promata.conversions import BOUND_BITS_CAP
+from promata.conversions import BOUND_BITS_CAP, _ceil_cbrt
 
 
 def _random_nfa(rng, max_states=5, alphabet=("a", "b")):
@@ -184,6 +187,103 @@ def test_subset_construction_cap():
     nfa = _random_nfa(random.Random(7), max_states=5)
     with pytest.raises(ResourceCapError):
         nfa_to_dfa(nfa, subset_cap=1)
+
+
+def _dfa_json(states, alphabet, accepting, transitions, labels=None):
+    """The byte-stable text dumps writes for a deterministic machine."""
+    return json.dumps(
+        {
+            "type": "dfa",
+            "states": states,
+            "alphabet": list(alphabet),
+            "initial": 0,
+            "accepting": accepting,
+            "transitions": [list(move) for move in transitions],
+            "labels": {str(state): label for state, label in enumerate(labels or ())},
+        },
+        sort_keys=True,
+        indent=2,
+    )
+
+
+# Each conversion's output, pinned byte for byte: states are numbered
+# breadth-first from the start, symbols in alphabet order.
+_PINNED_CONVERSIONS = [
+    pytest.param(
+        # {2} moves on b into the empty set, which stays undefined.
+        lambda: nfa_to_dfa(
+            OneWayNfa(
+                state_count=3,
+                alphabet=("a", "b"),
+                initial=0,
+                transitions=frozenset(
+                    {(0, "a", 0), (0, "a", 1), (0, "b", 2), (1, EPSILON, 2), (2, "a", 1)}
+                ),
+                accepting=frozenset({2}),
+            )
+        ),
+        _dfa_json(
+            4,
+            "ab",
+            [1, 2, 3],
+            [(0, "a", 1), (0, "b", 2), (1, "a", 1), (1, "b", 2), (2, "a", 3), (3, "a", 3)],
+            ["{0}", "{0,1,2}", "{2}", "{1,2}"],
+        ),
+        id="nfa_to_dfa",
+    ),
+    pytest.param(
+        lambda: unary_afa_to_dfa(evenodd_afa_rt(1)),
+        _dfa_json(
+            4,
+            "a",
+            [0],
+            [(0, "a", 1), (1, "a", 2), (2, "a", 3), (3, "a", 0)],
+            ["110100010", "010011000", "001100001", "001010100"],
+        ),
+        id="unary_afa_to_dfa",
+    ),
+    pytest.param(
+        # State 2 is a rejecting sink, so it joins the dead class, which is
+        # reachable but not initial and is dropped.
+        lambda: dfa_minimize(
+            OneWayDfa(
+                state_count=4,
+                alphabet=("a", "b"),
+                initial=0,
+                transitions={
+                    (0, "a"): 1,
+                    (0, "b"): 2,
+                    (1, "a"): 3,
+                    (2, "a"): 2,
+                    (2, "b"): 2,
+                    (3, "b"): 0,
+                },
+                accepting=frozenset({1, 3}),
+            )
+        ),
+        _dfa_json(3, "ab", [1, 2], [(0, "a", 1), (1, "a", 2), (2, "b", 0)]),
+        id="dfa_minimize_dead_class_reachable",
+    ),
+    pytest.param(
+        # Nothing accepts, so the dead class is the initial one and stays.
+        lambda: dfa_minimize(
+            OneWayDfa(
+                state_count=3,
+                alphabet=("a", "b"),
+                initial=0,
+                transitions={(0, "a"): 1, (1, "b"): 2, (2, "a"): 0},
+                accepting=frozenset(),
+            )
+        ),
+        _dfa_json(1, "ab", [], [(0, "a", 0), (0, "b", 0)]),
+        id="dfa_minimize_dead_class_initial",
+    ),
+]
+
+
+@pytest.mark.parametrize("convert, expected", _PINNED_CONVERSIONS)
+def test_conversion_output_is_pinned(convert, expected):
+    assert dumps(convert()) == expected
 
 
 def test_epsilon_removal_preserves_language():
@@ -429,3 +529,22 @@ def test_subset_construction_never_grows_past_powerset(size, rng):
     nfa = _random_nfa(rng, max_states=size)
     dfa = nfa_to_dfa(nfa)
     assert dfa.state_count <= 2**nfa.state_count
+
+
+def _is_ceil_cbrt(m, k):
+    return k**3 >= m and (k == 0 or (k - 1) ** 3 < m)
+
+
+def test_ceil_cbrt_on_random_integers():
+    rng = random.Random(3000)
+    for _ in range(3000):
+        m = rng.getrandbits(rng.randint(1, 3000))
+        assert _is_ceil_cbrt(m, _ceil_cbrt(m)), m
+
+
+def test_ceil_cbrt_around_cubes():
+    for k in range(2000):
+        for m in (k**3 - 1, k**3, k**3 + 1):
+            if m >= 0:
+                assert _is_ceil_cbrt(m, _ceil_cbrt(m)), m
+

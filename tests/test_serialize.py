@@ -205,6 +205,11 @@ def test_non_object_json_rejected():
         loads("[1, 2, 3]")
 
 
+def test_deeply_nested_json_rejected():
+    with pytest.raises(MachineFormatError, match="nests too deeply"):
+        loads("[" * 100_000 + "]" * 100_000)
+
+
 def test_semantics_preserved_through_round_trip():
     machine = evenodd_afa_rt(2)
     back = loads(dumps(machine))
