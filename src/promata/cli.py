@@ -146,8 +146,23 @@ _BUILDS = {
     "parity-dfa": (parity_dfa, ()),
 }
 
+
+def _fraction(flag: str, text: str) -> Fraction:
+    """--flag's num/den text as a Fraction, naming the flag when it does not parse.
+
+    Fraction raises ZeroDivisionError for a zero denominator, so that case
+    is turned into the same usage error as any other bad literal.
+    """
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"--{flag} must be a fraction num/den with a nonzero denominator, not {text!r}"
+        ) from None
+
+
 # How each flag's text becomes a builder argument (`prob` reads --r as text).
-_FLAG_TYPES = {"k": int, "n": int, "r": int, "p": Fraction}
+_FLAG_TYPES = {"k": int, "n": int, "r": int, "p": lambda text: _fraction("p", text)}
 
 
 def _from_flags(table: dict, name: str, args: argparse.Namespace):
@@ -285,13 +300,13 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict, int]:
         }, 0
     if mode == "lasvegas":
         problem = _problem_from_args(args)
-        threshold = Fraction(args.threshold) if args.threshold else Fraction(0)
+        threshold = _fraction("threshold", args.threshold) if args.threshold else Fraction(0)
         horizon = _trios_length(args) if args.problem == "trios" else 16
         return _verdict(
             lasvegas_success(machine, problem, _verify_horizon(args, horizon), threshold)
         )
     if mode == "rounds":
-        sigma = Fraction(args.sigma)
+        sigma = _fraction("sigma", args.sigma)
         payload = {
             "sigma": fraction_to_str(sigma),
             "expected_rounds": fraction_to_str(expected_rounds(sigma)),
@@ -301,7 +316,7 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict, int]:
         return payload, 0
     model = expeq_params(args.c, args.m, args.n)
     if args.r:
-        model = model.with_reject(Fraction(args.r))
+        model = model.with_reject(_fraction("r", args.r))
     payload = {"c": model.c, "m": model.m, "n": model.n, "t": str(model.t)}
     if mode == "expeq-params":
         payload["a"] = fraction_to_str(model.a)
@@ -366,7 +381,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         machine = trios_lasvegas_pfa(args.n, args.r)
         max_length = _verify_horizon(args, _trios_length(args))
         threshold = (
-            Fraction(args.threshold)
+            _fraction("threshold", args.threshold)
             if args.threshold
             else 1 - Fraction(args.n - 1, args.n) ** args.r
         )

@@ -110,6 +110,42 @@ def test_missing_flags_are_named(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+# Every command that reads a num/den flag: its other arguments, the flag,
+# a value with a zero denominator (or a bad literal), and the machine file
+# the command reads, if any.
+_BAD_FRACTION_CASES = [
+    (("build", "up-dfa"), "--p", "1/0", None),
+    (("build", "up-pfa"), "--p", "3/0", None),
+    (("build", "up-dfa"), "--p", "abc", None),
+    (("prob", "lasvegas", "--problem", "up"), "--p", "1/0", "pfa"),
+    (("minsize", "--kind", "dfa", "--problem", "up", "--max-states", "3", "--max-length", "7"),
+     "--p", "1/0", None),
+    (("verify", "promise", "--problem", "up"), "--p", "1/0", "dfa"),
+    (("verify", "disjoint", "--problem", "up"), "--p", "1/0", None),
+    (("prob", "rounds"), "--sigma", "1/0", None),
+    (("prob", "expeq-params", "--c", "3", "--m", "1", "--n", "1"), "--r", "1/0", None),
+    (("verify", "lv-trios", "--n", "2", "--r", "1"), "--threshold", "2/0", None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,text,machine",
+    _BAD_FRACTION_CASES,
+    ids=[f"{argv[0]}-{argv[1]}{flag}={text}" for argv, flag, text, _ in _BAD_FRACTION_CASES],
+)
+def test_bad_fraction_flag_is_a_named_usage_error(
+    capsys, machine_files, argv, flag, text, machine
+):
+    if machine:
+        argv += ("--machine", machine_files[machine])
+    code, out, err = run_cli(capsys, *argv, flag, text)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {flag} must be a fraction num/den with a nonzero denominator, not '{text}'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

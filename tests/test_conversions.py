@@ -30,6 +30,7 @@ from promata import (
     remove_epsilon,
     unary_afa_to_dfa,
 )
+from promata import conversions
 from promata.conversions import BOUND_BITS_CAP, _ceil_cbrt
 
 
@@ -350,10 +351,103 @@ def test_minimize_is_idempotent():
         assert small.state_count <= dfa.state_count
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 10))
 def test_evenodd_dfa_is_already_minimal(k):
     dfa = evenodd_dfa(k)
-    assert dfa_minimize(dfa).state_count == dfa.state_count
+    assert dfa_minimize(dfa).state_count == dfa.state_count == 2 ** (k + 1)
+
+
+def _counter(k, copies):
+    """A cyclic counter of copies * 2^(k+1) states accepting every 2^(k+1)-th."""
+    period = 2 ** (k + 1)
+    size = copies * period
+    return OneWayDfa(
+        state_count=size,
+        alphabet=("a",),
+        initial=0,
+        transitions={(i, "a"): (i + 1) % size for i in range(size)},
+        accepting=frozenset(range(0, size, period)),
+    )
+
+
+@pytest.mark.parametrize("k, copies", [(1, 3), (4, 4), (6, 2), (8, 3), (9, 2)])
+def test_counter_minimizes_to_the_evenodd_dfa(k, copies):
+    small = dfa_minimize(_counter(k, copies))
+    assert small.state_count == 2 ** (k + 1)
+    assert dfa_equivalent(small, evenodd_dfa(k))
+
+
+def _moore_blocks(table, is_accepting):
+    """Moore refinement to a fixed point, the oracle for dfa_minimize's
+    partition refinement: same arguments, and the same partition of the
+    states under other block numbers."""
+    block = [0 if acc else 1 for acc in is_accepting]
+    while True:
+        signature = {}
+        new_block = [
+            signature.setdefault((block[s], tuple(block[t] for t in table[s])), len(signature))
+            for s in range(len(table))
+        ]
+        if new_block == block:
+            return block
+        block = new_block
+
+
+def _random_partial_dfa(rng):
+    """1-9 states over 1-3 symbols, a fifth of the moves undefined, a random
+    initial state (so some states are unreachable), and sometimes a rejecting
+    sink; with few accepting states the initial one often cannot accept."""
+    size = rng.randint(1, 9)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    sink = rng.randrange(size) if rng.random() < 0.3 else None
+    transitions = {}
+    for state in range(size):
+        for sym in alphabet:
+            if state == sink:
+                transitions[(state, sym)] = state
+            elif rng.random() < 0.8:
+                transitions[(state, sym)] = rng.randrange(size)
+    return OneWayDfa(
+        state_count=size,
+        alphabet=alphabet,
+        initial=rng.randrange(size),
+        transitions=transitions,
+        accepting=frozenset(q for q in range(size) if q != sink and rng.random() < 0.4),
+    )
+
+
+def _reaches_every_state(dfa):
+    seen, stack = {dfa.initial}, [dfa.initial]
+    while stack:
+        state = stack.pop()
+        for sym in dfa.alphabet:
+            target = dfa.transitions.get((state, sym))
+            if target is not None and target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return len(seen) == dfa.state_count
+
+
+def _has_rejecting_sink(dfa):
+    return any(
+        all(dfa.transitions.get((state, sym)) == state for sym in dfa.alphabet)
+        for state in range(dfa.state_count)
+        if state not in dfa.accepting
+    )
+
+
+def test_partition_refinement_matches_moore(monkeypatch):
+    rng = random.Random(11011)
+    sample = [_random_partial_dfa(rng) for _ in range(2000)]
+    machines = sample + [evenodd_dfa(5), _counter(4, 4), _counter(6, 2)]
+    machines += [unary_afa_to_dfa(evenodd_afa_rt(k)) for k in (1, 2, 3)]
+    fast = [dfa_minimize(dfa) for dfa in machines]
+    monkeypatch.setattr(conversions, "_coarsest_congruence", _moore_blocks)
+    assert [dumps(dfa_minimize(dfa)) for dfa in machines] == [dumps(dfa) for dfa in fast]
+    # The sample holds each shape the refinement must handle.
+    assert sum(not _reaches_every_state(dfa) for dfa in sample) >= 500
+    assert sum(_has_rejecting_sink(dfa) for dfa in sample) >= 500
+    assert sum(not small.accepting for small in fast[: len(sample)]) >= 200
 
 
 def test_minimize_drops_unreachable_and_dead_states():
