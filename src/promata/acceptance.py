@@ -174,7 +174,7 @@ def criterion_3(tier: str = TIER_FAST) -> CriterionResult:
     rng = random.Random(90321)
     dfa_ok = 0
     for _ in range(200):
-        machine = _random_unary_dfa(rng)
+        machine = _random_dfa(rng, ("a",), 0.85)
         report = pumping_check(machine, machine.state_count, (1, 2))
         dfa_ok += report.verdict == SOLVES
     checks.expect("pumping on 200 deterministic machines", dfa_ok == 200)
@@ -336,7 +336,7 @@ def criterion_9(tier: str = TIER_FAST) -> CriterionResult:
     rng = random.Random(55901)
     triple_ok = 0
     for _ in range(200):
-        machine = _random_ab_dfa(rng)
+        machine = _random_dfa(rng, ("a", "b"), 0.9)
         if _triples_agree(machine):
             triple_ok += 1
     checks.expect("block-structured pumping triples", triple_ok == 200)
@@ -394,16 +394,18 @@ def criterion_11(tier: str = TIER_FAST) -> CriterionResult:
     )
 
 
-def _random_unary_dfa(rng: random.Random) -> OneWayDfa:
+def _random_dfa(rng: random.Random, alphabet: tuple[str, ...], density: float) -> OneWayDfa:
+    """A DFA of 1-8 states in which each move is defined with probability density."""
     size = rng.randint(1, 8)
     transitions = {}
     for q in range(size):
-        if rng.random() < 0.85:
-            transitions[(q, "a")] = rng.randrange(size)
+        for sym in alphabet:
+            if rng.random() < density:
+                transitions[(q, sym)] = rng.randrange(size)
     accepting = frozenset(q for q in range(size) if rng.random() < 0.5)
     return OneWayDfa(
         state_count=size,
-        alphabet=("a",),
+        alphabet=alphabet,
         initial=rng.randrange(size),
         transitions=transitions,
         accepting=accepting,
@@ -419,23 +421,6 @@ def _random_unary_nfa(rng: random.Random) -> OneWayNfa:
     return OneWayNfa(
         state_count=size,
         alphabet=("a",),
-        initial=rng.randrange(size),
-        transitions=transitions,
-        accepting=accepting,
-    )
-
-
-def _random_ab_dfa(rng: random.Random) -> OneWayDfa:
-    size = rng.randint(1, 8)
-    transitions = {}
-    for q in range(size):
-        for sym in ("a", "b"):
-            if rng.random() < 0.9:
-                transitions[(q, sym)] = rng.randrange(size)
-    accepting = frozenset(q for q in range(size) if rng.random() < 0.5)
-    return OneWayDfa(
-        state_count=size,
-        alphabet=("a", "b"),
         initial=rng.randrange(size),
         transitions=transitions,
         accepting=accepting,

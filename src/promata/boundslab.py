@@ -13,7 +13,6 @@ before being returned.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +27,7 @@ from .machines import (
     _orbit,
     _orbit_at,
     _stepper,
+    _words,
     promise_check,
 )
 
@@ -491,19 +491,17 @@ def disjointness_check(
         raise ResourceCapError(f"{total} words above the {work_cap} cap")
     yes_count = 0
     no_count = 0
-    for length in range(max_length + 1):
-        for letters in itertools.product(problem.alphabet, repeat=length):
-            word = "".join(letters)
-            in_yes = problem.yes_member(word)
-            in_no = problem.no_member(word)
-            if in_yes and in_no:
-                return VerificationReport(
-                    FAILS,
-                    counterexample=(word, "at most one class", "yes and no overlap"),
-                    measured={"words": total},
-                )
-            yes_count += in_yes
-            no_count += in_no
+    for word in _words(problem.alphabet, max_length):
+        in_yes = problem.yes_member(word)
+        in_no = problem.no_member(word)
+        if in_yes and in_no:
+            return VerificationReport(
+                FAILS,
+                counterexample=(word, "at most one class", "yes and no overlap"),
+                measured={"words": total},
+            )
+        yes_count += in_yes
+        no_count += in_no
     return VerificationReport(
         SOLVES, measured={"words": total, "yes": yes_count, "no": no_count}
     )

@@ -73,6 +73,7 @@ from .probabilistic import (
     monte_carlo,
     outcome_dist,
     restart_bound,
+    trios_success_bound,
 )
 from .serialize import fraction_to_str
 
@@ -383,7 +384,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         threshold = (
             _fraction("threshold", args.threshold)
             if args.threshold
-            else 1 - Fraction(args.n - 1, args.n) ** args.r
+            else trios_success_bound(args.n, args.r)
         )
         return _verdict(lasvegas_success(machine, problem, max_length, threshold))
     problem = _problem_from_args(args)

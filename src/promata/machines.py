@@ -9,7 +9,8 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+import itertools
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -164,8 +165,10 @@ class TwoWayMachine(_Machine):
     labels: Mapping[int, str] = field(default_factory=dict)
 
     def _check_rules(self, symbols: frozenset[str]) -> None:
+        if not isinstance(self.deterministic, bool):
+            raise ValueError(f"deterministic must be a bool, not {self.deterministic!r}")
         tape_symbols = symbols | {LEFT_MARKER, RIGHT_MARKER}
-        seen: set[tuple[int, str]] = set()
+        moves: dict[tuple[int, str], list[tuple[int, int]]] = {}
         for src, sym, dst, move in self.transitions:
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
@@ -177,12 +180,13 @@ class TwoWayMachine(_Machine):
                 raise ValueError("transition moves left off the left endmarker")
             if sym == RIGHT_MARKER and move == RIGHT:
                 raise ValueError("transition moves right off the right endmarker")
-            if self.deterministic:
-                if (src, sym) in seen:
-                    raise ValueError(
-                        f"deterministic machine has two transitions on {(src, sym)!r}"
-                    )
-                seen.add((src, sym))
+            row = moves.setdefault((src, sym), [])
+            if row and self.deterministic:
+                raise ValueError(
+                    f"deterministic machine has two transitions on {(src, sym)!r}"
+                )
+            row.append((dst, move))
+        object.__setattr__(self, "_moves", moves)
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ class OneWayAfa(_Machine):
 
     def _check_rules(self, symbols: frozenset[str]) -> None:
         eps_out: dict[int, list[int]] = {}
-        sym_out: set[int] = set()
+        by_symbol: dict[tuple[int, str], list[int]] = {}
         for src, sym, dst in self.transitions:
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
@@ -215,12 +219,14 @@ class OneWayAfa(_Machine):
             else:
                 if sym not in symbols:
                     raise ValueError(f"transition symbol {sym!r} not in alphabet")
-                sym_out.add(src)
-        mixed = sym_out & eps_out.keys()
+                by_symbol.setdefault((src, sym), []).append(dst)
+        mixed = {src for src, _ in by_symbol} & eps_out.keys()
         if mixed:
             raise ValueError(
                 f"states {sorted(mixed)} mix EPSILON and symbol transitions"
             )
+        if isinstance(self.max_eps_chain, bool) or not isinstance(self.max_eps_chain, int):
+            raise ValueError(f"max_eps_chain must be an integer, not {self.max_eps_chain!r}")
         if self.max_eps_chain < 0:
             raise ValueError("max_eps_chain must be non-negative")
         depth = _eps_chain_depths(self.state_count, eps_out)
@@ -233,6 +239,8 @@ class OneWayAfa(_Machine):
         object.__setattr__(
             self, "_eps_order", tuple(sorted(range(self.state_count), key=depth.__getitem__))
         )
+        object.__setattr__(self, "_eps_out", eps_out)
+        object.__setattr__(self, "_by_symbol", by_symbol)
 
     @property
     def eps_order(self) -> tuple[int, ...]:
@@ -395,22 +403,25 @@ class PromiseProblem:
                 out.append((word, cls))
             return out
         out = []
-        frontier = [""]
-        for _ in range(max_length + 1):
-            next_frontier = []
-            for word in frontier:
-                yes = self.yes_member(word)
-                no = self.no_member(word)
-                if yes and no:
-                    raise ValueError(f"promise classes overlap on {word!r}")
-                if yes:
-                    out.append((word, "yes"))
-                elif no:
-                    out.append((word, "no"))
-                if len(word) < max_length:
-                    next_frontier.extend(word + sym for sym in self.alphabet)
-            frontier = next_frontier
+        for word in _words(self.alphabet, max_length):
+            yes = self.yes_member(word)
+            no = self.no_member(word)
+            if yes and no:
+                raise ValueError(f"promise classes overlap on {word!r}")
+            if yes:
+                out.append((word, "yes"))
+            elif no:
+                out.append((word, "no"))
         return out
+
+
+def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
+    """Every word over alphabet up to max_length, shortest first; words of
+    one length come in the lexicographic order that alphabet's sequence
+    gives its symbols. One word is held at a time."""
+    for length in range(max_length + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            yield "".join(letters)
 
 
 @dataclass(frozen=True)
@@ -586,9 +597,7 @@ def twoway_accepts(machine: TwoWayMachine, word: str) -> bool:
     """
     _require_symbols(word, machine.symbols)
     tape = LEFT_MARKER + word + RIGHT_MARKER
-    step: dict[tuple[int, str], list[tuple[int, int]]] = {}
-    for src, sym, dst, move in machine.transitions:
-        step.setdefault((src, sym), []).append((dst, move))
+    step = machine._moves  # type: ignore[attr-defined]
     start = (machine.initial, 0)
     seen = {start}
     stack = [start]
@@ -617,13 +626,8 @@ def _afa_stepper(afa: OneWayAfa) -> Stepper:
     States are evaluated in EPSILON-depth order, so silent targets are set
     before their sources read them.
     """
-    eps: dict[int, list[int]] = {}
-    by_symbol: dict[tuple[int, str], list[int]] = {}
-    for src, sym, dst in afa.transitions:
-        if sym is EPSILON:
-            eps.setdefault(src, []).append(dst)
-        else:
-            by_symbol.setdefault((src, sym), []).append(dst)
+    eps = afa._eps_out  # type: ignore[attr-defined]
+    by_symbol = afa._by_symbol  # type: ignore[attr-defined]
 
     def program(sym: str | None) -> list[tuple[int, int, bool, bool]]:
         """(bit, target mask, existential, reads the new value) for every
@@ -676,15 +680,11 @@ Acceptor = OneWayDfa | OneWayNfa | TwoWayMachine | OneWayAfa
 
 def machine_accepts(machine: Acceptor, word: str) -> bool:
     """Uniform acceptance test across the four nonprobabilistic types."""
-    if isinstance(machine, OneWayDfa):
-        return dfa_run(machine, word).accepted
-    if isinstance(machine, OneWayNfa):
-        return nfa_accepts(machine, word)
     if isinstance(machine, TwoWayMachine):
         return twoway_accepts(machine, word)
-    if isinstance(machine, OneWayAfa):
-        return afa_accepts(machine, word)
-    raise TypeError(f"unsupported machine type {type(machine).__name__}")
+    stepper = _stepper(machine)
+    _require_symbols(word, machine.symbols)
+    return _fold(stepper, word)
 
 
 def _stepper(machine: OneWayDfa | OneWayNfa | OneWayAfa) -> Stepper:
@@ -692,7 +692,9 @@ def _stepper(machine: OneWayDfa | OneWayNfa | OneWayAfa) -> Stepper:
         return _dfa_stepper(machine)
     if isinstance(machine, OneWayNfa):
         return _nfa_stepper(machine)
-    return _afa_stepper(machine)
+    if isinstance(machine, OneWayAfa):
+        return _afa_stepper(machine)
+    raise TypeError(f"unsupported machine type {type(machine).__name__}")
 
 
 def _shared_prefix(a: str, b: str) -> int:
@@ -752,8 +754,7 @@ def promise_check(
     one's shared prefix (see _resumed_outcomes); two-way machines run each
     word afresh.
     """
-    if not isinstance(machine, (OneWayDfa, OneWayNfa, TwoWayMachine, OneWayAfa)):
-        raise TypeError(f"unsupported machine type {type(machine).__name__}")
+    stepper = None if isinstance(machine, TwoWayMachine) else _stepper(machine)
     if machine.symbols != frozenset(problem.alphabet):
         raise AlphabetMismatchError(
             f"machine alphabet {sorted(machine.symbols)} differs from problem "
@@ -761,10 +762,10 @@ def promise_check(
         )
     instances = problem.enumerate_instances(max_length)
     measured = {"instances": len(instances), "max_length": max_length}
-    if isinstance(machine, TwoWayMachine):
+    if stepper is None:
         runs = ((word, cls, twoway_accepts(machine, word)) for word, cls in instances)
     else:
-        runs = _resumed_outcomes(_stepper(machine), machine.symbols, instances)
+        runs = _resumed_outcomes(stepper, machine.symbols, instances)
     for word, cls, accepted in runs:
         if accepted != (cls == "yes"):
             return VerificationReport(

@@ -8,6 +8,7 @@ Every machine serializes to a dict with a "type" tag ("dfa", "nfa", "afa",
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from fractions import Fraction
 from typing import Any
 
@@ -46,74 +47,8 @@ def fraction_from_str(text: str) -> Fraction:
         raise MachineFormatError(f"bad rational literal {text!r}") from exc
 
 
-def _label_map(labels: dict[int, str]) -> dict[str, str]:
-    return {str(state): name for state, name in sorted(labels.items())}
-
-
-# Each machine class and its "type" tag; LasVegasPfa falls under OneWayPfa.
-_TYPE_TAGS = (
-    (OneWayDfa, "dfa"),
-    (OneWayAfa, "afa"),
-    (OneWayNfa, "nfa"),
-    (TwoWayMachine, "2way"),
-    (OneWayPfa, "pfa"),
-)
-
-
-def type_tag(machine: Machine) -> str:
-    """The interchange "type" tag of a machine."""
-    for cls, tag in _TYPE_TAGS:
-        if isinstance(machine, cls):
-            return tag
-    raise TypeError(f"unsupported machine type {type(machine).__name__}")
-
-
-def machine_to_dict(machine: Machine) -> dict[str, Any]:
-    """Serialize any machine to its interchange dict."""
-    tag = type_tag(machine)
-    base: dict[str, Any] = {
-        "type": tag,
-        "states": machine.state_count,
-        "alphabet": list(machine.alphabet),
-        "initial": machine.initial,
-        "labels": _label_map(machine.labels),
-    }
-    if tag == "pfa":
-        base["roles"] = {str(s): role for s, role in sorted(machine.roles.items())}
-        base["transitions"] = sorted(
-            [src, sym, dst, fraction_to_str(prob)]
-            for (src, sym), row in machine.transitions.items()
-            for dst, prob in row
-        )
-        if isinstance(machine, LasVegasPfa):
-            base["lasvegas"] = True
-        return base
-    base["accepting"] = sorted(machine.accepting)
-    if tag == "dfa":
-        base["transitions"] = sorted(
-            [src, sym, dst] for (src, sym), dst in machine.transitions.items()
-        )
-    elif tag == "2way":
-        base["deterministic"] = machine.deterministic
-        base["transitions"] = sorted(
-            [src, sym, dst, _MOVE_TO_JSON[move]]
-            for src, sym, dst, move in machine.transitions
-        )
-    else:
-        if tag == "afa":
-            base["existential"] = sorted(machine.existential)
-            base["eps_chain"] = machine.max_eps_chain
-        base["transitions"] = sorted(
-            [src, "" if sym is EPSILON else sym, dst]
-            for src, sym, dst in machine.transitions
-        )
-    return base
-
-
-def _require(data: dict[str, Any], key: str) -> Any:
-    if key not in data:
-        raise MachineFormatError(f"machine dict is missing {key!r}")
-    return data[key]
+def _state_map(mapping: dict[int, str]) -> dict[str, str]:
+    return {str(state): value for state, value in sorted(mapping.items())}
 
 
 def _int_keys(mapping: dict[str, Any], what: str) -> dict[int, Any]:
@@ -125,79 +60,137 @@ def _int_keys(mapping: dict[str, Any], what: str) -> dict[int, Any]:
         raise MachineFormatError(f"{what} keys must be state numbers") from exc
 
 
+def _require(data: dict[str, Any], key: str) -> Any:
+    if key not in data:
+        raise MachineFormatError(f"machine dict is missing {key!r}")
+    return data[key]
+
+
+def _dfa_rows(table: dict) -> Iterable[list]:
+    return ([src, sym, dst] for (src, sym), dst in table.items())
+
+
+def _dfa_table(rows: list) -> dict:
+    table = {(src, sym): dst for src, sym, dst in rows}
+    if len(table) != len(rows):
+        raise MachineFormatError("dfa has duplicate (state, symbol) entries")
+    return table
+
+
+def _silent_rows(moves: frozenset) -> Iterable[list]:
+    return ([src, "" if sym is EPSILON else sym, dst] for src, sym, dst in moves)
+
+
+def _silent_moves(rows: list) -> frozenset:
+    return frozenset((src, EPSILON if sym == "" else sym, dst) for src, sym, dst in rows)
+
+
+def _head_rows(moves: frozenset) -> Iterable[list]:
+    return ([src, sym, dst, _MOVE_TO_JSON[move]] for src, sym, dst, move in moves)
+
+
+def _head_moves(rows: list) -> frozenset:
+    moves = []
+    for src, sym, dst, move in rows:
+        if move not in _MOVE_FROM_JSON:
+            raise MachineFormatError(f"bad move {move!r}, expected L/S/R")
+        moves.append((src, sym, dst, _MOVE_FROM_JSON[move]))
+    return frozenset(moves)
+
+
+def _stochastic_rows(table: dict) -> Iterable[list]:
+    return (
+        [src, sym, dst, fraction_to_str(prob)]
+        for (src, sym), row in table.items()
+        for dst, prob in row
+    )
+
+
+def _stochastic_table(rows: list) -> dict:
+    table: dict[tuple[int, str], list[tuple[int, Fraction]]] = {}
+    for src, sym, dst, prob in rows:
+        table.setdefault((src, sym), []).append((dst, fraction_from_str(prob)))
+    return {key: tuple(row) for key, row in table.items()}
+
+
+# Each "type" tag: the class, its transitions to JSON rows and back, and its
+# other plain fields as (JSON key, attribute, default when the key is absent).
+# The state sets a class names in _state_sets are written as sorted lists.
+# LasVegasPfa falls under OneWayPfa and is marked by "lasvegas": true.
+_KINDS = {
+    "dfa": (OneWayDfa, _dfa_rows, _dfa_table, ()),
+    "nfa": (OneWayNfa, _silent_rows, _silent_moves, ()),
+    "afa": (OneWayAfa, _silent_rows, _silent_moves, (("eps_chain", "max_eps_chain", 3),)),
+    "2way": (
+        TwoWayMachine, _head_rows, _head_moves, (("deterministic", "deterministic", False),)
+    ),
+    "pfa": (OneWayPfa, _stochastic_rows, _stochastic_table, ()),
+}
+
+
+def type_tag(machine: Machine) -> str:
+    """The interchange "type" tag of a machine."""
+    for tag, (cls, *_) in _KINDS.items():
+        if isinstance(machine, cls):
+            return tag
+    raise TypeError(f"unsupported machine type {type(machine).__name__}")
+
+
+def machine_to_dict(machine: Machine) -> dict[str, Any]:
+    """Serialize any machine to its interchange dict."""
+    tag = type_tag(machine)
+    cls, rows, _, options = _KINDS[tag]
+    out: dict[str, Any] = {
+        "type": tag,
+        "states": machine.state_count,
+        "alphabet": list(machine.alphabet),
+        "initial": machine.initial,
+        "labels": _state_map(machine.labels),
+        "transitions": sorted(rows(machine.transitions)),
+    }
+    for name in cls._state_sets:
+        out[name] = sorted(getattr(machine, name))
+    for key, attribute, _ in options:
+        out[key] = getattr(machine, attribute)
+    if cls is OneWayPfa:
+        out["roles"] = _state_map(machine.roles)
+        if isinstance(machine, LasVegasPfa):
+            out["lasvegas"] = True
+    return out
+
+
 def machine_from_dict(data: dict[str, Any]) -> Machine:
     """Rebuild a machine from its interchange dict, validating as it goes."""
-    kind = _require(data, "type")
+    tag = _require(data, "type")
     states = _require(data, "states")
     if not isinstance(states, int) or states > DEFAULT_STATE_CAP:
         raise MachineFormatError(
             f"states {states!r} must be an integer up to the cap {DEFAULT_STATE_CAP}"
         )
     try:
-        common = {
+        fields = {
             "state_count": states,
             "alphabet": tuple(_require(data, "alphabet")),
             "initial": _require(data, "initial"),
             "labels": _int_keys(data.get("labels", {}), "labels"),
         }
-        if kind == "dfa":
-            transitions = {
-                (src, sym): dst for src, sym, dst in _require(data, "transitions")
-            }
-            if len(transitions) != len(data["transitions"]):
-                raise MachineFormatError("dfa has duplicate (state, symbol) entries")
-            return OneWayDfa(
-                **common,
-                transitions=transitions,
-                accepting=frozenset(_require(data, "accepting")),
-            )
-        if kind == "nfa":
-            return OneWayNfa(
-                **common,
-                transitions=frozenset(
-                    (src, EPSILON if sym == "" else sym, dst)
-                    for src, sym, dst in _require(data, "transitions")
-                ),
-                accepting=frozenset(_require(data, "accepting")),
-            )
-        if kind == "afa":
-            return OneWayAfa(
-                **common,
-                transitions=frozenset(
-                    (src, EPSILON if sym == "" else sym, dst)
-                    for src, sym, dst in _require(data, "transitions")
-                ),
-                accepting=frozenset(_require(data, "accepting")),
-                existential=frozenset(_require(data, "existential")),
-                max_eps_chain=data.get("eps_chain", 3),
-            )
-        if kind == "2way":
-            moves = []
-            for src, sym, dst, move in _require(data, "transitions"):
-                if move not in _MOVE_FROM_JSON:
-                    raise MachineFormatError(f"bad move {move!r}, expected L/S/R")
-                moves.append((src, sym, dst, _MOVE_FROM_JSON[move]))
-            return TwoWayMachine(
-                **common,
-                transitions=frozenset(moves),
-                accepting=frozenset(_require(data, "accepting")),
-                deterministic=data.get("deterministic", False),
-            )
-        if kind == "pfa":
-            rows: dict[tuple[int, str], list[tuple[int, Fraction]]] = {}
-            for src, sym, dst, prob in _require(data, "transitions"):
-                rows.setdefault((src, sym), []).append((dst, fraction_from_str(prob)))
-            cls = LasVegasPfa if data.get("lasvegas") else OneWayPfa
-            return cls(
-                **common,
-                transitions={key: tuple(row) for key, row in rows.items()},
-                roles=_int_keys(_require(data, "roles"), "roles"),
-            )
+        if not isinstance(tag, str) or tag not in _KINDS:
+            raise MachineFormatError(f"unknown machine type {tag!r}")
+        cls, _, transitions, options = _KINDS[tag]
+        fields["transitions"] = transitions(_require(data, "transitions"))
+        for name in cls._state_sets:
+            fields[name] = frozenset(_require(data, name))
+        for key, attribute, default in options:
+            fields[attribute] = data.get(key, default)
+        if cls is OneWayPfa:
+            fields["roles"] = _int_keys(_require(data, "roles"), "roles")
+            if data.get("lasvegas"):
+                cls = LasVegasPfa
+        return cls(**fields)
     except MachineFormatError:
         raise
     except (TypeError, ValueError) as exc:
-        raise MachineFormatError(f"invalid {kind} machine: {exc}") from exc
-    raise MachineFormatError(f"unknown machine type {kind!r}")
+        raise MachineFormatError(f"invalid {tag} machine: {exc}") from exc
 
 
 def dumps(machine: Machine) -> str:
@@ -208,7 +201,7 @@ def dumps(machine: Machine) -> str:
 def loads(text: str) -> Machine:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise MachineFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise MachineFormatError("JSON nests too deeply to be a machine") from exc

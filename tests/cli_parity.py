@@ -8,7 +8,9 @@ and reports every command whose exit code, stdout, stderr or --out file
 differs between the two. A line is the argument list of `python -m
 promata.cli`, optionally preceded by NAME=value environment settings;
 commands run in order, so a `build --out` line makes a machine file that
-later lines read. Exits 1 when any command differs, 0 otherwise.
+later lines read. Every command runs with a fresh random hash seed, so
+comparing a tree with itself checks that no output depends on set or dict
+order. Exits 1 when any command differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -61,7 +63,12 @@ def run_all(src: str, lines: list[str]) -> list[tuple]:
             Path(work, name).write_text(text)
         for line in lines:
             extra, argv = parse(line)
-            env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), **extra}
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": "random",
+                "PYTHONPATH": str(Path(src).resolve()),
+                **extra,
+            }
             done = subprocess.run(
                 [sys.executable, "-m", "promata.cli", *argv],
                 cwd=work,

@@ -621,6 +621,29 @@ def test_malformed_labels_are_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "build,key,value,message",
+    [
+        (("trios-2dfa", "--n", "1", "--r", "1"), "deterministic", "no", "deterministic"),
+        (("evenodd-afa", "--k", "1"), "eps_chain", 2.5, "max_eps_chain"),
+        (("evenodd-afa", "--k", "1"), "eps_chain", float("nan"), "max_eps_chain"),
+    ],
+    ids=["deterministic-no", "eps-chain-2.5", "eps-chain-nan"],
+)
+def test_loosely_typed_machine_fields_are_usage_errors(
+    tmp_path, capsys, build, key, value, message
+):
+    path = tmp_path / "m.json"
+    run_cli(capsys, "build", *build, "--out", str(path))
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "simulate", "--machine", str(path), "--word", "a")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid ") and message in err
+
+
 def test_deeply_nested_machine_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

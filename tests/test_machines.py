@@ -21,6 +21,7 @@ from promata import (
     TwoWayMachine,
     afa_accepts,
     dfa_run,
+    disjointness_check,
     machine_accepts,
     nfa_accepts,
     promise_check,
@@ -237,16 +238,22 @@ def test_afa_silent_moves_consume_no_input():
 
 
 def test_afa_states_cannot_mix_silent_and_symbol_moves():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"states \[0, 1\] mix EPSILON and symbol"):
         OneWayAfa(
             state_count=3,
             alphabet=("a",),
             initial=0,
-            transitions=frozenset({(0, EPSILON, 1), (0, "a", 2)}),
+            transitions=frozenset({(0, EPSILON, 1), (0, "a", 2), (1, "a", 2), (1, EPSILON, 2)}),
             accepting=frozenset({2}),
             existential=frozenset({0, 1, 2}),
-            max_eps_chain=1,
+            max_eps_chain=2,
         )
+
+
+@pytest.mark.parametrize("bound", [2.5, float("nan"), True, "3", None], ids=repr)
+def test_afa_eps_chain_bound_must_be_an_integer(bound):
+    with pytest.raises(ValueError, match="max_eps_chain must be an integer"):
+        OneWayAfa(1, ("a",), 0, frozenset(), frozenset(), frozenset(), bound)
 
 
 def test_afa_rejects_epsilon_cycles():
@@ -346,6 +353,22 @@ def test_twoway_can_sweep_both_directions():
     )
     assert twoway_accepts(machine, "aa")
     assert twoway_accepts(machine, "")
+
+
+def test_deterministic_twoway_rejects_two_moves_on_one_cell():
+    moves = frozenset({(0, "⊢", 0, RIGHT), (0, "a", 0, RIGHT), (0, "a", 1, 0)})
+    nondeterministic = TwoWayMachine(2, ("a",), 0, moves, frozenset({1}))
+    assert twoway_accepts(nondeterministic, "a")
+    with pytest.raises(
+        ValueError, match=r"deterministic machine has two transitions on \(0, 'a'\)"
+    ):
+        TwoWayMachine(2, ("a",), 0, moves, frozenset({1}), deterministic=True)
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None], ids=repr)
+def test_twoway_deterministic_flag_must_be_a_bool(flag):
+    with pytest.raises(ValueError, match="deterministic must be a bool"):
+        TwoWayMachine(1, ("a",), 0, frozenset(), frozenset(), deterministic=flag)
 
 
 def test_pfa_rows_must_be_stochastic():
@@ -459,6 +482,43 @@ def test_problem_enumerator_beyond_length_is_rejected():
     )
     with pytest.raises(ValueError):
         bad.enumerate_instances(3)
+
+
+def test_probabilistic_machines_are_not_acceptors():
+    pfa = OneWayPfa(1, ("a",), 0, {(0, "a"): ((0, Fraction(1)),)}, {0: ROLE_ACCEPTING})
+    with pytest.raises(TypeError, match="unsupported machine type OneWayPfa"):
+        machine_accepts(pfa, "a")
+    with pytest.raises(TypeError, match="unsupported machine type OneWayPfa"):
+        promise_check(pfa, _parity_problem(), 3)
+
+
+def _shortest_first(alphabet, max_length):
+    """Every word up to max_length, one whole length after another."""
+    words, layer = [], [""]
+    for _ in range(max_length + 1):
+        words += layer
+        layer = [word + sym for word in layer for sym in alphabet]
+    return words
+
+
+def test_brute_force_walks_visit_words_shortest_first_in_alphabet_order():
+    alphabet = ("b", "a", "#")
+    expected = _shortest_first(alphabet, 4)
+    assert expected[:7] == ["", "b", "a", "#", "bb", "ba", "b#"]
+    seen = []
+
+    def yes_member(word):
+        seen.append(word)
+        return word.count("a") % 2 == 0
+
+    problem = PromiseProblem(alphabet, yes_member, lambda word: word.count("a") % 2 == 1)
+    assert [word for word, _ in problem.enumerate_instances(4)] == expected
+    assert seen == expected
+    seen.clear()
+    report = disjointness_check(problem, 4)
+    assert report.verdict == SOLVES
+    assert report.measured["words"] == len(expected)
+    assert seen == expected
 
 
 def test_roles_partition_helper():

@@ -1,9 +1,12 @@
 """JSON interchange format: round-trips, stability, and malformed input."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promata import (
     EPSILON,
@@ -28,6 +31,7 @@ from promata import (
     trios_twoway_dfa,
     up_pfa,
 )
+from promata import cli
 
 
 def _sample_machines():
@@ -188,6 +192,44 @@ def test_state_count_must_be_an_integer_within_the_cap(machine, states):
         loads(json.dumps(data))
 
 
+def test_unhashable_type_tag_is_an_unknown_type():
+    data = machine_to_dict(evenodd_dfa(1))
+    data["type"] = ["dfa"]
+    with pytest.raises(MachineFormatError, match=r"unknown machine type \['dfa'\]"):
+        machine_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "machine,key,value",
+    [
+        (trios_twoway_dfa(1, 1), "deterministic", "no"),
+        (trios_twoway_dfa(1, 1), "deterministic", 1),
+        (evenodd_afa_rt(1), "eps_chain", 2.5),
+        (evenodd_afa_rt(1), "eps_chain", float("nan")),
+        (evenodd_afa_rt(1), "eps_chain", True),
+    ],
+    ids=repr,
+)
+def test_loosely_typed_fields_rejected(machine, key, value):
+    data = machine_to_dict(machine)
+    data[key] = value
+    with pytest.raises(MachineFormatError, match=f"invalid {data['type']} machine"):
+        loads(json.dumps(data))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit"
+)
+def test_integer_literal_above_the_digit_limit_rejected():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(MachineFormatError, match="not valid JSON"):
+            loads('{"type": "dfa", "states": ' + "9" * 5000 + "}")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_bad_move_letter_rejected():
     data = machine_to_dict(trios_twoway_dfa(1, 1))
     data["transitions"][0][3] = "X"
@@ -215,3 +257,105 @@ def test_semantics_preserved_through_round_trip():
     back = loads(dumps(machine))
     for n in range(0, 17, 4):
         assert afa_accepts(back, "a" * n) == afa_accepts(machine, "a" * n)
+
+
+# Every builder's machine (k = 3 is the least every evenodd builder takes),
+# plus an NFA with a silent move, which no builder makes.
+_BUILDER_ARGS = {"k": 3, "n": 1, "r": 1, "p": Fraction(1, 2)}
+_FUZZ_MACHINES = [
+    build(*(_BUILDER_ARGS[flag] for flag in flags)) for build, flags in cli._BUILDS.values()
+] + [OneWayNfa(2, ("a",), 0, frozenset({(0, "a", 0), (0, EPSILON, 1)}), frozenset({1}))]
+
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Values of the same JSON type that a valid file might hold there.
+_NUDGES = {
+    bool: st.booleans(),
+    int: st.integers(-1, 4),
+    float: st.floats(),
+    str: st.sampled_from(["", "a", "b", "#", "L", "S", "R", "⊢", "⊣", "1/2", "1/0"]),
+}
+
+
+def _paths(value, path=()):
+    """The path (keys and indexes from the top) of every value in a JSON tree."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _retyped(value):
+    """The same content under another JSON type."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)):
+        return str(value)
+    if isinstance(value, str):
+        return list(value)
+    if isinstance(value, list):
+        return {str(i): item for i, item in enumerate(value)}
+    if isinstance(value, dict):
+        return list(value.values())
+    return False
+
+
+@st.composite
+def _mutants(draw):
+    """A builder's machine dict after one or two random mutations: a key or
+    element dropped, a value replaced by junk or by another of its type,
+    retyped, or nested one level."""
+    data = [machine_to_dict(draw(st.sampled_from(_FUZZ_MACHINES)))]  # a parent for the root
+    for _ in range(draw(st.integers(1, 2))):
+        # Reversed, so the first path, which hypothesis draws most, is a leaf.
+        path = (0,) + draw(st.sampled_from(list(_paths(data[0]))[:0:-1]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        action = draw(st.sampled_from(["drop", "junk", "retype", "nest", "nudge"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "nudge":
+            parent[key] = draw(_NUDGES.get(type(parent[key]), _JUNK))
+        elif action == "junk":
+            parent[key] = draw(_JUNK)
+        elif action == "retype":
+            parent[key] = _retyped(parent[key])
+        else:
+            parent[key] = [parent[key]] if draw(st.booleans()) else {"x": parent[key]}
+    return json.dumps(data[0])
+
+
+def _check_mutant(text):
+    try:
+        machine = loads(text)
+    except MachineFormatError:
+        return
+    again = loads(dumps(machine))
+    assert again == machine
+    assert type(again) is type(machine)
+    assert dumps(again) == dumps(machine)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_mutants())
+def test_mutated_machine_files_are_rejected_or_round_trip(text):
+    _check_mutant(text)
+
+
+@pytest.mark.slow
+@settings(max_examples=5000, derandomize=True, deadline=None)
+@given(_mutants())
+def test_mutated_machine_files_are_rejected_or_round_trip_at_length(text):
+    _check_mutant(text)
