@@ -51,6 +51,7 @@ from .conversions import (
     dfa_minimize,
     nfa_to_dfa,
     remove_epsilon,
+    twoway_to_dfa,
     unary_afa_to_dfa,
 )
 from .errors import PromataError, ResourceCapError
@@ -60,6 +61,7 @@ from .machines import (
     OneWayDfa,
     OneWayNfa,
     OneWayPfa,
+    TwoWayMachine,
     dfa_run,
     machine_accepts,
     promise_check,
@@ -228,6 +230,13 @@ _CONVERSIONS = {
         OneWayDfa,
         "minimization needs a deterministic machine",
         lambda machine, args: dfa_minimize(machine),
+    ),
+    "twoway-dfa": (
+        TwoWayMachine,
+        "the crossing construction needs a two-way machine",
+        lambda machine, args: twoway_to_dfa(
+            machine, subset_cap=_cap(args, "subset_cap", DEFAULT_SUBSET_CAP)
+        ),
     ),
 }
 
@@ -459,7 +468,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv = command("convert", _cmd_convert, "run a conversion algorithm on a machine file")
     p_conv.add_argument("--from", required=True, dest="from")
     p_conv.add_argument("--algorithm", required=True, choices=_CONVERSIONS)
-    p_conv.add_argument("--subset-cap", type=int, help="max subsets before giving up")
+    p_conv.add_argument(
+        "--subset-cap", type=int, help="max subsets or crossing tables before giving up"
+    )
     p_conv.add_argument("--vector-cap", type=int, help="max valuation vectors before giving up")
 
     p_bounds = command("bounds", _cmd_bounds, "evaluate a closed-form trade-off bound")
@@ -537,9 +548,18 @@ def _check_global_options(parser: argparse.ArgumentParser, argv: list[str]) -> N
 def main(argv=None) -> int:
     # Exact round composition produces rationals with hundreds of thousands
     # of digits; lift the interpreter's int-to-str guard so reports can
-    # print them.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(2_000_000)
+    # print them, and put it back for the caller afterwards.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(2_000_000)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:

@@ -13,12 +13,14 @@ from .machines import (
     OneWayAfa,
     OneWayDfa,
     OneWayNfa,
+    TwoWayMachine,
     _afa_stepper,
     _bits,
     _image,
     _mask,
     _nfa_stepper,
     _nfa_tables,
+    _twoway_stepper,
 )
 
 DEFAULT_SUBSET_CAP = 1 << 16
@@ -128,6 +130,36 @@ def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDf
             idx: "{" + ",".join(map(str, _bits(subset))) + "}"
             for idx, subset in enumerate(order)
         },
+    )
+
+
+def twoway_to_dfa(
+    machine: TwoWayMachine, subset_cap: int = DEFAULT_SUBSET_CAP
+) -> OneWayDfa:
+    """One-way deterministic machine for a two-way one, by the crossing
+    construction (Shepherdson 1959; Kapoutsis 2005 for 2NFAs).
+
+    The states are the crossing tables reachable over the alphabet (see
+    machines._twoway_stepper), numbered breadth-first; a state accepts iff
+    its table accepts on the right endmarker. Moves into the dead table are
+    left undefined, so the result is partial. Kapoutsis' count
+    (bound_2nfa_to_dfa) assumes acceptance at the right endmarker only;
+    here a machine accepts by halting anywhere and may STAY, so at n = 1
+    the bound of 1 does not hold: one accepting state that moves right on
+    a, halts on b and STAYs on the right endmarker accepts the words that
+    contain b, whose minimal DFA has 2 states.
+    """
+    start, step, accepts, _ = _twoway_stepper(machine)
+    order, transitions = _reachable(
+        start, step, machine.alphabet, dead=0, cap=subset_cap,
+        message="crossing construction exceeds {cap} states",
+    )
+    return OneWayDfa(
+        state_count=len(order),
+        alphabet=machine.alphabet,
+        initial=0,
+        transitions=transitions,
+        accepting=frozenset(idx for idx, table in enumerate(order) if accepts(table)),
     )
 
 

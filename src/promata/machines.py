@@ -453,12 +453,13 @@ def _require_symbols(word: str, symbols: frozenset[str]) -> None:
 
 
 class Stepper(NamedTuple):
-    """A one-way machine's semantics as a fold over the symbols of a word.
+    """A machine's semantics as a fold over the symbols of a word.
 
     ``step`` is folded over the word from ``start`` (over the reversed word
     when ``reverse`` is set), and ``outcome`` maps the final value to the
     run's result. Built once per call. ``step`` never changes the value it
-    is given, so a run can be resumed from any value it passed through.
+    is given, so a run can be resumed from any value it passed through. A
+    two-way machine's value is its crossing table (see _twoway_stepper).
     """
 
     start: object
@@ -616,6 +617,121 @@ def twoway_accepts(machine: TwoWayMachine, word: str) -> bool:
     return False
 
 
+def _twoway_stepper(machine: TwoWayMachine) -> Stepper:
+    """Shepherdson's crossing table as a one-way step, memoized.
+
+    After a prefix u of the tape ⊢w, the table says in which states a run
+    from the start first leaves u to the right and whether it can halt
+    accepting inside u; and the same for a run entering u's last cell from
+    the right in each re-entry state p, a target of some LEFT move (the
+    crossing construction of Shepherdson, 1959, in the 2NFA form of
+    Kapoutsis, 2005). One step closes the states at the new cell: RIGHT
+    leaves the prefix, STAY stays on the cell, LEFT goes back through the
+    old table, and a state with no move halts, accepting iff the state is
+    accepting. Sets are state bitmasks; bit state_count stands for "can
+    accept", a state at the cell with no moves and an exit of its own.
+
+    The value is a number. Each distinct table is numbered when first met,
+    and each (number, symbol) step is computed once per stepper, so the
+    memo grows into a DFA as words are read. Number 0 is dead (the run from
+    the start can no longer leave or accept) and 1 has accepted; both step
+    to themselves, since their rows are never read. ``outcome`` steps over
+    the right endmarker.
+    """
+    count = machine.state_count
+    accept = 1 << count
+    # Per tape symbol: each state's STAY targets; its exits, which are its
+    # RIGHT targets, or accept for an accepting state that halts; and the
+    # table slots of its LEFT targets. A re-entry state gets its slot when
+    # first seen.
+    halted = [0] * count
+    for state in machine.accepting:
+        halted[state] = accept
+    tables = {
+        sym: ([0] * (count + 1), [*halted, accept], {})
+        for sym in (LEFT_MARKER, *machine.alphabet, RIGHT_MARKER)
+    }
+    slot: dict[int, int] = {}
+    for (src, sym), row in machine._moves.items():  # type: ignore[attr-defined]
+        stay, exits, left = tables[sym]
+        exits[src] = 0
+        for dst, move in row:
+            if move == RIGHT:
+                exits[src] |= 1 << dst
+            elif move == STAY:
+                stay[src] |= 1 << dst
+            else:
+                left.setdefault(src, []).append(slot.setdefault(dst, len(slot) + 1))
+    # A re-entry state that only moves right or halts on a symbol has a
+    # fixed row there; the others are closed at each cold step.
+    steps = {
+        sym: (
+            stay, exits, left, [0, *[exits[state] for state in slot]],
+            [(i, 1 << state) for i, state in enumerate(slot, 1) if stay[state] or state in left],
+        )
+        for sym, (stay, exits, left) in tables.items()
+    }
+
+    def cold(value: tuple[int, ...], sym: str) -> tuple[int, ...]:
+        """The table one cell further: value[0] holds the exits of the run
+        from the start, value[slot[p]] those of the run entering in p."""
+        succ, exits, left, fixed, closed = steps[sym]
+        if left:
+            succ = succ.copy()
+            for state, slots in left.items():
+                for i in slots:
+                    succ[state] |= value[i]
+        first = _exits(value[0], succ, exits)
+        if first >= accept:
+            return accepted
+        if not first:
+            return dead
+        out = fixed.copy()
+        out[0] = first
+        for i, bit in closed:
+            out[i] = _exits(bit, succ, exits)
+        return tuple(out)
+
+    filler = (0,) * len(slot)
+    dead, accepted = (0, *filler), (accept, *filler)
+    values = [dead, accepted]
+    numbers = {dead: 0, accepted: 1}
+    memo: dict[tuple[int, str], int] = {}
+
+    def number(value: tuple[int, ...]) -> int:
+        out = numbers.setdefault(value, len(values))
+        if out == len(values):
+            values.append(value)
+        return out
+
+    def step(current: int, sym: str) -> int:
+        nxt = memo.get((current, sym))
+        if nxt is None:
+            nxt = memo[(current, sym)] = number(cold(values[current], sym))
+        return nxt
+
+    # Before the tape, the run from the start is about to enter ⊢; nothing
+    # re-enters, since no move goes left off ⊢.
+    empty = (1 << machine.initial, *filler)
+    return Stepper(
+        number(cold(empty, LEFT_MARKER)), step, lambda current: step(current, RIGHT_MARKER) == 1
+    )
+
+
+def _exits(mask: int, succ: list[int], exits: list[int]) -> int:
+    """The union of exits[q] over the states q reachable from mask along succ."""
+    reach = todo = mask
+    out = 0
+    while todo:
+        low = todo & -todo
+        state = low.bit_length() - 1
+        out |= exits[state]
+        new = succ[state] & ~reach
+        reach |= new
+        todo ^= low | new
+    return out
+
+
 def _afa_stepper(afa: OneWayAfa) -> Stepper:
     """Backward valuation over the reversed word.
 
@@ -687,13 +803,15 @@ def machine_accepts(machine: Acceptor, word: str) -> bool:
     return _fold(stepper, word)
 
 
-def _stepper(machine: OneWayDfa | OneWayNfa | OneWayAfa) -> Stepper:
+def _stepper(machine: Acceptor) -> Stepper:
     if isinstance(machine, OneWayDfa):
         return _dfa_stepper(machine)
     if isinstance(machine, OneWayNfa):
         return _nfa_stepper(machine)
     if isinstance(machine, OneWayAfa):
         return _afa_stepper(machine)
+    if isinstance(machine, TwoWayMachine):
+        return _twoway_stepper(machine)
     raise TypeError(f"unsupported machine type {type(machine).__name__}")
 
 
@@ -750,11 +868,12 @@ def promise_check(
     The machine solves the problem on the checked range iff it accepts every
     yes instance and rejects (or gets stuck on) every no instance; behavior
     outside the promise is not examined. An empty instance range solves
-    vacuously. One-way machines resume each instance from the previous
-    one's shared prefix (see _resumed_outcomes); two-way machines run each
-    word afresh.
+    vacuously. Each instance resumes from the previous one's shared prefix
+    (see _resumed_outcomes). A two-way machine steps through its memoized
+    crossing table (see _twoway_stepper): a cold step costs about as much
+    as a short word run afresh, and a repeated one a dictionary lookup.
     """
-    stepper = None if isinstance(machine, TwoWayMachine) else _stepper(machine)
+    stepper = _stepper(machine)
     if machine.symbols != frozenset(problem.alphabet):
         raise AlphabetMismatchError(
             f"machine alphabet {sorted(machine.symbols)} differs from problem "
@@ -762,11 +881,7 @@ def promise_check(
         )
     instances = problem.enumerate_instances(max_length)
     measured = {"instances": len(instances), "max_length": max_length}
-    if stepper is None:
-        runs = ((word, cls, twoway_accepts(machine, word)) for word, cls in instances)
-    else:
-        runs = _resumed_outcomes(stepper, machine.symbols, instances)
-    for word, cls, accepted in runs:
+    for word, cls, accepted in _resumed_outcomes(stepper, machine.symbols, instances):
         if accepted != (cls == "yes"):
             return VerificationReport(
                 FAILS,

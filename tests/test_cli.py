@@ -29,6 +29,7 @@ from promata import (
     trios_dfa,
     trios_lasvegas_pfa,
     trios_twoway_dfa,
+    twoway_to_dfa,
     unary_afa_to_dfa,
     up_dfa,
     up_pfa,
@@ -43,6 +44,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _big_fraction(text):
+    """A report's num/den field, which may run past the interpreter's
+    default integer digit limit; main lifts that limit only while it runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return Fraction(text)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit")
+def test_main_restores_the_int_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    assert run_cli(capsys, "build", "parity-dfa")[0] == 0
+    assert sys.get_int_max_str_digits() == before
+    assert run_cli(capsys, "bogus")[0] == 2
+    assert sys.get_int_max_str_digits() == before
 
 
 def test_build_prints_machine_json(capsys):
@@ -373,7 +396,7 @@ def test_prob_expeq_compose_exit_codes(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    accept = Fraction(payload["accept"])
+    accept = _big_fraction(payload["accept"])
     assert accept > Fraction(1, 2)
 
     code, _, err = run_cli(
@@ -805,6 +828,7 @@ def machine_files(tmp_path):
         "afa": evenodd_afa_rt(1),
         "dfa": evenodd_dfa(1),
         "pfa": up_pfa(Fraction(1, 2)),
+        "2way": trios_twoway_dfa(2, 1),
     }
     paths = {}
     for tag, machine in machines.items():
@@ -865,6 +889,19 @@ def test_each_cap_from_flag_and_environment(
     )
 
 
+def test_twoway_dfa_reads_the_subset_cap(capsys, monkeypatch, machine_files):
+    argv = ("convert", "--algorithm", "twoway-dfa", "--from", machine_files["2way"])
+    monkeypatch.delenv("PROMATA_SUBSET_CAP", raising=False)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--subset-cap", "3") == (
+        3,
+        "",
+        "resource cap: crossing construction exceeds 3 states\n",
+    )
+    monkeypatch.setenv("PROMATA_SUBSET_CAP", "3")
+    assert run_cli(capsys, *argv)[:2] == (3, "")
+
+
 # Each algorithm: the machine type it reads, the library call, and its error
 # on a machine of the wrong type.
 _CONVERT_CASES = [
@@ -877,6 +914,7 @@ _CONVERT_CASES = [
         "valuation determinization needs an alternating machine",
     ),
     ("minimize", "dfa", dfa_minimize, "minimization needs a deterministic machine"),
+    ("twoway-dfa", "2way", twoway_to_dfa, "the crossing construction needs a two-way machine"),
 ]
 
 

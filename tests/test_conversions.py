@@ -1,5 +1,6 @@
 """Model conversions checked against language equality on bounded ranges."""
 
+import itertools
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from promata import (
     OneWayDfa,
     OneWayNfa,
     ResourceCapError,
+    TwoWayMachine,
     bound_2nfa_to_dfa,
     bound_afa_to_dfa,
     bound_svfa_to_dfa,
@@ -28,10 +30,15 @@ from promata import (
     nfa_accepts,
     nfa_to_dfa,
     remove_epsilon,
+    trios_problem,
+    trios_twoway_dfa,
+    twoway_accepts,
+    twoway_to_dfa,
     unary_afa_to_dfa,
 )
 from promata import conversions
 from promata.conversions import BOUND_BITS_CAP, _ceil_cbrt
+from promata.machines import LEFT, LEFT_MARKER, RIGHT, RIGHT_MARKER, STAY
 
 
 def _random_nfa(rng, max_states=5, alphabet=("a", "b")):
@@ -336,6 +343,76 @@ def test_unary_afa_determinization_needs_unary_input():
     )
     with pytest.raises(ValueError):
         unary_afa_to_dfa(afa)
+
+
+def _random_2nfa(rng, size, alphabet=("a", "b")):
+    """STAY moves, self-loops and endmarker moves, deterministic or not."""
+    deterministic = rng.random() < 0.4
+    moves = set()
+    for src in range(size):
+        for sym in (LEFT_MARKER, *alphabet, RIGHT_MARKER):
+            allowed = [LEFT, STAY, RIGHT]
+            if sym == LEFT_MARKER:
+                allowed.remove(LEFT)
+            if sym == RIGHT_MARKER:
+                allowed.remove(RIGHT)
+            for _ in range(rng.choice((0, 1, 1) if deterministic else (0, 1, 2))):
+                moves.add((src, sym, rng.randrange(size), rng.choice(allowed)))
+    return TwoWayMachine(
+        state_count=size,
+        alphabet=alphabet,
+        initial=rng.randrange(size),
+        transitions=frozenset(moves),
+        accepting=frozenset(q for q in range(size) if rng.random() < 0.4),
+        deterministic=deterministic,
+    )
+
+
+_WORDS_TO_SIX = ["".join(w) for n in range(7) for w in itertools.product("ab", repeat=n)]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_crossing_construction_matches_twoway_runs_within_the_bound(size):
+    """Kapoutsis' count bounds the minimized result from two states up; at
+    one state the halting-anywhere convention can need two (see the
+    twoway_to_dfa docstring and the pinned example below)."""
+    rng = random.Random(f"2nfa:{size}")
+    bound = bound_2nfa_to_dfa(size).value
+    sizes = []
+    for _ in range(400):
+        machine = _random_2nfa(rng, size)
+        dfa = dfa_minimize(twoway_to_dfa(machine))
+        sizes.append(dfa.state_count)
+        for word in _WORDS_TO_SIX:
+            assert machine_accepts(dfa, word) == twoway_accepts(machine, word), word
+    assert max(sizes) <= bound
+    # Most random machines halt early on everything; enough do not.
+    assert sum(count > 1 for count in sizes) >= 40
+
+
+def test_crossing_construction_of_a_one_state_machine_needs_two_states():
+    # Accepting state 0 moves right on a, halts (accepting) on b and loops
+    # on the right endmarker: it accepts the words that contain b.
+    machine = TwoWayMachine(
+        1, ("a", "b"), 0,
+        frozenset({(0, LEFT_MARKER, 0, RIGHT), (0, "a", 0, RIGHT), (0, RIGHT_MARKER, 0, STAY)}),
+        frozenset({0}), deterministic=True,
+    )
+    expected = _dfa_json(2, "ab", [1], [(0, "a", 0), (0, "b", 1), (1, "a", 1), (1, "b", 1)])
+    assert dumps(twoway_to_dfa(machine)) == dumps(dfa_minimize(twoway_to_dfa(machine))) == expected
+    assert bound_2nfa_to_dfa(1).value == 1
+
+
+def test_crossing_construction_of_trios_solves_trios():
+    machine = trios_twoway_dfa(2, 1)
+    dfa = twoway_to_dfa(machine)
+    for word, cls in trios_problem(2, 1).enumerate_instances(7):
+        assert machine_accepts(dfa, word) == (cls == "yes") == twoway_accepts(machine, word)
+
+
+def test_crossing_construction_cap():
+    with pytest.raises(ResourceCapError, match="crossing construction exceeds 3 states"):
+        twoway_to_dfa(trios_twoway_dfa(2, 1), subset_cap=3)
 
 
 def test_minimize_is_idempotent():

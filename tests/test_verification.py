@@ -1,10 +1,11 @@
 """Prefix-resumed verification against a per-instance run of every word.
 
 promise_check and lasvegas_success resume each instance from the previous
-instance's shared prefix (shared suffix for alternating machines). These
-tests check, on seeded random machines and on enumeration orders chosen to
-defeat that sharing, that the verdict, the counterexample and the measured
-figures all equal those of simulating every instance from scratch.
+instance's shared prefix (shared suffix for alternating machines; two-way
+machines step through their memoized crossing table). These tests check,
+on seeded random machines and on enumeration orders chosen to defeat that
+sharing, that the verdict, the counterexample and the measured figures all
+equal those of simulating every instance from scratch.
 """
 
 import itertools
@@ -26,12 +27,23 @@ from promata import (
     OneWayNfa,
     OneWayPfa,
     PromiseProblem,
+    TwoWayMachine,
     lasvegas_success,
     machine_accepts,
     outcome_dist,
     promise_check,
+    trios_problem,
+    trios_twoway_dfa,
 )
-from promata.machines import Stepper, _resumed_outcomes
+from promata.machines import (
+    LEFT,
+    LEFT_MARKER,
+    RIGHT,
+    RIGHT_MARKER,
+    STAY,
+    Stepper,
+    _resumed_outcomes,
+)
 
 ALPHABET = ("a", "b")
 MAX_LENGTH = 5
@@ -87,6 +99,31 @@ def _random_afa(rng):
         accepting=frozenset(q for q in range(size) if rng.random() < 0.5),
         existential=frozenset(q for q in range(size) if rng.random() < 0.5),
         max_eps_chain=size,
+    )
+
+
+def _random_twoway(rng):
+    """Deterministic or not, with STAY moves, self-loops and moves on both
+    endmarkers; none walks off the tape."""
+    size = rng.randint(1, 5)
+    deterministic = rng.random() < 0.4
+    moves = set()
+    for src in range(size):
+        for sym in (LEFT_MARKER, *ALPHABET, RIGHT_MARKER):
+            allowed = [
+                move
+                for move in (LEFT, STAY, RIGHT)
+                if (sym, move) not in ((LEFT_MARKER, LEFT), (RIGHT_MARKER, RIGHT))
+            ]
+            for _ in range(rng.choice((0, 1, 1, 1) if deterministic else (0, 1, 2, 3))):
+                moves.add((src, sym, rng.randrange(size), rng.choice(allowed)))
+    return TwoWayMachine(
+        state_count=size,
+        alphabet=ALPHABET,
+        initial=rng.randrange(size),
+        transitions=frozenset(moves),
+        accepting=frozenset(q for q in range(size) if rng.random() < 0.4),
+        deterministic=deterministic,
     )
 
 
@@ -176,9 +213,11 @@ def _per_instance_report(accepts, problem, max_length):
     return SOLVES, None, measured
 
 
-@pytest.mark.parametrize("model", ["dfa", "nfa", "afa"])
+@pytest.mark.parametrize("model", ["dfa", "nfa", "afa", "2nfa"])
 def test_promise_check_matches_per_instance_runs(model):
-    make = {"dfa": _random_dfa, "nfa": _random_nfa, "afa": _random_afa}[model]
+    make = {"dfa": _random_dfa, "nfa": _random_nfa, "afa": _random_afa, "2nfa": _random_twoway}[
+        model
+    ]
     rng = random.Random(f"promise:{model}")
     verdicts = set()
     for _ in range(30):
@@ -300,3 +339,10 @@ def test_unary_sweep_steps_once_per_symbol():
     outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), words)]
     assert outcomes == [2, 4, 1, 4]
     assert len(calls) == 2 + 2 + 1 + 4
+
+
+@pytest.mark.slow
+def test_twoway_promise_check_on_trios_4_2():
+    report = promise_check(trios_twoway_dfa(4, 2), trios_problem(4, 2), 26)
+    assert report.verdict == SOLVES
+    assert report.measured == {"instances": 61250, "max_length": 26}
