@@ -485,6 +485,8 @@ def disjointness_check(
 ) -> VerificationReport:
     """Walk every word up to max_length and confirm no word is classified
     both yes and no. Independent of any enumerator the problem carries."""
+    if max_length < 0:
+        raise ValueError("max_length must be non-negative")
     base = len(problem.alphabet)
     total = sum(base**length for length in range(max_length + 1))
     if total > work_cap:

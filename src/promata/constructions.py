@@ -29,6 +29,7 @@ from .machines import (
     OneWayPfa,
     PromiseProblem,
     TwoWayMachine,
+    _shared_prefix,
 )
 
 DEFAULT_ITERATION_CAP = 10**6
@@ -87,8 +88,10 @@ def evenodd_problem(k: int) -> PromiseProblem:
     period = 1 << (k + 1)
 
     def enumerator(max_length: int):
-        for n in range(0, max_length + 1, block):
-            yield "a" * n, ("yes" if n % period == 0 else "no")
+        gap = "a" * block
+        yield 0, "", "yes"
+        for n in range(block, max_length + 1, block):
+            yield n - block, gap, ("yes" if n % period == 0 else "no")
 
     return PromiseProblem(
         alphabet=("a",),
@@ -303,16 +306,36 @@ def trios_problem(n: int, r: int) -> PromiseProblem:
         )
 
     def enumerator(max_length: int):
+        """Each class's words are the r-fold products of its segments, in
+        odometer order: the next word moves the rightmost segment j that is
+        not the last one from t - 1 to t and resets the segments after it to
+        the first, so it keeps j whole segments and lcp[t] more symbols."""
         if total > max_length:
             return
+        previous = ""
         for cls in ("yes", "no"):
-            pairs = _trios_pairs(n, cls)
-            for combo in product(pairs, repeat=r):
-                if cls == "yes":
-                    word = "".join(f"#{x}{x}{y}" for x, y in combo)
-                else:
-                    word = "".join(f"#{x}{y}{x}" for x, y in combo)
-                yield word, cls
+            segs = [
+                f"#{x}{x}{y}" if cls == "yes" else f"#{x}{y}{x}"
+                for x, y in _trios_pairs(n, cls)
+            ]
+            first = segs[0] * r
+            keep = _shared_prefix(previous, first)
+            yield keep, first[keep:], cls
+            lcp = [0, *(_shared_prefix(a, b) for a, b in zip(segs, segs[1:]))]
+            tails = [seg[shared:] for seg, shared in zip(segs, lcp)]
+            resets = [segs[0] * (r - 1 - j) for j in range(r)]
+            last = len(segs) - 1
+            digits = [0] * r
+            j = r - 1
+            while j >= 0:
+                if digits[j] == last:
+                    digits[j] = 0
+                    j -= 1
+                    continue
+                t = digits[j] = digits[j] + 1
+                yield j * seg_len + lcp[t], tails[t] + resets[j], cls
+                j = r - 1
+            previous = segs[-1] * r
 
     return PromiseProblem(
         alphabet=("0", "1", "#"),
@@ -575,11 +598,14 @@ def up_problem(p: Fraction) -> PromiseProblem:
 
     def enumerator(max_length: int):
         num = den = 1  # p^j = num / den, one multiplication per length
+        previous = 0
         for j in range(max_length + 1):
             if 4 * num >= 3 * den:
-                yield "a" * j, "yes"
+                yield previous, "a" * (j - previous), "yes"
+                previous = j
             elif 4 * num <= den:
-                yield "a" * j, "no"
+                yield previous, "a" * (j - previous), "no"
+                previous = j
             num *= p.numerator
             den *= p.denominator
 
@@ -686,9 +712,11 @@ def parity_problem(member: Callable[[int], bool]) -> PromiseProblem:
     """Unary promise problem: even lengths 2m are yes, odd 2m+1 no, m in L."""
 
     def enumerator(max_length: int):
+        previous = 0
         for length in range(max_length + 1):
             if member(length // 2):
-                yield "a" * length, ("yes" if length % 2 == 0 else "no")
+                yield previous, "a" * (length - previous), ("yes" if length % 2 == 0 else "no")
+                previous = length
 
     return PromiseProblem(
         alphabet=("a",),

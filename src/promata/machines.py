@@ -375,12 +375,19 @@ class PromiseProblem:
     up to that length, for problems whose instance set is too structured to
     find by scanning all words; without it, enumeration brute-forces every
     word up to the requested length.
+
+    An enumerator yields the instances front-coded, as triples (keep,
+    suffix, class): the instance is the previous instance's first keep
+    symbols followed by suffix, the first instance has keep 0, and class is
+    "yes" or "no". Verification resumes each run after the keep symbols it
+    shares with the previous run, so a keep below the longest common prefix
+    costs steps but never changes an answer.
     """
 
     alphabet: tuple[str, ...]
     yes_member: Callable[[str], bool]
     no_member: Callable[[str], bool]
-    enumerator: Callable[[int], Iterable[tuple[str, str]]] | None = None
+    enumerator: Callable[[int], Iterable[tuple[int, str, str]]] | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -389,19 +396,42 @@ class PromiseProblem:
 
     def enumerate_instances(self, max_length: int) -> list[tuple[str, str]]:
         """All (word, "yes" | "no") instances of length at most max_length."""
+        if self.enumerator is None:
+            return self._brute_force(max_length)
+        out = []
+        word = ""
+        for keep, suffix, cls in self._coded(max_length):
+            word = word[:keep] + suffix
+            out.append((word, cls))
+        return out
+
+    def _coded(self, max_length: int) -> list[tuple[int, str, str]]:
+        """The instances up to max_length as a checked front-coded list; the
+        brute-forced ones are front-coded by their longest common prefixes."""
+        if self.enumerator is None:
+            return list(front_coded(self._brute_force(max_length)))
         if max_length < 0:
             raise ValueError("max_length must be non-negative")
-        if self.enumerator is not None:
-            out = []
-            for word, cls in self.enumerator(max_length):
-                if len(word) > max_length:
-                    raise ValueError(
-                        f"enumerator produced {word!r} beyond length {max_length}"
-                    )
-                if cls not in ("yes", "no"):
-                    raise ValueError(f"enumerator produced class {cls!r}")
-                out.append((word, cls))
-            return out
+        out = []
+        length = 0
+        for keep, suffix, cls in self.enumerator(max_length):
+            if not 0 <= keep <= length:
+                raise ValueError(
+                    f"enumerator kept {keep} symbols of a word of length {length}"
+                )
+            length = keep + len(suffix)
+            if length > max_length:
+                word = _decoded([*out, (keep, suffix, cls)], len(out))
+                raise ValueError(f"enumerator produced {word!r} beyond length {max_length}")
+            if cls not in ("yes", "no"):
+                raise ValueError(f"enumerator produced class {cls!r}")
+            out.append((keep, suffix, cls))
+        return out
+
+    def _brute_force(self, max_length: int) -> list[tuple[str, str]]:
+        """Every word up to max_length that the predicates classify."""
+        if max_length < 0:
+            raise ValueError("max_length must be non-negative")
         out = []
         for word in _words(self.alphabet, max_length):
             yes = self.yes_member(word)
@@ -413,6 +443,30 @@ class PromiseProblem:
             elif no:
                 out.append((word, "no"))
         return out
+
+
+def front_coded(instances: Iterable[tuple[str, str]]) -> Iterator[tuple[int, str, str]]:
+    """(word, class) instances as an enumerator's front-coded triples, each
+    keeping the longest prefix it shares with the previous word."""
+    previous = ""
+    for word, cls in instances:
+        keep = _shared_prefix(previous, word)
+        yield keep, word[keep:], cls
+        previous = word
+
+
+def _decoded(coded: list[tuple[int, str, str]], index: int) -> str:
+    """The word at index of a front-coded list, read backwards from it: each
+    earlier instance supplies the part of the kept prefix it wrote."""
+    keep, suffix, _ = coded[index]
+    pieces = [suffix]
+    while keep:
+        index -= 1
+        earlier, suffix, _ = coded[index]
+        if earlier < keep:
+            pieces.append(suffix[: keep - earlier])
+            keep = earlier
+    return "".join(reversed(pieces))
 
 
 def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
@@ -832,32 +886,46 @@ def _shared_prefix(a: str, b: str) -> int:
 
 
 def _resumed_outcomes(
-    stepper: Stepper, symbols: frozenset[str], instances: Iterable[tuple[str, str]]
-) -> Iterable[tuple[str, str, object]]:
-    """(word, class, outcome) for each instance, in order.
+    stepper: Stepper, symbols: frozenset[str], coded: Iterable[tuple[int, str, str]]
+) -> Iterator[tuple[int, str, object]]:
+    """(index, class, outcome) for each instance of a front-coded stream.
 
-    Each run resumes from the value the previous instance's run reached at
-    their longest common prefix (common suffix for a reverse stepper), so a
-    sweep of words that extend one another costs one step per new symbol.
-    Only the symbols not shared with the previous word are checked against
-    the alphabet; the shared ones were checked with it.
+    A forward stepper resumes each run from the value the previous run
+    reached after the instance's first keep symbols and steps only its
+    suffix, so a sweep of words that extend one another costs one step per
+    new symbol. A reverse stepper decodes each word and resumes from the
+    value reached on the longest suffix it shares with the previous word.
+    Only each instance's suffix is checked against the alphabet; the kept
+    symbols were checked with an earlier instance.
     """
-    step, outcome, reverse = stepper.step, stepper.outcome, stepper.reverse
+    step, outcome = stepper.step, stepper.outcome
     path = [stepper.start]  # path[i]: the value after i symbols of previous
-    previous = ""
-    for word, cls in instances:
-        key = word[::-1] if reverse else word
-        shared = _shared_prefix(previous, key)
-        rest = key[shared:]
-        if not symbols.issuperset(rest):
-            _require_symbols(word, symbols)
-        del path[shared + 1 :]
-        value = path[shared]
-        for sym in rest:
+    append = path.append
+    if stepper.reverse:
+        word = previous = ""
+        for index, (keep, suffix, cls) in enumerate(coded):
+            if not symbols.issuperset(suffix):
+                _require_symbols(suffix, symbols)
+            word = word[:keep] + suffix
+            key = word[::-1]
+            shared = _shared_prefix(previous, key)
+            del path[shared + 1 :]
+            value = path[shared]
+            for sym in key[shared:]:
+                value = step(value, sym)
+                append(value)
+            previous = key
+            yield index, cls, outcome(value)
+        return
+    for index, (keep, suffix, cls) in enumerate(coded):
+        if not symbols.issuperset(suffix):
+            _require_symbols(suffix, symbols)
+        del path[keep + 1 :]
+        value = path[keep]
+        for sym in suffix:
             value = step(value, sym)
-            path.append(value)
-        previous = key
-        yield word, cls, outcome(value)
+            append(value)
+        yield index, cls, outcome(value)
 
 
 def promise_check(
@@ -868,8 +936,9 @@ def promise_check(
     The machine solves the problem on the checked range iff it accepts every
     yes instance and rejects (or gets stuck on) every no instance; behavior
     outside the promise is not examined. An empty instance range solves
-    vacuously. Each instance resumes from the previous one's shared prefix
-    (see _resumed_outcomes). A two-way machine steps through its memoized
+    vacuously. Each instance resumes after the symbols the problem's
+    front-coded enumeration keeps from the previous one (see
+    _resumed_outcomes). A two-way machine steps through its memoized
     crossing table (see _twoway_stepper): a cold step costs about as much
     as a short word run afresh, and a repeated one a dictionary lookup.
     """
@@ -879,13 +948,13 @@ def promise_check(
             f"machine alphabet {sorted(machine.symbols)} differs from problem "
             f"alphabet {sorted(problem.alphabet)}"
         )
-    instances = problem.enumerate_instances(max_length)
-    measured = {"instances": len(instances), "max_length": max_length}
-    for word, cls, accepted in _resumed_outcomes(stepper, machine.symbols, instances):
+    coded = problem._coded(max_length)
+    measured = {"instances": len(coded), "max_length": max_length}
+    for index, cls, accepted in _resumed_outcomes(stepper, machine.symbols, coded):
         if accepted != (cls == "yes"):
             return VerificationReport(
                 FAILS,
-                counterexample=(word, cls, ACCEPT if accepted else REJECT),
+                counterexample=(_decoded(coded, index), cls, ACCEPT if accepted else REJECT),
                 measured=measured,
             )
     return VerificationReport(SOLVES, measured=measured)

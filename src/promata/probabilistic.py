@@ -20,6 +20,7 @@ from .machines import (
     PromiseProblem,
     Stepper,
     VerificationReport,
+    _decoded,
     _fold,
     _require_symbols,
     _resumed_outcomes,
@@ -200,7 +201,8 @@ def lasvegas_success(
     the threshold is 0, so a machine that never answers does not pass);
     symmetrically for no instances. measured carries the smallest decisive
     probability seen. Each instance's distribution is propagated on from
-    the previous instance's at their longest common prefix.
+    the previous instance's after the symbols the problem's front-coded
+    enumeration keeps.
     """
     threshold = Fraction(threshold)
     if frozenset(problem.alphabet) != pfa.symbols:
@@ -208,11 +210,11 @@ def lasvegas_success(
             f"machine alphabet {sorted(pfa.symbols)} differs from problem "
             f"alphabet {sorted(problem.alphabet)}"
         )
-    instances = problem.enumerate_instances(max_length)
-    measured: dict[str, object] = {"instances": len(instances), "threshold": threshold}
+    coded = problem._coded(max_length)
+    measured: dict[str, object] = {"instances": len(coded), "threshold": threshold}
     min_success: Fraction | None = None
-    runs = _resumed_outcomes(_pfa_stepper(pfa), pfa.symbols, instances)
-    for word, cls, dist in runs:
+    runs = _resumed_outcomes(_pfa_stepper(pfa), pfa.symbols, coded)
+    for index, cls, dist in runs:
         good, bad = (
             (dist.accept, dist.reject) if cls == "yes" else (dist.reject, dist.accept)
         )
@@ -220,7 +222,7 @@ def lasvegas_success(
             return VerificationReport(
                 FAILS,
                 counterexample=(
-                    word,
+                    _decoded(coded, index),
                     cls,
                     f"accept={dist.accept} reject={dist.reject}",
                 ),
@@ -403,13 +405,19 @@ def expeq_problem(c: int) -> PromiseProblem:
     def enumerator(max_length: int):
         total = 2
         while True:
-            length = total * round_count(total)
-            if length > max_length:
+            rounds = round_count(total)
+            if total * rounds > max_length:
                 return
             for m in range(1, total):
                 n = total - m
-                word = ("a" * m + "b" * n) * round_count(total)
-                yield word, ("yes" if m == n else "no")
+                # The previous word starts a^(m-1) b; at m = 1 it is the
+                # previous total's last word: none, (ab)^t, or aab... onwards.
+                if m > 1:
+                    keep = m - 1
+                else:
+                    keep = {2: 0, 3: 2}.get(total, 1)
+                word = ("a" * m + "b" * n) * rounds
+                yield keep, word[keep:], ("yes" if m == n else "no")
             total += 1
 
     return PromiseProblem(

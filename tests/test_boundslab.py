@@ -488,6 +488,12 @@ def test_disjointness_catches_overlap():
     assert report.counterexample[0] == ""
 
 
+@pytest.mark.parametrize("max_length", [-1, -2])
+def test_disjointness_rejects_a_negative_horizon(max_length):
+    with pytest.raises(ValueError, match="max_length must be non-negative"):
+        disjointness_check(trios_problem(2, 1), max_length)
+
+
 def test_disjointness_work_cap():
     with pytest.raises(ResourceCapError):
         disjointness_check(trios_problem(1, 1), 30, work_cap=100)

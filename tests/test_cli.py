@@ -604,6 +604,21 @@ def test_verify_disjoint(capsys):
     assert json.loads(out)["verdict"] == "solves"
 
 
+@pytest.mark.parametrize(
+    "mode", [("disjoint",), ("lv-trios",), ("promise", "--machine", "trios.json")]
+)
+def test_verify_negative_horizon_is_usage_error(tmp_path, capsys, mode):
+    build = ("build", "trios-dfa", "--n", "2", "--r", "1", "--out", str(tmp_path / "trios.json"))
+    run_cli(capsys, *build)
+    mode = tuple(str(tmp_path / arg) if arg.endswith(".json") else arg for arg in mode)
+    code, out, err = run_cli(
+        capsys, "verify", *mode, "--problem", "trios", "--n", "2", "--r", "1", "--max-length", "-2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_length must be non-negative\n"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code = main(["frobnicate"])
     capsys.readouterr()

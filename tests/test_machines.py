@@ -24,6 +24,7 @@ from promata import (
     disjointness_check,
     machine_accepts,
     nfa_accepts,
+    parity_dfa,
     promise_check,
     twoway_accepts,
 )
@@ -473,15 +474,36 @@ def test_promise_check_alphabet_mismatch():
         promise_check(dfa, _parity_problem(), 5)
 
 
-def test_problem_enumerator_beyond_length_is_rejected():
-    bad = PromiseProblem(
+def _enumerated(*coded):
+    return PromiseProblem(
         alphabet=("a",),
         yes_member=lambda w: True,
         no_member=lambda w: False,
-        enumerator=lambda max_length: [("a" * (max_length + 1), "yes")],
+        enumerator=lambda max_length: coded,
     )
-    with pytest.raises(ValueError):
+
+
+def test_problem_enumerator_beyond_length_is_rejected():
+    bad = _enumerated((0, "aa", "yes"), (1, "aaa", "yes"))
+    with pytest.raises(ValueError, match="enumerator produced 'aaaa' beyond length 3"):
         bad.enumerate_instances(3)
+    with pytest.raises(ValueError, match="beyond length 3"):
+        promise_check(parity_dfa(), bad, 3)
+
+
+@pytest.mark.parametrize(
+    "coded",
+    [((1, "a", "yes"),), ((0, "a", "yes"), (2, "", "no")), ((0, "a", "yes"), (-1, "", "no"))],
+)
+def test_problem_enumerator_keeping_more_than_the_previous_word_is_rejected(coded):
+    with pytest.raises(ValueError, match=r"enumerator kept -?\d+ symbols of a word of length"):
+        _enumerated(*coded).enumerate_instances(3)
+
+
+@pytest.mark.parametrize("cls", ["maybe", "", None])
+def test_problem_enumerator_with_a_bad_class_is_rejected(cls):
+    with pytest.raises(ValueError, match="enumerator produced class"):
+        _enumerated((0, "a", "yes"), (1, "", cls)).enumerate_instances(3)
 
 
 def test_probabilistic_machines_are_not_acceptors():

@@ -30,6 +30,7 @@ from promata import (
     expeq_params,
     expeq_problem,
     expeq_tail_below,
+    front_coded,
     lasvegas_success,
     monte_carlo,
     outcome_dist,
@@ -268,7 +269,7 @@ def test_lasvegas_success_matches_fraction_oracle():
                     alphabet=alphabet,
                     yes_member=lambda w, labels=labels: labels.get(w) == "yes",
                     no_member=lambda w, labels=labels: labels.get(w) == "no",
-                    enumerator=lambda n, instances=instances: instances,
+                    enumerator=lambda n, instances=instances: front_coded(instances),
                 )
                 for threshold in (Fraction(0), Fraction(1, 3)):
                     report = lasvegas_success(pfa, problem, 5, threshold)

@@ -28,6 +28,7 @@ from promata import (
     OneWayPfa,
     PromiseProblem,
     TwoWayMachine,
+    front_coded,
     lasvegas_success,
     machine_accepts,
     outcome_dist,
@@ -187,7 +188,9 @@ def _problem(order, labels):
         alphabet=ALPHABET,
         yes_member=lambda w: labels.get(w) == "yes",
         no_member=lambda w: labels.get(w) == "no",
-        enumerator=lambda max_length: [i for i in instances if len(i[0]) <= max_length],
+        enumerator=lambda max_length: front_coded(
+            i for i in instances if len(i[0]) <= max_length
+        ),
     )
 
 
@@ -307,7 +310,7 @@ def test_foreign_symbol_after_shared_prefix_is_an_input_domain_error(model, fore
         alphabet=ALPHABET,
         yes_member=lambda w: False,
         no_member=lambda w: False,
-        enumerator=lambda max_length: instances,
+        enumerator=lambda max_length: front_coded(instances),
     )
     with pytest.raises(InputDomainError, match="'z'"):
         if model == "pfa":
@@ -330,13 +333,15 @@ def test_unary_sweep_steps_once_per_symbol():
     for reverse in (False, True):
         calls.clear()
         stepper = Stepper(0, step, lambda value: value, reverse)
-        outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("a"), sweep)]
+        coded = front_coded(sweep)
+        outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("a"), coded)]
         assert outcomes == list(range(n + 1))
         assert len(calls) == n
     calls.clear()
     stepper = Stepper(0, step, lambda value: value)
     words = [("ab", "yes"), ("abab", "yes"), ("b", "no"), ("abba", "yes")]
-    outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), words)]
+    coded = front_coded(words)
+    outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), coded)]
     assert outcomes == [2, 4, 1, 4]
     assert len(calls) == 2 + 2 + 1 + 4
 
