@@ -18,7 +18,6 @@ from .boundslab import (
     KIND_UNARY_DFA,
     KIND_UNARY_NFA,
     SearchSpec,
-    _dfa_block_outcome,
     min_dfa_size,
     min_unary_dfa_size,
     min_unary_nfa_size,
@@ -45,7 +44,7 @@ from .conversions import (
     dfa_minimize,
     unary_afa_to_dfa,
 )
-from .machines import SOLVES, OneWayDfa, OneWayNfa, afa_accepts, promise_check
+from .machines import SOLVES, OneWayDfa, OneWayNfa, _dfa_block, afa_accepts, promise_check
 from .probabilistic import (
     accept_prob,
     expected_rounds,
@@ -436,10 +435,9 @@ def _block_word_outcome(dfa: OneWayDfa, a_len: int, b_len: int, reps: int):
     state = dfa.initial
     for rep in range(reps):
         for sym, length in (("a", a_len), ("b", b_len)):
-            kind, value = _dfa_block_outcome(dfa, state, sym, length)
-            if kind == "stuck":
-                return ("stuck", rep, sym, value)
-            state = value
+            state, depth = _dfa_block(dfa, state, sym, length)
+            if state is None:
+                return ("stuck", rep, sym, depth)
     return ("state", state)
 
 

@@ -419,16 +419,6 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 
-def _dfa_block_outcome(
-    dfa: OneWayDfa, start: int, sym: str, length: int
-) -> tuple[str, int]:
-    """Outcome of running sym^length from start: ('state', q), or
-    ('stuck', d) when the symbol at index d has no transition."""
-    path, entry = _orbit(_stepper(dfa).step, sym, start)
-    state = _orbit_at(path, entry, length)
-    return ("stuck", path.index(None) - 1) if state is None else ("state", state)
-
-
 def pumping_check(
     machine: OneWayDfa | OneWayNfa,
     m: int,

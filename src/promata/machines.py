@@ -498,7 +498,14 @@ class VerificationReport:
         return self.verdict == SOLVES
 
 
+def _unary(word: str) -> bool:
+    """Whether word is one symbol repeated at least once."""
+    return bool(word) and word.count(word[0]) == len(word)
+
+
 def _require_symbols(word: str, symbols: frozenset[str]) -> None:
+    if word[:1] in symbols and _unary(word):
+        return  # one lookup instead of one per symbol
     if symbols.issuperset(word):
         return
     for sym in word:
@@ -552,6 +559,47 @@ def _orbit_at(path: list, entry: int, length: int) -> object:
     return path[entry + (length - entry) % (len(path) - entry)]
 
 
+def _unary_at(
+    step: Callable[[object, str], object], sym: str, start: object, length: int
+) -> tuple[list, object]:
+    """The orbit of sym from start, walked up to its first repeat or for
+    length steps, whichever comes first, and the value after length steps
+    read off it. Costs min(length, distinct values) steps."""
+    path = [start]
+    seen = {start: 0}
+    value = start
+    for i in range(1, length + 1):
+        value = step(value, sym)
+        entry = seen.setdefault(value, i)
+        if entry != i:
+            return path, _orbit_at(path, entry, length)
+        path.append(value)
+    return path, value
+
+
+def _run(stepper: Stepper, word: str) -> object:
+    """The stepper's outcome on word, each distinct step computed once.
+
+    A unary word, which reads the same reversed, is read off its symbol's
+    orbit (see _unary_at). Any other word folds through a per-call memo of
+    (value, symbol) -> value: the DFA of the stepper's values, built on
+    demand for this one word. A PFA's values do not repeat, so outcome_dist
+    keeps the plain _fold.
+    """
+    if _unary(word):
+        return stepper.outcome(_unary_at(stepper.step, word[0], stepper.start, len(word))[1])
+    step = stepper.step
+    memo: dict[tuple[object, str], object] = {}
+    value = stepper.start
+    for sym in reversed(word) if stepper.reverse else word:
+        key = (value, sym)
+        try:  # a miss happens once per distinct step, so it may cost more
+            value = memo[key]
+        except KeyError:
+            value = memo[key] = step(value, sym)
+    return stepper.outcome(value)
+
+
 def _dfa_stepper(dfa: OneWayDfa) -> Stepper:
     """The value is the current state, None once the run is stuck."""
     move = dfa.transitions.get
@@ -560,22 +608,38 @@ def _dfa_stepper(dfa: OneWayDfa) -> Stepper:
     )
 
 
+def _dfa_block(
+    dfa: OneWayDfa, start: int, sym: str, length: int
+) -> tuple[int | None, int | None]:
+    """Run sym^length from start: (state, None) at the end, or (None, i)
+    when the symbol at index i has no move. Reads the run off sym's orbit,
+    where the stuck value None is a fixed point."""
+    path, state = _unary_at(_dfa_stepper(dfa).step, sym, start, length)
+    return (None, path.index(None) - 1) if state is None else (state, None)
+
+
 def dfa_run(dfa: OneWayDfa, word: str) -> RunResult:
     """Run the deterministic machine over the whole word.
 
     Returns accept or reject for completed runs, or stuck(i) when no
     transition applies at position i (0-based index of the unread symbol).
-    This is the fold of _dfa_stepper's step with its one table lookup
-    written in line: a call per symbol would make the run about a quarter
-    slower.
+    A unary word is read off its symbol's orbit (see _dfa_block). Any other
+    word is folded with the table lookup in line: a step's one lookup costs
+    less than a memo's, and a call per symbol would make the run about a
+    quarter slower.
     """
     _require_symbols(word, dfa.symbols)
-    move = dfa.transitions.get
-    state = dfa.initial
-    for i, sym in enumerate(word):
-        state = move((state, sym))
+    if _unary(word):
+        state, stuck = _dfa_block(dfa, dfa.initial, word[0], len(word))
         if state is None:
-            return RunResult(STUCK, i)
+            return RunResult(STUCK, stuck)
+    else:
+        move = dfa.transitions.get
+        state = dfa.initial
+        for i, sym in enumerate(word):
+            state = move((state, sym))
+            if state is None:
+                return RunResult(STUCK, i)
     return RunResult(ACCEPT if state in dfa.accepting else REJECT)
 
 
@@ -639,7 +703,7 @@ def _nfa_stepper(nfa: OneWayNfa) -> Stepper:
 def nfa_accepts(nfa: OneWayNfa, word: str) -> bool:
     """Subset simulation: does any run consume the word into acceptance."""
     _require_symbols(word, nfa.symbols)
-    return _fold(_nfa_stepper(nfa), word)
+    return _run(_nfa_stepper(nfa), word)
 
 
 def twoway_accepts(machine: TwoWayMachine, word: str) -> bool:
@@ -842,7 +906,7 @@ def afa_accepts(afa: OneWayAfa, word: str) -> bool:
     Values are filled position by position from the end of the word.
     """
     _require_symbols(word, afa.symbols)
-    return _fold(_afa_stepper(afa), word)
+    return _run(_afa_stepper(afa), word)
 
 
 Acceptor = OneWayDfa | OneWayNfa | TwoWayMachine | OneWayAfa
@@ -854,7 +918,7 @@ def machine_accepts(machine: Acceptor, word: str) -> bool:
         return twoway_accepts(machine, word)
     stepper = _stepper(machine)
     _require_symbols(word, machine.symbols)
-    return _fold(stepper, word)
+    return _run(stepper, word)
 
 
 def _stepper(machine: Acceptor) -> Stepper:

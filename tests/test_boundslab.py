@@ -29,8 +29,7 @@ from promata import (
     trios_problem,
     up_problem,
 )
-from promata.boundslab import _dfa_block_outcome
-from promata.machines import _fold, _stepper, dfa_run, machine_accepts
+from promata.machines import _dfa_block, _fold, _stepper, machine_accepts
 
 
 def test_search_spec_validation():
@@ -448,6 +447,17 @@ def test_pumping_matches_a_direct_fold(kind):
     assert verdicts == ({SOLVES} if kind is OneWayDfa else {SOLVES, FAILS})
 
 
+def _plain_dfa_run(dfa, start, word):
+    """dfa_run as a plain per-symbol loop from any start state: (state, None)
+    at the end, or (None, i) when the symbol at index i has no move."""
+    state = start
+    for i, sym in enumerate(word):
+        state = dfa.transitions.get((state, sym))
+        if state is None:
+            return None, i
+    return state, None
+
+
 def test_block_outcome_stuck_depth_matches_dfa_run():
     rng = random.Random(77)
     for _ in range(200):
@@ -460,13 +470,9 @@ def test_block_outcome_stuck_depth_matches_dfa_run():
             frozenset(q for q in range(size) if rng.random() < 0.5),
         )
         sym = rng.choice("ab")
+        start = rng.randrange(size)
         for length in range(3 * size):
-            kind, value = _dfa_block_outcome(dfa, dfa.initial, sym, length)
-            run = dfa_run(dfa, sym * length)
-            if kind == "stuck":
-                assert (run.outcome, run.position) == ("stuck", value)
-            else:
-                assert run.outcome == ("accept" if value in dfa.accepting else "reject")
+            assert _dfa_block(dfa, start, sym, length) == _plain_dfa_run(dfa, start, sym * length)
 
 
 # --- disjointness ---

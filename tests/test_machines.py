@@ -1,5 +1,6 @@
 """Machine dataclass validation and simulator semantics."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,13 +23,15 @@ from promata import (
     afa_accepts,
     dfa_run,
     disjointness_check,
+    evenodd_dfa,
     machine_accepts,
     nfa_accepts,
+    nfa_to_dfa,
     parity_dfa,
     promise_check,
     twoway_accepts,
 )
-from promata.machines import RIGHT
+from promata.machines import RIGHT, RunResult, _fold, _run, _stepper
 
 
 def test_dfa_partial_transitions_stick():
@@ -724,3 +727,156 @@ def test_promise_check_verdict_invariant_under_state_renaming(dfa, rng):
     original = promise_check(dfa, parity, 8)
     permuted = promise_check(renamed, parity, 8)
     assert original.verdict == permuted.verdict
+
+
+# --- single-word runs: unary orbits and the per-call step memo ---
+
+
+def _random_dfa(rng, symbols):
+    """A partial DFA: about a fifth of the moves are missing, so some runs
+    get stuck."""
+    size = rng.randint(1, 6)
+    return OneWayDfa(
+        size,
+        symbols,
+        rng.randrange(size),
+        {(q, s): rng.randrange(size) for q in range(size) for s in symbols if rng.random() < 0.8},
+        frozenset(q for q in range(size) if rng.random() < 0.5),
+    )
+
+
+def _random_nfa(rng, symbols):
+    """An NFA with EPSILON moves, silent cycles allowed."""
+    size = rng.randint(1, 6)
+    labels = (*symbols, EPSILON)
+    moves = {
+        (rng.randrange(size), rng.choice(labels), rng.randrange(size))
+        for _ in range(rng.randint(0, 3 * size))
+    }
+    return OneWayNfa(
+        size,
+        symbols,
+        rng.randrange(size),
+        frozenset(moves),
+        frozenset(q for q in range(size) if rng.random() < 0.4),
+    )
+
+
+def _random_afa(rng, symbols):
+    """An AFA with existential and universal states; silent moves only go
+    to higher states, so the silent graph is acyclic."""
+    size = rng.randint(1, 6)
+    moves = set()
+    for src in range(size):
+        if src + 1 < size and rng.random() < 0.3:
+            for dst in rng.sample(range(src + 1, size), rng.randint(1, size - src - 1)):
+                moves.add((src, EPSILON, dst))
+        else:
+            for _ in range(rng.randint(0, 2 * len(symbols))):
+                moves.add((src, rng.choice(symbols), rng.randrange(size)))
+    return OneWayAfa(
+        size,
+        symbols,
+        rng.randrange(size),
+        frozenset(moves),
+        frozenset(q for q in range(size) if rng.random() < 0.5),
+        frozenset(q for q in range(size) if rng.random() < 0.5),
+        max_eps_chain=size,
+    )
+
+
+def _plain_dfa_run(dfa, word):
+    """dfa_run as a per-symbol loop: (outcome, position)."""
+    state = dfa.initial
+    for i, sym in enumerate(word):
+        state = dfa.transitions.get((state, sym))
+        if state is None:
+            return "stuck", i
+    return ("accept" if state in dfa.accepting else "reject"), None
+
+
+def _differential_words(rng, machine):
+    """Every unary word up to 3 * (states + 2) symbols, and mixed words."""
+    words = [
+        sym * n for sym in machine.alphabet for n in range(3 * (machine.state_count + 2) + 1)
+    ]
+    for _ in range(12):
+        words.append("".join(rng.choice(machine.alphabet) for _ in range(rng.randint(0, 40))))
+    return words
+
+
+def _counting(stepper):
+    """The stepper with a step that counts its calls in calls[0]."""
+    calls = [0]
+    step = stepper.step
+
+    def counted(value, sym):
+        calls[0] += 1
+        return step(value, sym)
+
+    return stepper._replace(step=counted), calls
+
+
+def _fold_trace(stepper, word):
+    """The distinct values and distinct (value, symbol) steps of a plain fold."""
+    value = stepper.start
+    values, steps = {value}, set()
+    for sym in reversed(word) if stepper.reverse else word:
+        steps.add((value, sym))
+        value = stepper.step(value, sym)
+        values.add(value)
+    return values, steps
+
+
+@pytest.mark.parametrize("symbols", [("a",), ("a", "b")], ids=["unary", "binary"])
+def test_single_word_runs_agree_with_the_per_symbol_fold(symbols):
+    rng = random.Random(1405)
+    for _ in range(60):
+        dfa = _random_dfa(rng, symbols)
+        nfa = _random_nfa(rng, symbols)
+        afa = _random_afa(rng, symbols)
+        for word in _differential_words(rng, dfa):
+            run = dfa_run(dfa, word)
+            assert (run.outcome, run.position) == _plain_dfa_run(dfa, word), word
+            assert machine_accepts(dfa, word) == _fold(_stepper(dfa), word), word
+        for word in _differential_words(rng, nfa):
+            assert nfa_accepts(nfa, word) == _fold(_stepper(nfa), word), word
+            assert machine_accepts(nfa, word) == _fold(_stepper(nfa), word), word
+        for word in _differential_words(rng, afa):
+            assert afa_accepts(afa, word) == _fold(_stepper(afa), word), word
+            assert machine_accepts(afa, word) == _fold(_stepper(afa), word), word
+
+
+def test_a_unary_word_shorter_than_its_orbit():
+    dfa = evenodd_dfa(9)  # a cycle of 1,024 states
+    stepper, calls = _counting(_stepper(dfa))
+    assert dfa_run(dfa, "a" * 5) == RunResult("reject")
+    assert _run(stepper, "a" * 5) is False
+    assert calls[0] == 5
+    assert dfa_run(dfa, "a" * 1024).accepted
+
+
+def test_single_word_runs_compute_each_distinct_step_once():
+    """A unary run steps at most min(n, distinct values) times; any other
+    run steps once per distinct (value, symbol)."""
+    rng = random.Random(6671)
+    for _ in range(60):
+        for build in (_random_dfa, _random_nfa, _random_afa):
+            machine = build(rng, ("a", "b"))
+            for word in _differential_words(rng, machine):
+                stepper, calls = _counting(_stepper(machine))
+                assert _run(stepper, word) == _fold(_stepper(machine), word)
+                values, steps = _fold_trace(_stepper(machine), word)
+                if len(set(word)) == 1:
+                    assert calls[0] <= min(len(word), len(values)), word
+                else:
+                    assert calls[0] == len(steps), word
+
+
+def test_unary_nfa_runs_agree_with_their_subset_construction():
+    rng = random.Random(2014)
+    for _ in range(40):
+        nfa = _random_nfa(rng, ("a",))
+        dfa = nfa_to_dfa(nfa)
+        for n in range(3 * (nfa.state_count + 2) + 1):
+            assert nfa_accepts(nfa, "a" * n) == dfa_run(dfa, "a" * n).accepted, n
