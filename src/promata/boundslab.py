@@ -443,6 +443,8 @@ def pumping_check(
         raise ValueError("m must be at least the machine's state count")
     if m > 12:
         raise ResourceCapError("m is capped at 12 (factorial overflow guard)")
+    if not h_values:
+        raise ValueError("pumping_check needs at least one h value")
     if any(h < 1 for h in h_values):
         raise ValueError("h values must be positive")
     if not isinstance(machine, (OneWayDfa, OneWayNfa)):

@@ -85,16 +85,20 @@ MC_ALGORITHM = "exact-integer-draws-per-4096-block"
 def _cap(args: argparse.Namespace, name: str, default: int) -> int:
     """Resolve a resource cap: the flag, then PROMATA_<NAME>, then the library default."""
     value = getattr(args, name)
-    if value is not None:
-        return value
-    variable = f"PROMATA_{name.upper()}"
-    raw = os.environ.get(variable)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"environment variable {variable} must be an integer") from exc
+    source = "--" + name.replace("_", "-")
+    if value is None:
+        variable = f"PROMATA_{name.upper()}"
+        raw = os.environ.get(variable)
+        if raw is None:
+            return default
+        source = f"environment variable {variable}"
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{source} must be an integer") from exc
+    if value < 0:
+        raise ValueError(f"{source} must be non-negative")
+    return value
 
 
 def _measured_payload(measured: dict) -> dict:

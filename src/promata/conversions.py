@@ -13,6 +13,7 @@ from .machines import (
     OneWayAfa,
     OneWayDfa,
     OneWayNfa,
+    Stepper,
     TwoWayMachine,
     _afa_stepper,
     _bits,
@@ -89,7 +90,8 @@ def _reachable(
     number}; moves into dead are left out. Raises
     ResourceCapError(message.format(cap=cap)) before numbering a value
     beyond cap. Every conversion to a deterministic machine reads its states
-    off this one walk, so each result is numbered breadth-first from 0.
+    off this one walk through _dfa_of, so each result is numbered
+    breadth-first from 0.
     """
     index = {start: 0}
     order = [start]
@@ -109,27 +111,38 @@ def _reachable(
     return order, moves
 
 
+def _dfa_of(
+    stepper: Stepper,
+    alphabet: tuple[str, ...],
+    dead: Hashable = None,
+    cap: int | None = None,
+    message: str = "",
+    label: Callable[[Any], str] | None = None,
+) -> OneWayDfa:
+    """The deterministic machine on the stepper's values reachable over
+    alphabet, numbered by _reachable with dead, cap and message; a state
+    accepts iff its value's outcome is true, and label names it if given."""
+    order, transitions = _reachable(stepper.start, stepper.step, alphabet, dead, cap, message)
+    return OneWayDfa(
+        state_count=len(order),
+        alphabet=alphabet,
+        initial=0,
+        transitions=transitions,
+        accepting=frozenset(i for i, value in enumerate(order) if stepper.outcome(value)),
+        labels={i: label(value) for i, value in enumerate(order)} if label else {},
+    )
+
+
 def nfa_to_dfa(nfa: OneWayNfa, subset_cap: int = DEFAULT_SUBSET_CAP) -> OneWayDfa:
     """Subset construction over reachable EPSILON-closed state sets.
 
     Transitions into the empty set are left undefined, so the result is a
     partial machine and never carries a dead state of its own.
     """
-    start, step, accepts, _ = _nfa_stepper(nfa)
-    order, transitions = _reachable(
-        start, step, nfa.alphabet, dead=0, cap=subset_cap,
+    return _dfa_of(
+        _nfa_stepper(nfa), nfa.alphabet, dead=0, cap=subset_cap,
         message="subset construction exceeds {cap} states",
-    )
-    return OneWayDfa(
-        state_count=len(order),
-        alphabet=nfa.alphabet,
-        initial=0,
-        transitions=transitions,
-        accepting=frozenset(idx for idx, subset in enumerate(order) if accepts(subset)),
-        labels={
-            idx: "{" + ",".join(map(str, _bits(subset))) + "}"
-            for idx, subset in enumerate(order)
-        },
+        label=lambda subset: "{" + ",".join(map(str, _bits(subset))) + "}",
     )
 
 
@@ -149,17 +162,9 @@ def twoway_to_dfa(
     a, halts on b and STAYs on the right endmarker accepts the words that
     contain b, whose minimal DFA has 2 states.
     """
-    start, step, accepts, _ = _twoway_stepper(machine)
-    order, transitions = _reachable(
-        start, step, machine.alphabet, dead=0, cap=subset_cap,
+    return _dfa_of(
+        _twoway_stepper(machine), machine.alphabet, dead=0, cap=subset_cap,
         message="crossing construction exceeds {cap} states",
-    )
-    return OneWayDfa(
-        state_count=len(order),
-        alphabet=machine.alphabet,
-        initial=0,
-        transitions=transitions,
-        accepting=frozenset(idx for idx, table in enumerate(order) if accepts(table)),
     )
 
 
@@ -203,20 +208,9 @@ def unary_afa_to_dfa(
     """
     if len(afa.alphabet) != 1:
         raise ValueError("unary determinization needs a one-symbol alphabet")
-    vector, step, accepts, _ = _afa_stepper(afa)
-    vectors, transitions = _reachable(
-        vector, step, afa.alphabet, cap=vector_cap, message="orbit exceeds {cap} values"
-    )
-    return OneWayDfa(
-        state_count=len(vectors),
-        alphabet=afa.alphabet,
-        initial=0,
-        transitions=transitions,
-        accepting=frozenset(idx for idx, vec in enumerate(vectors) if accepts(vec)),
-        labels={
-            idx: "".join("1" if vec >> q & 1 else "0" for q in range(afa.state_count))
-            for idx, vec in enumerate(vectors)
-        },
+    return _dfa_of(
+        _afa_stepper(afa), afa.alphabet, cap=vector_cap, message="orbit exceeds {cap} values",
+        label=lambda vec: "".join("1" if vec >> q & 1 else "0" for q in range(afa.state_count)),
     )
 
 
@@ -287,18 +281,14 @@ def dfa_minimize(dfa: OneWayDfa) -> OneWayDfa:
     for state in range(count):
         rep.setdefault(block[state], state)
     dead_class = block[dead]
-    classes, transitions = _reachable(
-        block[0],
-        lambda cls, sym: block[moves.get((rep[cls], sym), dead)],
+    return _dfa_of(
+        Stepper(
+            block[0],
+            lambda cls, sym: block[moves.get((rep[cls], sym), dead)],
+            lambda cls: is_accepting[rep[cls]],
+        ),
         dfa.alphabet,
         dead=dead_class if dead_class != block[0] else None,
-    )
-    return OneWayDfa(
-        state_count=len(classes),
-        alphabet=dfa.alphabet,
-        initial=0,
-        transitions=transitions,
-        accepting=frozenset(i for i, cls in enumerate(classes) if is_accepting[rep[cls]]),
     )
 
 

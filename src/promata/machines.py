@@ -398,12 +398,7 @@ class PromiseProblem:
         """All (word, "yes" | "no") instances of length at most max_length."""
         if self.enumerator is None:
             return self._brute_force(max_length)
-        out = []
-        word = ""
-        for keep, suffix, cls in self._coded(max_length):
-            word = word[:keep] + suffix
-            out.append((word, cls))
-        return out
+        return list(_decode(self._coded(max_length)))
 
     def _coded(self, max_length: int) -> list[tuple[int, str, str]]:
         """The instances up to max_length as a checked front-coded list; the
@@ -421,7 +416,7 @@ class PromiseProblem:
                 )
             length = keep + len(suffix)
             if length > max_length:
-                word = _decoded([*out, (keep, suffix, cls)], len(out))
+                word, _ = list(_decode([*out, (keep, suffix, cls)]))[-1]
                 raise ValueError(f"enumerator produced {word!r} beyond length {max_length}")
             if cls not in ("yes", "no"):
                 raise ValueError(f"enumerator produced class {cls!r}")
@@ -455,18 +450,12 @@ def front_coded(instances: Iterable[tuple[str, str]]) -> Iterator[tuple[int, str
         previous = word
 
 
-def _decoded(coded: list[tuple[int, str, str]], index: int) -> str:
-    """The word at index of a front-coded list, read backwards from it: each
-    earlier instance supplies the part of the kept prefix it wrote."""
-    keep, suffix, _ = coded[index]
-    pieces = [suffix]
-    while keep:
-        index -= 1
-        earlier, suffix, _ = coded[index]
-        if earlier < keep:
-            pieces.append(suffix[: keep - earlier])
-            keep = earlier
-    return "".join(reversed(pieces))
+def _decode(coded: Iterable[tuple[int, str, str]]) -> Iterator[tuple[str, str]]:
+    """The (word, class) instances of a front-coded stream, in order."""
+    word = ""
+    for keep, suffix, cls in coded:
+        word = word[:keep] + suffix
+        yield word, cls
 
 
 def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
@@ -954,36 +943,23 @@ def _resumed_outcomes(
 ) -> Iterator[tuple[int, str, object]]:
     """(index, class, outcome) for each instance of a front-coded stream.
 
-    A forward stepper resumes each run from the value the previous run
-    reached after the instance's first keep symbols and steps only its
-    suffix, so a sweep of words that extend one another costs one step per
-    new symbol. A reverse stepper decodes each word and resumes from the
-    value reached on the longest suffix it shares with the previous word.
+    Each run resumes from the value the previous run reached after the
+    instance's first keep symbols and steps only its suffix, so a sweep of
+    words that extend one another costs one step per new symbol. A reverse
+    stepper reads the stream re-coded over the reversed words, so it
+    resumes from the longest suffix a word shares with the previous one.
     Only each instance's suffix is checked against the alphabet; the kept
-    symbols were checked with an earlier instance.
+    symbols were checked with an earlier instance. The error names the
+    word's first foreign symbol, in either direction.
     """
+    if stepper.reverse:
+        coded = front_coded((word[::-1], cls) for word, cls in _decode(coded))
     step, outcome = stepper.step, stepper.outcome
     path = [stepper.start]  # path[i]: the value after i symbols of previous
     append = path.append
-    if stepper.reverse:
-        word = previous = ""
-        for index, (keep, suffix, cls) in enumerate(coded):
-            if not symbols.issuperset(suffix):
-                _require_symbols(suffix, symbols)
-            word = word[:keep] + suffix
-            key = word[::-1]
-            shared = _shared_prefix(previous, key)
-            del path[shared + 1 :]
-            value = path[shared]
-            for sym in key[shared:]:
-                value = step(value, sym)
-                append(value)
-            previous = key
-            yield index, cls, outcome(value)
-        return
     for index, (keep, suffix, cls) in enumerate(coded):
         if not symbols.issuperset(suffix):
-            _require_symbols(suffix, symbols)
+            _require_symbols(suffix[::-1] if stepper.reverse else suffix, symbols)
         del path[keep + 1 :]
         value = path[keep]
         for sym in suffix:
@@ -1016,9 +992,10 @@ def promise_check(
     measured = {"instances": len(coded), "max_length": max_length}
     for index, cls, accepted in _resumed_outcomes(stepper, machine.symbols, coded):
         if accepted != (cls == "yes"):
+            word, _ = list(_decode(coded[: index + 1]))[-1]
             return VerificationReport(
                 FAILS,
-                counterexample=(_decoded(coded, index), cls, ACCEPT if accepted else REJECT),
+                counterexample=(word, cls, ACCEPT if accepted else REJECT),
                 measured=measured,
             )
     return VerificationReport(SOLVES, measured=measured)

@@ -20,7 +20,7 @@ from .machines import (
     PromiseProblem,
     Stepper,
     VerificationReport,
-    _decoded,
+    _decode,
     _fold,
     _require_symbols,
     _resumed_outcomes,
@@ -219,13 +219,10 @@ def lasvegas_success(
             (dist.accept, dist.reject) if cls == "yes" else (dist.reject, dist.accept)
         )
         if bad != 0 or good < threshold or good == 0:
+            word, _ = list(_decode(coded[: index + 1]))[-1]
             return VerificationReport(
                 FAILS,
-                counterexample=(
-                    _decoded(coded, index),
-                    cls,
-                    f"accept={dist.accept} reject={dist.reject}",
-                ),
+                counterexample=(word, cls, f"accept={dist.accept} reject={dist.reject}"),
                 measured=measured,
             )
         min_success = good if min_success is None else min(min_success, good)

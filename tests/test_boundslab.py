@@ -340,6 +340,11 @@ def test_pumping_rejects_m_below_state_count():
         pumping_check(evenodd_dfa(1), 3, (1,))
 
 
+def test_pumping_needs_an_h_value():
+    with pytest.raises(ValueError, match="at least one h value"):
+        pumping_check(evenodd_dfa(1), 4, ())
+
+
 def test_pumping_m_cap():
     with pytest.raises(ResourceCapError):
         pumping_check(evenodd_dfa(1), 13, (1,))

@@ -467,6 +467,13 @@ def test_pumping_cli(tmp_path, capsys):
     code, _, err = run_cli(capsys, "pumping", "--machine", str(path), "--m", "13")
     assert code == 3
 
+    for h in ("", ","):
+        assert run_cli(capsys, "pumping", "--machine", str(path), "--m", "4", "--h", h) == (
+            2,
+            "",
+            "error: pumping_check needs at least one h value\n",
+        )
+
 
 def test_verify_promise(tmp_path, capsys):
     path = tmp_path / "d.json"
@@ -891,9 +898,10 @@ def test_each_cap_from_flag_and_environment(
     variable = "PROMATA_" + flag.replace("-", "_").upper()
     monkeypatch.delenv(variable, raising=False)
     assert run_cli(capsys, *argv)[0] == 0
-    code, out, err = run_cli(capsys, *argv, f"--{flag}", low)
-    assert (code, out) == (3, "")
-    assert err.startswith("resource cap:") and err.count("\n") == 1
+    for cap in (low, "0"):
+        code, out, err = run_cli(capsys, *argv, f"--{flag}", cap)
+        assert (code, out) == (3, "")
+        assert err.startswith("resource cap:") and err.count("\n") == 1
     monkeypatch.setenv(variable, low)
     assert run_cli(capsys, *argv)[:2] == (3, "")
     monkeypatch.setenv(variable, "ten")
@@ -901,6 +909,17 @@ def test_each_cap_from_flag_and_environment(
         2,
         "",
         f"error: environment variable {variable} must be an integer\n",
+    )
+    monkeypatch.setenv(variable, "-1")
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: environment variable {variable} must be non-negative\n",
+    )
+    assert run_cli(capsys, *argv, f"--{flag}", "-1") == (
+        2,
+        "",
+        f"error: --{flag} must be non-negative\n",
     )
 
 

@@ -3,9 +3,10 @@
 promise_check and lasvegas_success resume each instance from the previous
 instance's shared prefix (shared suffix for alternating machines; two-way
 machines step through their memoized crossing table). These tests check,
-on seeded random machines and on enumeration orders chosen to defeat that
-sharing, that the verdict, the counterexample and the measured figures all
-equal those of simulating every instance from scratch.
+on seeded random machines, on enumeration orders chosen to defeat that
+sharing and on a stream that keeps less than the shared prefix, that the
+verdict, the counterexample and the measured figures all equal those of
+simulating every instance from scratch.
 """
 
 import itertools
@@ -170,27 +171,34 @@ def _afa_reference(afa, word):
     return value[(afa.initial, 0)]
 
 
+def _half_kept(instances):
+    """Front-coded triples that keep only half of the prefix each word
+    shares with the previous one; the rest is repeated in the suffix."""
+    for (keep, _, cls), (word, _) in zip(front_coded(instances), instances):
+        yield keep // 2, word[keep // 2 :], cls
+
+
 def _orders(rng):
-    """Enumeration orders from friendliest to most hostile to prefix reuse."""
+    """Enumeration orders from friendliest to most hostile to prefix reuse,
+    each with the coder that front-codes it."""
     shuffled = list(WORDS)
     rng.shuffle(shuffled)
     return {
-        "lexicographic": sorted(WORDS),
-        "by_suffix": sorted(WORDS, key=lambda w: w[::-1]),
-        "descending_length": sorted(WORDS, key=len, reverse=True),
-        "shuffled": shuffled,
+        "lexicographic": (sorted(WORDS), front_coded),
+        "lexicographic_half_kept": (sorted(WORDS), _half_kept),
+        "by_suffix": (sorted(WORDS, key=lambda w: w[::-1]), front_coded),
+        "descending_length": (sorted(WORDS, key=len, reverse=True), front_coded),
+        "shuffled": (shuffled, front_coded),
     }
 
 
-def _problem(order, labels):
+def _problem(order, code, labels):
     instances = [(w, labels[w]) for w in order if w in labels]
     return PromiseProblem(
         alphabet=ALPHABET,
         yes_member=lambda w: labels.get(w) == "yes",
         no_member=lambda w: labels.get(w) == "no",
-        enumerator=lambda max_length: front_coded(
-            i for i in instances if len(i[0]) <= max_length
-        ),
+        enumerator=lambda max_length: code([i for i in instances if len(i[0]) <= max_length]),
     )
 
 
@@ -229,8 +237,8 @@ def test_promise_check_matches_per_instance_runs(model):
         if model == "afa":
             assert all(truth[w] == _afa_reference(machine, w) for w in WORDS)
         for labels in _labelings(rng, truth):
-            for name, order in _orders(rng).items():
-                problem = _problem(order, labels)
+            for name, (order, code) in _orders(rng).items():
+                problem = _problem(order, code, labels)
                 for max_length in (0, 3, MAX_LENGTH):
                     report = promise_check(machine, problem, max_length)
                     expected = _per_instance_report(
@@ -275,8 +283,8 @@ def test_lasvegas_success_matches_per_instance_runs():
             else:
                 truth[word] = None
         for labels in _labelings(rng, truth):
-            for name, order in _orders(rng).items():
-                problem = _problem(order, labels)
+            for name, (order, code) in _orders(rng).items():
+                problem = _problem(order, code, labels)
                 for threshold in (Fraction(0), Fraction(1, 3)):
                     report = lasvegas_success(pfa, problem, MAX_LENGTH, threshold)
                     expected = _per_instance_lasvegas(pfa, problem, MAX_LENGTH, threshold)
@@ -293,10 +301,11 @@ def _own_label(machine, word):
 
 
 @pytest.mark.parametrize("model", ["dfa", "nfa", "afa", "pfa"])
-@pytest.mark.parametrize("foreign", ["abz", "zab", "azb"])
+@pytest.mark.parametrize("foreign", ["abz", "zab", "azb", "zby"])
 def test_foreign_symbol_after_shared_prefix_is_an_input_domain_error(model, foreign):
     """The word with the foreign symbol shares its prefix or its suffix with
-    a passing instance, so only its unshared part is new."""
+    a passing instance, so only its unshared part is new. Of two foreign
+    symbols, the first in the word is named."""
     rng = random.Random(f"foreign:{model}")
     if model == "pfa":
         trusted = OneWayPfa(
@@ -320,8 +329,10 @@ def test_foreign_symbol_after_shared_prefix_is_an_input_domain_error(model, fore
 
 
 def test_unary_sweep_steps_once_per_symbol():
-    """A sweep a^0 .. a^n takes n steps in all, and a suffix-shared sweep
-    read backwards does too; a shuffled order pays only for unshared parts."""
+    """A sweep a^0 .. a^n takes n steps in all, read forwards or backwards.
+    On a binary stream a forward run steps each word after its longest
+    common prefix with the previous word, and a reverse run steps it before
+    its longest common suffix: len(w) minus that suffix per instance."""
     calls = []
 
     def step(value, sym):
@@ -337,13 +348,15 @@ def test_unary_sweep_steps_once_per_symbol():
         outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("a"), coded)]
         assert outcomes == list(range(n + 1))
         assert len(calls) == n
-    calls.clear()
-    stepper = Stepper(0, step, lambda value: value)
-    words = [("ab", "yes"), ("abab", "yes"), ("b", "no"), ("abba", "yes")]
-    coded = front_coded(words)
-    outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), coded)]
-    assert outcomes == [2, 4, 1, 4]
-    assert len(calls) == 2 + 2 + 1 + 4
+    words = [("ab", "yes"), ("abab", "yes"), ("b", "no"), ("abba", "yes"), ("bba", "no")]
+    # Shared prefixes 0, 2, 0, 0, 0; shared suffixes 0, 2, 1, 0, 3.
+    for reverse, steps in ((False, 2 + 2 + 1 + 4 + 3), (True, 2 + 2 + 0 + 4 + 0)):
+        calls.clear()
+        stepper = Stepper(0, step, lambda value: value, reverse)
+        coded = front_coded(words)
+        outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), coded)]
+        assert outcomes == [2, 4, 1, 4, 3]
+        assert len(calls) == steps
 
 
 @pytest.mark.slow
