@@ -79,7 +79,7 @@ from .probabilistic import (
 )
 from .serialize import fraction_to_str
 
-MC_ALGORITHM = "exact-integer-draws-per-4096-block"
+MC_ALGORITHM = "exact-count-vector-binomial"
 
 
 def _cap(args: argparse.Namespace, name: str, default: int) -> int:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from bisect import bisect_right
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ from .machines import (
     _resumed_outcomes,
 )
 
-BLOCK_TRIALS = 4096
 DEFAULT_DIGIT_CAP = 500_000  # digits of the tail power expeq_compose may build
 
 
@@ -122,58 +120,88 @@ def accept_prob(pfa: OneWayPfa, word: str) -> Fraction:
     return outcome_dist(pfa, word).accept
 
 
+def _binomial(getrandbits: Callable[[int], int], n: int, a: int, d: int) -> int:
+    """An exact draw of Bin(n, a/d), for 0 <= a <= d, with no floats.
+
+    It counts how many of n uniforms in [0, 1) fall below a/d, comparing
+    them with a/d's binary expansion one bit at a time, as a group. Of the
+    n uniforms still tied, getrandbits(n).bit_count() have a 1 at this bit.
+    If a/d has a 1 there, the others have a 0 and fall below, and those with
+    a 1 stay tied; if a/d has a 0, those with a 1 are above and the others
+    stay tied. Integer doubling gives the bits of a/d, and the draw stops
+    when nothing is tied or the rest of the expansion is zero (a tie then
+    means at or above a/d). This is the lazy comparison behind Knuth and
+    Yao's DDG trees; it takes about log2(n) + 2 rounds on average.
+    """
+    if a >= d:
+        return n
+    below = 0
+    while n and a:
+        a <<= 1
+        ones = getrandbits(n).bit_count()
+        if a >= d:
+            a -= d
+            below += n - ones
+            n = ones
+        else:
+            n -= ones
+    return below
+
+
+def _multinomial(
+    getrandbits: Callable[[int], int], n: int, row: tuple[tuple[int, int], ...], left: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (target, count) for an exact multinomial split of n trials over
+    a row of _integer_rows, whose weights sum to left; targets that draw no
+    trial are skipped. It is a chain of binomials: each target takes
+    Bin(trials left, its weight / the weight left), and the last takes what
+    remains."""
+    for target, weight in row[:-1]:
+        if not n:
+            return
+        taken = _binomial(getrandbits, n, weight, left)
+        if taken:
+            yield target, taken
+            n -= taken
+        left -= weight
+    if n:
+        yield row[-1][0], n
+
+
 def monte_carlo(
     pfa: OneWayPfa, word: str, trials: int, seed: int
 ) -> OutcomeDistribution:
     """Sampled outcome frequencies over independent trials, drawn exactly.
 
-    Each (state, symbol) row is read as integer weights over D, the lcm of
-    the row denominators (see _integer_rows), and becomes cumulative
-    thresholds; a digit d in [0, D) picks the target whose threshold range
-    holds d, so every target is chosen with exactly its rational
-    probability. The word is cut into chunks of up to 60 // D.bit_length()
-    symbols, and a trial makes one draw randrange(D ** len(chunk)) per
-    chunk, read as base-D digits: the chunk's first symbol takes the lowest
-    digit. A missing row sends the trial to a halting sink, which reads the
-    rest of the word and counts as neutral. Trials come in blocks of
-    BLOCK_TRIALS, each with its own generator random.Random(f"{seed}:{block}"),
-    so the result is a pure function of (word, trials, seed), does not
-    depend on how blocks would be shared across workers, and differs for
-    seeds s and -s. Frequencies come back as exact counts over trials.
+    The trials are independent runs of one Markov chain, so the sampler
+    keeps how many trials sit in each state and advances that count vector
+    one symbol at a time. The trials in state q split among the targets of
+    q's row as one exact multinomial draw over the row's integer weights
+    (see _integer_rows and _multinomial), so the final counts have exactly
+    the law of running each trial alone. Trials that meet a missing row
+    halt and count as neutral. One generator random.Random(str(seed))
+    serves the whole call, so the result is a pure function of (machine,
+    word, trials, seed) and differs for seeds s and -s. The cost is about
+    |word| x occupied states x row length x (log2(trials) + 2) generator
+    calls; a call for n tied trials builds an n-bit integer. Frequencies
+    come back as exact counts over trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _require_symbols(word, pfa.symbols)
     unit, rows = _integer_rows(pfa)
-    halted = pfa.state_count  # a sink: every missing row, its own included, leads to it
-    tables: dict[str, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for sym in pfa.symbols:
-        table = []
-        for state in range(halted + 1):
-            row = rows.get((state, sym), ((halted, unit),))
-            thresholds = tuple(itertools.accumulate(weight for _, weight in row[:-1]))
-            table.append((thresholds, tuple(target for target, _ in row)))
-        tables[sym] = table
-    width = max(1, 60 // unit.bit_length())
-    chunks = []
-    for start in range(0, len(word), width):
-        chunk = word[start : start + width]
-        chunks.append(([tables[sym] for sym in chunk], unit ** len(chunk)))
-    initial = pfa.initial
-    counts = [0] * (halted + 1)
-    for block, first in enumerate(range(0, trials, BLOCK_TRIALS)):
-        draw = random.Random(f"{seed}:{block}").randrange
-        for _ in range(min(BLOCK_TRIALS, trials - first)):
-            state = initial
-            for steps, span in chunks:
-                value = draw(span)
-                for table in steps:
-                    value, digit = divmod(value, unit)
-                    thresholds, targets = table[state]
-                    state = targets[bisect_right(thresholds, digit)]
-            counts[state] += 1
-    accept = sum(counts[state] for state in pfa.states_with_role(ROLE_ACCEPTING))
-    reject = sum(counts[state] for state in pfa.states_with_role(ROLE_REJECTING))
+    getrandbits = random.Random(str(seed)).getrandbits
+    counts = {pfa.initial: trials}
+    for sym in word:
+        nxt: dict[int, int] = {}
+        for state, n in counts.items():
+            row = rows.get((state, sym))
+            if row is not None:
+                for target, taken in _multinomial(getrandbits, n, row, unit):
+                    nxt[target] = nxt.get(target, 0) + taken
+        counts = nxt
+    accept = sum(counts.get(state, 0) for state in pfa.states_with_role(ROLE_ACCEPTING))
+    reject = sum(counts.get(state, 0) for state in pfa.states_with_role(ROLE_REJECTING))
     return OutcomeDistribution(
         Fraction(accept, trials),
         Fraction(reject, trials),

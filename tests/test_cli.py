@@ -311,7 +311,7 @@ def test_prob_mc_records_seed_and_algorithm(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["seed"] == 7
     assert payload["trials"] == 1000
-    assert payload["algorithm"] == "exact-integer-draws-per-4096-block"
+    assert payload["algorithm"] == "exact-count-vector-binomial"
     num, den = payload["accept"].split("/")
     assert abs(int(num) / int(den) - 0.5) < 0.1
 
@@ -323,14 +323,14 @@ def test_prob_mc_is_byte_stable(tmp_path, capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
-    # Pinned, so a change of generator, keying or decoding shows on every
+    # Pinned, so a change of generator, seeding or binomial draw shows on every
     # Python version the suite runs on.
     assert first == (
         "{\n"
-        '  "accept": "81/100",\n'
-        '  "algorithm": "exact-integer-draws-per-4096-block",\n'
+        '  "accept": "411/500",\n'
+        '  "algorithm": "exact-count-vector-binomial",\n'
         '  "neutral": "0/1",\n'
-        '  "reject": "19/100",\n'
+        '  "reject": "89/500",\n'
         '  "seed": 3,\n'
         '  "trials": 500,\n'
         '  "word": "aa"\n'

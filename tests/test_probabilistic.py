@@ -1,5 +1,7 @@
 """Exact distributions, sampling, zero-error verification, round composition."""
 
+import bisect
+import collections
 import itertools
 import math
 import random
@@ -309,97 +311,206 @@ def test_long_word_exactness_pins():
         assert dist.neutral == undecided
 
 
-# --- exact block sampler ---
+# --- count-vector sampler and its exact binomial draws ---
 
 
-def _scripted_generators(monkeypatch, draw):
-    """Swap the sampler's generators for ones whose randrange(span) returns
-    draw(span); return the list of keys the generators are built with."""
-    keys = []
+def _block_sampler(pfa, word, trials, seed):
+    """The earlier per-trial sampler, kept as an oracle: each trial walks the
+    word alone, a base-D digit per symbol picking a target by cumulative
+    integer thresholds, in blocks of 4,096 trials with one generator each.
+    Returns the (accept, reject, neutral) counts."""
+    unit, rows = probabilistic._integer_rows(pfa)
+    halted = pfa.state_count
+    tables = {}
+    for sym in pfa.symbols:
+        table = []
+        for state in range(halted + 1):
+            row = rows.get((state, sym), ((halted, unit),))
+            thresholds = tuple(itertools.accumulate(weight for _, weight in row[:-1]))
+            table.append((thresholds, tuple(target for target, _ in row)))
+        tables[sym] = table
+    counts = [0] * (halted + 1)
+    for block, first in enumerate(range(0, trials, 4096)):
+        draw = random.Random(f"{seed}:{block}").randrange
+        for _ in range(min(4096, trials - first)):
+            state = pfa.initial
+            for sym in word:
+                thresholds, targets = tables[sym][state]
+                state = targets[bisect.bisect_right(thresholds, draw(unit))]
+            counts[state] += 1
+    accept = sum(counts[q] for q in pfa.states_with_role(ROLE_ACCEPTING))
+    reject = sum(counts[q] for q in pfa.states_with_role(ROLE_REJECTING))
+    return accept, reject, trials - accept - reject
 
-    class Scripted:
-        def __init__(self, key):
-            keys.append(key)
 
-        def randrange(self, span):
-            return draw(span)
+def _bits(bits):
+    """A getrandbits(k) that serves the next k bits of a fixed sequence and
+    fails if asked for more than it holds."""
+    pending = iter(bits)
 
-    monkeypatch.setattr(probabilistic.random, "Random", Scripted)
-    return keys
+    def getrandbits(k):
+        drawn = [next(pending) for _ in range(k)]
+        return sum(bit << i for i, bit in enumerate(drawn))
+
+    return getrandbits
 
 
-def test_monte_carlo_over_every_draw_is_the_exact_distribution(monkeypatch):
-    # With trials = D^len(w) and draws 0, 1, ..., D^len(w) - 1, each digit
-    # string is used once, so the counts are the exact masses over D^len(w).
-    cases = []
-    for pfa in _oracle_pfas():
-        unit = _scale(pfa)
-        width = 60 // unit.bit_length()
+def _binomial_pmf(n, p):
+    return {k: math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)}
+
+
+def _chi_square(samples, pmf):
+    """Pearson's statistic and degrees of freedom of sampled values against
+    an exact pmf, outcomes merged in order until each bin expects >= 5. The
+    tests accept a statistic up to df + 4 * sqrt(2 * df), four standard
+    deviations of the chi-square law above its mean."""
+    total = len(samples)
+    counts = collections.Counter(samples)
+    assert set(counts) <= set(pmf)
+    bins, expected, observed = [], 0.0, 0
+    for value in sorted(pmf):
+        expected += float(pmf[value]) * total
+        observed += counts[value]
+        if expected >= 5:
+            bins.append((observed, expected))
+            expected, observed = 0.0, 0
+    if expected or observed:
+        last_observed, last_expected = bins.pop()
+        bins.append((last_observed + observed, last_expected + expected))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+def test_binomial_over_every_bit_sequence_is_exact():
+    # For D = 8 the comparison ends within log2 D = 3 rounds of at most n
+    # bits, so the 2^(3n) equally likely bit sequences give the exact law.
+    for n in range(4):
+        for a in range(9):
+            counts = collections.Counter(
+                probabilistic._binomial(_bits(bits), n, a, 8)
+                for bits in itertools.product((0, 1), repeat=3 * n)
+            )
+            law = {k: Fraction(c, 2 ** (3 * n)) for k, c in counts.items()}
+            exact = {k: p for k, p in _binomial_pmf(n, Fraction(a, 8)).items() if p}
+            assert law == exact, (n, a)
+
+
+def test_binomial_edge_cases_draw_nothing():
+    refuse = _bits(())
+    for n in (0, 1, 7, 10**6):
+        assert probabilistic._binomial(refuse, n, 0, 9) == 0
+        assert probabilistic._binomial(refuse, n, 9, 9) == n
+    assert probabilistic._binomial(refuse, 0, 4, 9) == 0
+
+
+def test_binomial_tracks_the_exact_pmf_off_powers_of_two():
+    rng = random.Random("binomial-chi-square")
+    for n, p in ((20, Fraction(3, 10)), (50, Fraction(7, 9))):
+        samples = [
+            probabilistic._binomial(rng.getrandbits, n, p.numerator, p.denominator)
+            for _ in range(20_000)
+        ]
+        stat, df = _chi_square(samples, _binomial_pmf(n, p))
+        assert stat <= df + 4 * math.sqrt(2 * df), (n, p, stat, df)
+
+
+def test_multinomial_over_every_bit_sequence_is_exact():
+    # Weights 4, 2, 1, 1 over 8: each binomial of the chain has a power-of-two
+    # denominator (8, 4, 2), so 3 + 2 + 1 rounds of n bits decide it.
+    row = ((5, 4), (6, 2), (7, 1), (8, 1))
+    for n in range(3):
+        law = collections.Counter()
+        for bits in itertools.product((0, 1), repeat=6 * n):
+            split = dict(probabilistic._multinomial(_bits(bits), n, row, 8))
+            assert sum(split.values()) == n and all(split.values())
+            law[tuple(split.get(target, 0) for target, _ in row)] += Fraction(1, 2 ** (6 * n))
+        exact = {}
+        for ks in itertools.product(range(n + 1), repeat=4):
+            if sum(ks) == n:
+                ways = math.factorial(n) // math.prod(map(math.factorial, ks))
+                exact[ks] = ways * math.prod(Fraction(w, 8) ** k for (_, w), k in zip(row, ks))
+        assert law == exact, n
+
+
+def test_multinomial_marginals_track_their_binomials():
+    rng = random.Random("multinomial-marginals")
+    row = ((0, 2), (1, 3), (2, 5))
+    draws = [dict(probabilistic._multinomial(rng.getrandbits, 40, row, 10)) for _ in range(5_000)]
+    assert all(sum(split.values()) == 40 for split in draws)
+    for target, weight in row:
+        samples = [split.get(target, 0) for split in draws]
+        stat, df = _chi_square(samples, _binomial_pmf(40, Fraction(weight, 10)))
+        assert stat <= df + 4 * math.sqrt(2 * df), (target, stat, df)
+
+
+def test_monte_carlo_conserves_trials():
+    # Full rows into decisive states: every trial ends accepted or rejected.
+    rng = random.Random("conserved")
+    for _ in range(20):
+        size = rng.randint(1, 4)
+        rows = {(q, "a"): _random_row(rng, size, rng.randint(1, 12)) for q in range(size)}
+        roles = {q: rng.choice((ROLE_ACCEPTING, ROLE_REJECTING)) for q in range(size)}
+        pfa = OneWayPfa(size, ("a",), 0, rows, roles)
+        for trials in (1, 17, 10**4):
+            word = "a" * rng.randint(0, 30)
+            assert monte_carlo(pfa, word, trials, rng.randrange(99)).neutral == 0
+    unit, rows = probabilistic._integer_rows(_lcm_pfa())
+    for row in rows.values():
+        for n in (0, 1, 3, 1000):
+            split = probabilistic._multinomial(rng.getrandbits, n, row, unit)
+            assert sum(k for _, k in split) == n
+
+
+def test_monte_carlo_sends_a_missing_row_to_neutral():
+    # State 1 accepts but has no row, so every trial that reaches it halts.
+    pfa = OneWayPfa(
+        3,
+        ("a",),
+        0,
+        {(0, "a"): ((1, Fraction(1, 2)), (2, Fraction(1, 2))), (2, "a"): ((2, Fraction(1)),)},
+        {0: ROLE_NEUTRAL, 1: ROLE_ACCEPTING, 2: ROLE_REJECTING},
+    )
+    assert monte_carlo(pfa, "a", 1000, 1).accept > 0
+    for seed in range(5):
+        dist = monte_carlo(pfa, "aa", 1000, seed)
+        assert dist.accept == 0 and 0 < dist.neutral < 1
+        assert dist.neutral + dist.reject == 1
+
+
+def test_monte_carlo_never_reaches_a_zero_weight_target():
+    # The segment sampler rejects no yes word and accepts no no word.
+    pfa = trios_lasvegas_pfa(2, 1)
+    for index, (word, cls) in enumerate(trios_problem(2, 1).enumerate_instances(7)):
+        dist = monte_carlo(pfa, word, 10**5, index)
+        assert (dist.reject if cls == "yes" else dist.accept) == 0, word
+    # Outcomes of exact probability 0 or 1, zero-weight entries among the rows.
+    for index, pfa in enumerate(_oracle_pfas()):
         for word in _words(sorted(pfa.symbols), 3):
-            if len(word) <= width and unit ** len(word) <= 30_000:
-                cases.append((pfa, word, unit ** len(word)))
-    assert {len(word) for _, word, _ in cases} == {0, 1, 2, 3}
-    assert max(span for _, _, span in cases) == 27720
-    assert len({id(pfa) for pfa, word, _ in cases if word}) >= 30
-    for pfa, word, trials in cases:
-        counter = itertools.count()
-        _scripted_generators(monkeypatch, lambda span: next(counter) % span)
-        sampled = monte_carlo(pfa, word, trials, 1)
-        assert next(counter) == (trials if word else 0)
-        assert sampled == outcome_dist(pfa, word), (pfa, word)
+            sampled = monte_carlo(pfa, word, 1000, index)
+            parts = (sampled.accept, sampled.reject, sampled.neutral)
+            for exact, got in zip(_oracle_dist(pfa, word), parts):
+                if exact in (0, 1):
+                    assert got == exact, (index, word)
 
 
-def _chunked_pfa(final):
-    """Rows over D = 3 on {a, b}; only the given state accepts."""
-    rows = {}
-    for q in range(4):
-        rows[(q, "a")] = (((q + 1) % 4, Fraction(1, 3)), ((q + 2) % 4, Fraction(2, 3)))
-        rows[(q, "b")] = ((q, Fraction(2, 3)), ((q + 3) % 4, Fraction(1, 3)))
-    roles = {q: ROLE_ACCEPTING if q == final else ROLE_REJECTING for q in range(4)}
-    return OneWayPfa(4, ("a", "b"), 0, rows, roles)
+def test_monte_carlo_matches_the_per_trial_sampler_in_distribution():
+    # A two-sample chi-square over every (machine, word) case, pooled:
+    # the count-vector sampler and the old per-trial one draw the same law.
+    trials, stat, df = 2000, 0.0, 0
+    for index, pfa in enumerate(_oracle_pfas()):
+        for word in _words(sorted(pfa.symbols), 2):
+            new = monte_carlo(pfa, word, trials, index)
+            new = [int(part * trials) for part in (new.accept, new.reject, new.neutral)]
+            old = _block_sampler(pfa, word, trials, index)
+            used = [(a, b) for a, b in zip(new, old) if a + b]
+            for a, b in used:
+                expected = (a + b) / 2
+                stat += (a - expected) ** 2 / expected + (b - expected) ** 2 / expected
+            df += len(used) - 1
+    assert df >= 60
+    assert stat <= df + 4 * math.sqrt(2 * df), (stat, df)
 
 
-def _walk_digits(word, digits):
-    """Hand walk of _chunked_pfa: digit d picks the first target whose
-    cumulative probability exceeds d / 3."""
-    state = 0
-    for sym, digit in zip(word, digits):
-        row = _chunked_pfa(0).transitions[(state, sym)]
-        running = Fraction(0)
-        for target, prob in row:
-            running += prob
-            if Fraction(digit, 3) < running:
-                state = target
-                break
-    return state
-
-
-def test_monte_carlo_decodes_digits_across_chunk_boundaries(monkeypatch):
-    # D = 3 gives chunks of 60 // 2 = 30 symbols: six full chunks and one of 20.
-    rng = random.Random("chunks")
-    word = "".join(rng.choice("ab") for _ in range(200))
-    mixed = [rng.randrange(3) for _ in word]
-    for digits in ([0] * 200, [2] * 200, mixed):
-        spans = []
-
-        def run(pfa):
-            pending = iter(digits)
-
-            def draw(span):
-                spans.append(span)
-                width = round(math.log(span, 3))
-                return sum(next(pending) * 3**i for i in range(width))
-
-            _scripted_generators(monkeypatch, draw)
-            return monte_carlo(pfa, word, 1, 0)
-
-        final = _walk_digits(word, digits)
-        assert run(_chunked_pfa(final)).accept == 1
-        assert spans == [3**30] * 6 + [3**20]
-        assert all(run(_chunked_pfa(q)).reject == 1 for q in range(4) if q != final)
-
-
-def test_monte_carlo_with_a_huge_denominator(monkeypatch):
+def test_monte_carlo_with_a_huge_denominator():
     big = 10**9 + 7
     split = 123_456_789
     pfa = OneWayPfa(
@@ -409,13 +520,16 @@ def test_monte_carlo_with_a_huge_denominator(monkeypatch):
         {(0, "a"): ((0, Fraction(split, big)), (1, 1 - Fraction(split, big)))},
         {0: ROLE_ACCEPTING, 1: ROLE_REJECTING},
     )
-    with monkeypatch.context() as patch:
-        # The last digit below the first threshold, then the threshold itself.
-        draws = iter((split - 1, split))
-        _scripted_generators(patch, lambda span: next(draws))
-        assert monte_carlo(pfa, "a", 2, 0) == OutcomeDistribution(
-            Fraction(1, 2), Fraction(1, 2), Fraction(0)
-        )
+    # One uniform that agrees with split/big for 60 bits and then has a 0
+    # where split/big has its next 1 is below; a 1 where it has a 0, above.
+    expansion, rest = [], split
+    for _ in range(90):
+        rest <<= 1
+        expansion.append(int(rest >= big))
+        rest -= big * expansion[-1]
+    one, zero = expansion.index(1, 60), expansion.index(0, 60)
+    assert probabilistic._binomial(_bits(expansion[:one] + [0]), 1, split, big) == 1
+    assert probabilistic._binomial(_bits(expansion[:zero] + [1]), 1, split, big) == 0
     tracemalloc.start()
     try:
         sampled = monte_carlo(pfa, "aaa", 2000, 11)
@@ -430,19 +544,47 @@ def test_monte_carlo_with_a_huge_denominator(monkeypatch):
 
 def test_monte_carlo_golden_values():
     assert monte_carlo(_coin(Fraction(9, 10)), "aa", 500, 3) == OutcomeDistribution(
-        Fraction(405, 500), Fraction(95, 500), Fraction(0)
+        Fraction(411, 500), Fraction(89, 500), Fraction(0)
     )
 
 
-def test_monte_carlo_keys_one_generator_per_block(monkeypatch):
-    keys = {}
+def _counting_generators(monkeypatch):
+    """Record each generator's seed and the size of each getrandbits call."""
+    seeds, sizes = [], []
+
+    class Counting(random.Random):
+        def __init__(self, key):
+            seeds.append(key)
+            super().__init__(key)
+
+        def getrandbits(self, k):
+            sizes.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(probabilistic.random, "Random", Counting)
+    return seeds, sizes
+
+
+def test_monte_carlo_seeds_s_and_minus_s_differ(monkeypatch):
+    seeds, _ = _counting_generators(monkeypatch)
     for seed in (5, -5):
-        keys[seed] = _scripted_generators(monkeypatch, lambda span: 0)
-        monte_carlo(_coin(), "a", 2 * probabilistic.BLOCK_TRIALS + 1, seed)
-    assert keys[5] == ["5:0", "5:1", "5:2"]
-    assert keys[-5] == ["-5:0", "-5:1", "-5:2"]
+        monte_carlo(_coin(), "a", 10**4, seed)
+    assert seeds == ["5", "-5"]
     monkeypatch.undo()
     assert monte_carlo(_coin(), "aaaa", 500, 5) != monte_carlo(_coin(), "aaaa", 500, -5)
+
+
+def test_monte_carlo_generator_calls_grow_with_log_trials(monkeypatch):
+    # About log2(trials) + 2 rounds per binomial: a thousandfold more trials
+    # costs a small factor more generator calls, never trials x |word| more.
+    pfa, word = _coin(Fraction(9, 10)), "a" * 20
+    calls = {}
+    for trials in (10**3, 10**6):
+        _, sizes = _counting_generators(monkeypatch)
+        monte_carlo(pfa, word, trials, 7)
+        calls[trials] = len(sizes)
+        assert max(sizes) <= trials
+    assert calls[10**6] <= 3 * calls[10**3], calls
 
 
 def test_monte_carlo_tracks_halting_mass_within_four_sigma():
