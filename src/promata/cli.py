@@ -390,6 +390,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         machine = serialize.load(args.machine)
         problem = _problem_from_args(args)
         return _verdict(promise_check(machine, problem, _verify_horizon(args, 16)))
+    if args.machine is not None:
+        raise ValueError(
+            "--machine is not read by verify lv-trios, which checks the built-in "
+            "TRIOS Las Vegas machine; use prob lasvegas --machine to check a machine file"
+            if args.mode == "lv-trios"
+            else "--machine is not read by verify disjoint, which checks the problem alone"
+        )
     if args.mode == "lv-trios":
         problem = _from_flags(_PROBLEMS, "trios", args)
         machine = trios_lasvegas_pfa(args.n, args.r)

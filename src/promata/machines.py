@@ -167,12 +167,15 @@ class TwoWayMachine(_Machine):
     def _check_rules(self, symbols: frozenset[str]) -> None:
         if not isinstance(self.deterministic, bool):
             raise ValueError(f"deterministic must be a bool, not {self.deterministic!r}")
-        tape_symbols = symbols | {LEFT_MARKER, RIGHT_MARKER}
-        moves: dict[tuple[int, str], list[tuple[int, int]]] = {}
+        # Per tape symbol, the row of (target, move) pairs of each state that
+        # has a move on it; a state missing from a symbol's table halts there.
+        rows: dict[str, dict[int, list[tuple[int, int]]]] = {
+            sym: {} for sym in (LEFT_MARKER, *self.alphabet, RIGHT_MARKER)
+        }
         for src, sym, dst, move in self.transitions:
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
-            if sym not in tape_symbols:
+            if sym not in rows:
                 raise ValueError(f"tape symbol {sym!r} not in alphabet or endmarkers")
             if move not in (LEFT, STAY, RIGHT):
                 raise ValueError(f"move {move!r} must be LEFT, STAY, or RIGHT")
@@ -180,13 +183,16 @@ class TwoWayMachine(_Machine):
                 raise ValueError("transition moves left off the left endmarker")
             if sym == RIGHT_MARKER and move == RIGHT:
                 raise ValueError("transition moves right off the right endmarker")
-            row = moves.setdefault((src, sym), [])
+            row = rows[sym].setdefault(src, [])
             if row and self.deterministic:
                 raise ValueError(
                     f"deterministic machine has two transitions on {(src, sym)!r}"
                 )
             row.append((dst, move))
-        object.__setattr__(self, "_moves", moves)
+        frozen = {
+            sym: {src: tuple(row) for src, row in table.items()} for sym, table in rows.items()
+        }
+        object.__setattr__(self, "_rows", frozen)
 
 
 @dataclass(frozen=True)
@@ -696,22 +702,35 @@ def nfa_accepts(nfa: OneWayNfa, word: str) -> bool:
 
 
 def twoway_accepts(machine: TwoWayMachine, word: str) -> bool:
-    """Reachability over the configuration graph of the two-way machine.
+    """Whether some run of the two-way machine halts in an accepting state.
 
-    Configurations are (state, head position) on the endmarked tape, so the
-    graph is finite and infinite loops are handled for free: the machine
-    accepts iff some halting configuration with an accepting state is
-    reachable from (initial, leftmost position).
+    Configurations are (state, head position) on the endmarked tape, s·(|w|+2)
+    of them for s states. A deterministic machine has one run, which is
+    walked: a run that halts does so within s·(|w|+2) − 1 steps, since its
+    configurations up to the halt are distinct, so a run that has not halted
+    after s·(|w|+2) steps repeats a configuration and loops forever. Any
+    other machine searches its configuration graph depth-first: it accepts
+    iff a halting configuration with an accepting state is reachable from
+    (initial, leftmost position). Neither path reads the crossing table, so
+    this stays the oracle that _twoway_stepper is tested against.
     """
     _require_symbols(word, machine.symbols)
     tape = LEFT_MARKER + word + RIGHT_MARKER
-    step = machine._moves  # type: ignore[attr-defined]
-    start = (machine.initial, 0)
-    seen = {start}
-    stack = [start]
+    rows = machine._rows  # type: ignore[attr-defined]
+    state, pos = machine.initial, 0
+    if machine.deterministic:
+        try:  # a state with no move on its cell raises KeyError: the run halts
+            for _ in range(machine.state_count * len(tape)):
+                state, move = rows[tape[pos]][state][0]
+                pos += move
+        except KeyError:
+            return state in machine.accepting
+        return False
+    seen = {(state, pos)}
+    stack = [(state, pos)]
     while stack:
         state, pos = stack.pop()
-        moves = step.get((state, tape[pos]))
+        moves = rows[tape[pos]].get(state)
         if not moves:
             if state in machine.accepting:
                 return True
@@ -754,21 +773,19 @@ def _twoway_stepper(machine: TwoWayMachine) -> Stepper:
     halted = [0] * count
     for state in machine.accepting:
         halted[state] = accept
-    tables = {
-        sym: ([0] * (count + 1), [*halted, accept], {})
-        for sym in (LEFT_MARKER, *machine.alphabet, RIGHT_MARKER)
-    }
+    tables = {}
     slot: dict[int, int] = {}
-    for (src, sym), row in machine._moves.items():  # type: ignore[attr-defined]
-        stay, exits, left = tables[sym]
-        exits[src] = 0
-        for dst, move in row:
-            if move == RIGHT:
-                exits[src] |= 1 << dst
-            elif move == STAY:
-                stay[src] |= 1 << dst
-            else:
-                left.setdefault(src, []).append(slot.setdefault(dst, len(slot) + 1))
+    for sym, rows in machine._rows.items():  # type: ignore[attr-defined]
+        stay, exits, left = tables[sym] = ([0] * (count + 1), [*halted, accept], {})
+        for src, row in rows.items():
+            exits[src] = 0
+            for dst, move in row:
+                if move == RIGHT:
+                    exits[src] |= 1 << dst
+                elif move == STAY:
+                    stay[src] |= 1 << dst
+                else:
+                    left.setdefault(src, []).append(slot.setdefault(dst, len(slot) + 1))
     # A re-entry state that only moves right or halts on a symbol has a
     # fixed row there; the others are closed at each cold step.
     steps = {

@@ -705,6 +705,28 @@ def test_verify_promise_needs_a_machine(capsys):
     assert err == "error: --machine is required for verify promise\n"
 
 
+@pytest.mark.parametrize(
+    "mode,message",
+    [
+        (
+            ("lv-trios", "--n", "2", "--r", "1"),
+            "verify lv-trios, which checks the built-in TRIOS Las Vegas machine; "
+            "use prob lasvegas --machine to check a machine file",
+        ),
+        (
+            ("disjoint", "--problem", "evenodd", "--k", "1"),
+            "verify disjoint, which checks the problem alone",
+        ),
+    ],
+)
+def test_verify_modes_without_a_machine_refuse_one(tmp_path, capsys, mode, message):
+    # A machine file these modes would not read is refused, not ignored.
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "verify", *mode, "--machine", missing)
+    assert (code, out) == (2, "")
+    assert err == f"error: --machine is not read by {message}\n"
+
+
 def test_unexpected_error_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d.json"
     run_cli(capsys, "build", "parity-dfa", "--out", str(path))

@@ -1,5 +1,6 @@
 """Model conversions checked against language equality on bounded ranges."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -377,6 +378,8 @@ def test_crossing_construction_matches_twoway_runs_within_the_bound(size):
     one state the halting-anywhere convention can need two (see the
     twoway_to_dfa docstring and the pinned example below)."""
     rng = random.Random(f"2nfa:{size}")
+    words_rng = random.Random(f"2nfa-words:{size}")
+    long_words = ["".join(words_rng.choice("ab") for _ in range(200)) for _ in range(4)]
     bound = bound_2nfa_to_dfa(size).value
     sizes = []
     for _ in range(400):
@@ -385,6 +388,11 @@ def test_crossing_construction_matches_twoway_runs_within_the_bound(size):
         sizes.append(dfa.state_count)
         for word in _WORDS_TO_SIX:
             assert machine_accepts(dfa, word) == twoway_accepts(machine, word), word
+        if machine.deterministic:
+            # The walk of the one run against the configuration search.
+            searched = dataclasses.replace(machine, deterministic=False)
+            for word in _WORDS_TO_SIX + long_words:
+                assert twoway_accepts(machine, word) == twoway_accepts(searched, word), word
     assert max(sizes) <= bound
     # Most random machines halt early on everything; enough do not.
     assert sum(count > 1 for count in sizes) >= 40

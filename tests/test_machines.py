@@ -1,6 +1,7 @@
 """Machine dataclass validation and simulator semantics."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from promata import (
     promise_check,
     twoway_accepts,
 )
-from promata.machines import RIGHT, RunResult, _fold, _run, _stepper
+from promata.machines import LEFT, RIGHT, STAY, RunResult, _fold, _run, _stepper
 
 
 def test_dfa_partial_transitions_stick():
@@ -326,15 +327,43 @@ def test_twoway_accepts_by_halting_anywhere():
 
 
 def test_twoway_rejects_by_looping():
+    # The loop never halts, so its accepting state does not count; on a long
+    # word the walk still stops after s·(|w|+2) steps.
     machine = TwoWayMachine(
         state_count=1,
         alphabet=("a",),
         initial=0,
         transitions=frozenset({(0, "⊢", 0, 0)}),
-        accepting=frozenset(),
+        accepting=frozenset({0}),
         deterministic=True,
     )
     assert not twoway_accepts(machine, "a")
+    start = time.perf_counter()
+    assert not twoway_accepts(machine, "a" * 10**5)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        # One state walks right off ⊢ and over every a, and halts on ⊣.
+        {(0, "⊢", 0, RIGHT), (0, "a", 0, RIGHT)},
+        # State 0 walks right to ⊣, turns into state 1 there, which walks back
+        # and halts on ⊢: every one of the 2(|w|+2) configurations is visited.
+        {(0, "⊢", 0, RIGHT), (0, "a", 0, RIGHT), (0, "⊣", 1, STAY),
+         (1, "⊣", 1, LEFT), (1, "a", 1, LEFT)},
+    ],
+    ids=["one-state", "two-state-sweep"],
+)
+@pytest.mark.parametrize("length", [0, 1, 2, 5, 40])
+def test_deterministic_twoway_run_halting_at_the_step_bound_accepts(moves, length):
+    # The run takes s·(|w|+2) − 1 steps, the most a halting run can take, so
+    # a walk cut one step short would reject.
+    states = 1 + max(dst for _, _, dst, _ in moves)
+    machine = TwoWayMachine(
+        states, ("a",), 0, frozenset(moves), frozenset(range(states)), deterministic=True
+    )
+    assert twoway_accepts(machine, "a" * length)
 
 
 def test_twoway_can_sweep_both_directions():
