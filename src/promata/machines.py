@@ -189,10 +189,7 @@ class TwoWayMachine(_Machine):
                     f"deterministic machine has two transitions on {(src, sym)!r}"
                 )
             row.append((dst, move))
-        frozen = {
-            sym: {src: tuple(row) for src, row in table.items()} for sym, table in rows.items()
-        }
-        object.__setattr__(self, "_rows", frozen)
+        object.__setattr__(self, "_rows", rows)
 
 
 @dataclass(frozen=True)
@@ -708,21 +705,33 @@ def twoway_accepts(machine: TwoWayMachine, word: str) -> bool:
     of them for s states. A deterministic machine has one run, which is
     walked: a run that halts does so within s·(|w|+2) − 1 steps, since its
     configurations up to the halt are distinct, so a run that has not halted
-    after s·(|w|+2) steps repeats a configuration and loops forever. Any
-    other machine searches its configuration graph depth-first: it accepts
-    iff a halting configuration with an accepting state is reachable from
-    (initial, leftmost position). Neither path reads the crossing table, so
-    this stays the oracle that _twoway_stepper is tested against.
+    after s·(|w|+2) steps repeats a configuration and loops forever. The walk
+    also rejects when it comes back to the configuration it saved at the last
+    power-of-two step count (Brent's cycle detection), so a looping run stops
+    within about twice its distance to the loop plus the loop's length, well
+    before the s·(|w|+2) cap when the loop is short. Any other machine
+    searches its configuration graph depth-first: it accepts iff a halting
+    configuration with an accepting state is reachable from (initial,
+    leftmost position). Neither path reads the crossing table, so this stays
+    the oracle that _twoway_stepper is tested against.
     """
     _require_symbols(word, machine.symbols)
     tape = LEFT_MARKER + word + RIGHT_MARKER
     rows = machine._rows  # type: ignore[attr-defined]
     state, pos = machine.initial, 0
     if machine.deterministic:
+        budget = machine.state_count * len(tape)
+        span = 1
         try:  # a state with no move on its cell raises KeyError: the run halts
-            for _ in range(machine.state_count * len(tape)):
-                state, move = rows[tape[pos]][state][0]
-                pos += move
+            while budget > 0:
+                mark_state, mark_pos = state, pos
+                for _ in range(min(span, budget)):
+                    state, move = rows[tape[pos]][state][0]
+                    pos += move
+                    if pos == mark_pos and state == mark_state:
+                        return False
+                budget -= span
+                span *= 2
         except KeyError:
             return state in machine.accepting
         return False

@@ -32,7 +32,7 @@ from promata import (
     promise_check,
     twoway_accepts,
 )
-from promata.machines import LEFT, RIGHT, STAY, RunResult, _fold, _run, _stepper
+from promata.machines import DEFAULT_STATE_CAP, LEFT, RIGHT, STAY, RunResult, _fold, _run, _stepper
 
 
 def test_dfa_partial_transitions_stick():
@@ -327,8 +327,8 @@ def test_twoway_accepts_by_halting_anywhere():
 
 
 def test_twoway_rejects_by_looping():
-    # The loop never halts, so its accepting state does not count; on a long
-    # word the walk still stops after s·(|w|+2) steps.
+    # The loop never halts, so its accepting state does not count, and the
+    # walk finds it long before the s·(|w|+2) cap on a long word.
     machine = TwoWayMachine(
         state_count=1,
         alphabet=("a",),
@@ -340,7 +340,28 @@ def test_twoway_rejects_by_looping():
     assert not twoway_accepts(machine, "a")
     start = time.perf_counter()
     assert not twoway_accepts(machine, "a" * 10**5)
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "moves",
+    [
+        {(0, "⊢", 0, STAY)},
+        {(0, "⊢", 0, RIGHT), (0, "a", 0, RIGHT), (0, "⊣", 0, STAY)},
+        # Bounces between ⊣ and the last a: a loop of two configurations.
+        {(0, "⊢", 0, RIGHT), (0, "a", 0, RIGHT), (0, "⊣", 1, LEFT), (1, "a", 0, RIGHT)},
+    ],
+    ids=["stay-on-left-marker", "stay-on-right-marker", "bounce-at-right-marker"],
+)
+def test_twoway_short_loop_costs_its_length_not_the_declared_states(moves):
+    # The machine declares 2^20 states but loops among one or two, so the
+    # walk must stop on the loop, not after s·(|w|+2) ≈ 12.6 million steps.
+    machine = TwoWayMachine(
+        DEFAULT_STATE_CAP, ("a",), 0, frozenset(moves), frozenset({0, 1}), deterministic=True
+    )
+    start = time.perf_counter()
+    assert not twoway_accepts(machine, "a" * 10)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
