@@ -11,7 +11,6 @@ byte-identical. Exit codes: 0 when the requested check solves/succeeds,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -582,7 +581,7 @@ def _main(argv) -> int:
     try:
         payload, code = args.handler(args)
         if payload is not None:
-            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            text = serialize.stable_json(payload) + "\n"
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as handle:
                     handle.write(text)

@@ -10,6 +10,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +55,8 @@ def _check_alphabet(alphabet: tuple[str, ...]) -> None:
 
 
 def _check_state(state: int, count: int, what: str) -> None:
-    if not isinstance(state, int) or not 0 <= state < count:
+    # Exactly int: bool is an int to Python, but JSON's true and false are not states.
+    if type(state) is not int or not 0 <= state < count:
         raise ValueError(f"{what} {state!r} outside 0..{count - 1}")
 
 
@@ -83,6 +85,8 @@ class _Machine:
         object.__setattr__(self, "transitions", self._freeze(self.transitions))
         object.__setattr__(self, "labels", dict(self.labels))
         count = self.state_count
+        if type(count) is not int:
+            raise ValueError(f"state_count {count!r} must be an integer")
         if count < 1:
             raise ValueError("state_count must be at least 1")
         _check_alphabet(self.alphabet)
@@ -284,15 +288,20 @@ def _eps_chain_depths(count: int, eps_out: Mapping[int, list[int]]) -> list[int]
 def _check_stochastic_row(
     row: tuple[tuple[int, Fraction], ...], count: int, key: tuple[int, str]
 ) -> None:
-    total = Fraction(0)
+    ratios = []
     for dst, prob in row:
         _check_state(dst, count, "transition target")
         if not isinstance(prob, Fraction):
             raise ValueError(f"probability {prob!r} on {key!r} must be a Fraction")
-        if prob < 0 or prob > 1:
+        num, den = prob.numerator, prob.denominator
+        if not 0 <= num <= den:
             raise ValueError(f"probability {prob} on {key!r} outside [0, 1]")
-        total += prob
-    if total != 1:
+        ratios.append((num, den))
+    # The row sums to 1 iff its numerators over the least common denominator
+    # sum to that denominator; integers skip the gcd of every Fraction add.
+    common = math.lcm(*(den for _, den in ratios))
+    if sum(num * (common // den) for num, den in ratios) != common:
+        total = sum((prob for _, prob in row), Fraction(0))
         raise ValueError(f"probabilities on {key!r} sum to {total}, not 1")
 
 

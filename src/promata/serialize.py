@@ -7,9 +7,11 @@ Every machine serializes to a dict with a "type" tag ("dfa", "nfa", "afa",
 
 from __future__ import annotations
 
+import functools
 import json
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .errors import MachineFormatError
@@ -81,8 +83,23 @@ def _silent_rows(moves: frozenset) -> Iterable[list]:
     return ([src, "" if sym is EPSILON else sym, dst] for src, sym, dst in moves)
 
 
+def _unfolded(values: list, frozen: frozenset) -> frozenset:
+    """`frozen`, the set made from `values`, once it has folded no JSON true
+    or false into an equal state. Python takes them for 1 and 0, so a set
+    keeps whichever of an equal pair came first, and the machine's checks
+    meet the bool only when it was kept; a set as long as its list folded
+    nothing."""
+    if len(frozen) != len(values):
+        for value in values:
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, bool):
+                    raise ValueError(f"{item!r} is not a state number")
+    return frozen
+
+
 def _silent_moves(rows: list) -> frozenset:
-    return frozenset((src, EPSILON if sym == "" else sym, dst) for src, sym, dst in rows)
+    moves = frozenset((src, EPSILON if sym == "" else sym, dst) for src, sym, dst in rows)
+    return _unfolded(rows, moves)
 
 
 def _head_rows(moves: frozenset) -> Iterable[list]:
@@ -95,7 +112,7 @@ def _head_moves(rows: list) -> frozenset:
         if move not in _MOVE_FROM_JSON:
             raise MachineFormatError(f"bad move {move!r}, expected L/S/R")
         moves.append((src, sym, dst, _MOVE_FROM_JSON[move]))
-    return frozenset(moves)
+    return _unfolded(rows, frozenset(moves))
 
 
 def _stochastic_rows(table: dict) -> Iterable[list]:
@@ -109,6 +126,8 @@ def _stochastic_rows(table: dict) -> Iterable[list]:
 def _stochastic_table(rows: list) -> dict:
     table: dict[tuple[int, str], list[tuple[int, Fraction]]] = {}
     for src, sym, dst, prob in rows:
+        if isinstance(src, bool):  # the row's key would fold into state 0 or 1
+            raise ValueError(f"transition source {src!r} is not a state number")
         table.setdefault((src, sym), []).append((dst, fraction_from_str(prob)))
     return {key: tuple(row) for key, row in table.items()}
 
@@ -163,7 +182,7 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
     """Rebuild a machine from its interchange dict, validating as it goes."""
     tag = _require(data, "type")
     states = _require(data, "states")
-    if not isinstance(states, int) or states > DEFAULT_STATE_CAP:
+    if type(states) is not int or states > DEFAULT_STATE_CAP:
         raise MachineFormatError(
             f"states {states!r} must be an integer up to the cap {DEFAULT_STATE_CAP}"
         )
@@ -179,7 +198,8 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
         cls, _, transitions, options = _KINDS[tag]
         fields["transitions"] = transitions(_require(data, "transitions"))
         for name in cls._state_sets:
-            fields[name] = frozenset(_require(data, name))
+            listed = _require(data, name)
+            fields[name] = _unfolded(listed, frozenset(listed))
         for key, attribute, default in options:
             fields[attribute] = data.get(key, default)
         if cls is OneWayPfa:
@@ -193,9 +213,77 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
         raise MachineFormatError(f"invalid {tag} machine: {exc}") from exc
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
+
+
+@functools.lru_cache(maxsize=64)
+def _encoder(separator: str):
+    """The C encoder, with sorted keys and `separator` between items."""
+    return json.JSONEncoder(sort_keys=True, separators=(separator, ": ")).encode
+
+
+def stable_json(value: Any) -> str:
+    """The byte-stable JSON of a value: `json.dumps(value, sort_keys=True,
+    indent=2)`, byte for byte, with the same errors.
+
+    CPython's C encoder runs only without `indent`, so this writer hands it
+    every container whose items are all scalars, with the line break and
+    indent of that depth as the item separator. A list of non-empty flat
+    lists (a machine's transitions) goes to it in one call with a bare "\n"
+    between items and is indented afterwards: the encoder escapes every "\n"
+    and "\0" inside strings, so each raw "\n" it writes is a separator and
+    "\0" is free to mark the row boundaries. Other containers recurse.
+    """
+    return _stable(value, "\n")
+
+
+def _stable(value: Any, newline: str) -> str:
+    """`value` as written at the depth whose line break is `newline`."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        if set(map(type, value.values())) <= _SCALARS:
+            body = _encoder("," + inner)(value)[1:-1]
+        else:
+            body = ("," + inner).join(
+                f"{_key(key)}: {_stable(item, inner)}" for key, item in sorted(value.items())
+            )
+        return "{" + inner + body + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        types = set(map(type, value))
+        if types <= _SCALARS:
+            body = _encoder("," + inner)(value)[1:-1]
+        elif types <= _ROWS and all(value) and set(map(type, chain.from_iterable(value))) <= _SCALARS:
+            deeper = inner + "  "
+            body = (
+                "[" + deeper
+                + _encoder("\n")(value)[2:-2]
+                .replace("]\n[", "\0")
+                .replace("\n", "," + deeper)
+                .replace("\0", inner + "]," + inner + "[" + deeper)
+                + inner + "]"
+            )
+        else:
+            body = ("," + inner).join(_stable(item, inner) for item in value)
+        return "[" + inner + body + newline + "]"
+    return _encoder(", ")(value)
+
+
+def _key(key: Any) -> str:
+    """A dict key as json writes it, or its error: `{key: 0}` is `{KEY: 0}`."""
+    if isinstance(key, str):  # the common case, ten times faster
+        return _encoder(", ")(key)
+    return _encoder(", ")({key: 0})[1:-4]
+
+
 def dumps(machine: Machine) -> str:
     """Serialize to a byte-stable JSON string (sorted keys, fixed layout)."""
-    return json.dumps(machine_to_dict(machine), sort_keys=True, indent=2)
+    return stable_json(machine_to_dict(machine))
 
 
 def loads(text: str) -> Machine:

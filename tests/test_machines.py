@@ -120,6 +120,11 @@ _SHARED_FAULTS = {
     "initial": ({"initial": 2}, "initial state 2 outside 0..1"),
     "accepting": ({"accepting": (5,)}, "accepting state 5 outside 0..1"),
     "existential": ({"existential": (5,)}, "existential state 5 outside 0..1"),
+    # bool is an int to Python; JSON's true and false are not state numbers.
+    "bool-states": ({"states": True}, "state_count True must be an integer"),
+    "bool-initial": ({"initial": False}, "initial state False outside 0..1"),
+    "bool-accepting": ({"accepting": (True,)}, "accepting state True outside 0..1"),
+    "bool-existential": ({"existential": (True,)}, "existential state True outside 0..1"),
     "label-type": ({"labels": {0: 7}}, "label for state 0 must be a string"),
     "labeled-state": ({"labels": {9: "x"}}, "labeled state 9 outside 0..1"),
     "foreign-symbol": ({"symbol": "b"}, "transition symbol 'b' not in alphabet"),
@@ -132,8 +137,8 @@ _SHARED_FAULTS = {
         pytest.param(kind, fault, id=f"{kind.__name__}-{fault}")
         for kind in _KINDS
         for fault in _SHARED_FAULTS
-        if not (fault == "accepting" and kind is OneWayPfa)
-        and not (fault == "existential" and kind is not OneWayAfa)
+        if not (fault.endswith("accepting") and kind is OneWayPfa)
+        and not (fault.endswith("existential") and kind is not OneWayAfa)
     ],
 )
 def test_shared_faults_give_one_message_on_every_type(kind, fault):
@@ -442,6 +447,49 @@ def test_pfa_rows_must_be_stochastic():
             transitions={(0, "a"): ((0, 0.5), (0, 0.5))},
             roles={0: ROLE_NEUTRAL},
         )
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (((0, _HALF), (1, _THIRD)), "probabilities on (0, 'a') sum to 5/6, not 1"),
+        (((0, 2 * _THIRD), (1, 2 * _THIRD)), "probabilities on (0, 'a') sum to 4/3, not 1"),
+        ((), "probabilities on (0, 'a') sum to 0, not 1"),
+        (((0, -_HALF), (1, 3 * _HALF)), "probability -1/2 on (0, 'a') outside [0, 1]"),
+        (((0, 3 * _HALF), (1, -_HALF)), "probability 3/2 on (0, 'a') outside [0, 1]"),
+        (((0, 0.5), (1, 0.5)), "probability 0.5 on (0, 'a') must be a Fraction"),
+        (((True, Fraction(1)),), "transition target True outside 0..1"),
+        (((2, Fraction(1)),), "transition target 2 outside 0..1"),
+    ],
+    ids=["short", "over", "empty", "negative", "above-one", "float", "bool-target", "target"],
+)
+def test_pfa_row_faults_name_the_entry_or_the_sum(row, message):
+    with pytest.raises(ValueError) as info:
+        OneWayPfa(2, ("a",), 0, {(0, "a"): row}, {0: ROLE_NEUTRAL, 1: ROLE_ACCEPTING})
+    assert str(info.value) == message
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=60), max_size=5),
+    st.booleans(),
+)
+def test_pfa_row_check_matches_the_fraction_sum(probs, complete):
+    """The integer check accepts a row exactly when its Fractions sum to 1."""
+    total = sum(probs, Fraction(0))
+    if complete and total <= 1:
+        probs, total = probs + [1 - total], Fraction(1)
+    row = tuple((0, prob) for prob in probs)
+    try:
+        OneWayPfa(1, ("a",), 0, {(0, "a"): row}, {0: ROLE_NEUTRAL})
+    except ValueError as exc:
+        assert total != 1
+        assert str(exc) == f"probabilities on (0, 'a') sum to {total}, not 1"
+    else:
+        assert total == 1
 
 
 def test_pfa_roles_must_cover_all_states():

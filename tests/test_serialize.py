@@ -16,6 +16,7 @@ from promata import (
     OneWayAfa,
     OneWayDfa,
     OneWayNfa,
+    OneWayPfa,
     TwoWayMachine,
     dfa_to_nfa,
     dumps,
@@ -32,6 +33,8 @@ from promata import (
     up_pfa,
 )
 from promata import cli
+from promata.machines import RIGHT
+from promata.serialize import stable_json
 
 
 def _sample_machines():
@@ -359,3 +362,195 @@ def test_mutated_machine_files_are_rejected_or_round_trip(text):
 @given(_mutants())
 def test_mutated_machine_files_are_rejected_or_round_trip_at_length(text):
     _check_mutant(text)
+
+
+def _reference(value):
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def _written(write, value):
+    """What a writer makes of a value: its text, or the type of its error."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+# Strings holding what the writer's layout relies on the encoder escaping.
+_TRICKY = st.sampled_from(["\n", "]\n[", "\0", "]\0[", '"', "\\", "é", "⊢", "\u2028", ""])
+_SCALAR = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0])
+    | st.text(max_size=3)
+    | _TRICKY
+)
+# Keys of one type per dict (sorted by json, then quoted) or of mixed types.
+_KEY = st.one_of(
+    st.text(max_size=2) | _TRICKY,
+    st.integers(-3, 3),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.lists(st.lists(_SCALAR, max_size=3), max_size=3)  # rows, some of them empty
+    | st.one_of(*(st.dictionaries(key, inner, max_size=4) for key in _KEY.branches))
+    | st.dictionaries(_KEY, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_JSON)
+def test_stable_json_matches_json_dumps(value):
+    assert _written(stable_json, value) == _written(_reference, value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        [[]],
+        [[], [1]],
+        [[1], []],
+        [[1, 2], [3, "]\n["]],
+        [(1, "\0"), [2, None]],
+        {"t": [[0, "a", 1], [1, "a", 0]], "s": 2, "e": {}, "l": [[]]},
+        {2: "b", 1: "a"},
+        {True: 1, False: 2},
+        {1.5: [1], -1.0: {}},
+        {"x": {"y": {"z": [[[1]]]}}},
+        "\n",
+        float("nan"),
+        10**30,
+    ],
+    ids=repr,
+)
+def test_stable_json_layout_cases(value):
+    assert stable_json(value) == _reference(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        object(),
+        [1, object()],
+        [[1, Fraction(1, 2)]],
+        [[1], [object()]],
+        {"a": {1, 2}},
+        {"a": [1, object()]},
+        {1: 0, "a": 0},
+        {1: [], "a": []},
+        {(1, 2): 0},
+        {(1, 2): []},
+        {"a": [[1], (2,)], (1,): [[1]]},
+    ],
+    ids=repr,
+)
+def test_stable_json_raises_what_json_dumps_raises(value):
+    with pytest.raises(TypeError) as expected:
+        _reference(value)
+    with pytest.raises(TypeError) as got:
+        stable_json(value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit"
+)
+@pytest.mark.parametrize("shape", ["bare", "flat", "rows", "nested"])
+def test_stable_json_refuses_an_integer_past_the_digit_limit(shape):
+    big = 10**5000
+    value = {"bare": big, "flat": [1, big], "rows": [[1], [big]], "nested": {"a": [{"b": big}]}}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            _reference(value[shape])
+        with pytest.raises(ValueError, match="limit"):
+            stable_json(value[shape])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "machine",
+    _FUZZ_MACHINES + [evenodd_dfa(7), trios_lasvegas_pfa(4, 2), trios_twoway_dfa(3, 2)],
+    ids=lambda m: type(m).__name__,
+)
+def test_every_builders_machine_is_written_as_json_dumps_writes_it(machine):
+    assert dumps(machine) == _reference(machine_to_dict(machine))
+
+
+# Each place a state number is read, with a bool alone and with a bool that
+# an equal state listed before it would fold into inside a set.
+_BOOL_STATES = {
+    "states": lambda data, tail: data.update(states=True),
+    "initial": lambda data, tail: data.update(initial=False),
+    "accepting": lambda data, tail: data.update(accepting=[True]),
+    "accepting-folded": lambda data, tail: data["accepting"].append(True),
+    "existential": lambda data, tail: data.update(existential=[False]),
+    "existential-folded": lambda data, tail: data["existential"].append(False),
+    "source": lambda data, tail: data["transitions"].append([True, "b", 0, *tail]),
+    "source-folded": lambda data, tail: data["transitions"].append([False, "a", 1, *tail]),
+    "target": lambda data, tail: data["transitions"].append([0, "b", False, *tail]),
+    "target-folded": lambda data, tail: data["transitions"].append([0, "a", True, *tail]),
+}
+# Two-state machines with the one move (0, "a") -> 1; a row appended to a
+# 2way or pfa machine ends as its "tail" says (a pfa row with mass 0).
+_BOOL_MACHINES = {
+    "dfa": (OneWayDfa(2, ("a", "b"), 0, {(0, "a"): 1}, frozenset({1})), ()),
+    "nfa": (OneWayNfa(2, ("a", "b"), 0, frozenset({(0, "a", 1)}), frozenset({1})), ()),
+    "afa": (
+        OneWayAfa(2, ("a", "b"), 0, frozenset({(0, "a", 1)}), frozenset({1}), frozenset({0})),
+        (),
+    ),
+    "2way": (
+        TwoWayMachine(2, ("a", "b"), 0, frozenset({(0, "a", 1, RIGHT)}), frozenset({1})),
+        ("R",),
+    ),
+    "pfa": (
+        OneWayPfa(2, ("a", "b"), 0, {(0, "a"): ((1, Fraction(1)),)}, {0: "neutral", 1: "accepting"}),
+        ("0/1",),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "tag,field",
+    [
+        (tag, field)
+        for tag in _BOOL_MACHINES
+        for field in _BOOL_STATES
+        if not (field.startswith("existential") and tag != "afa")
+        and not (field.startswith("accepting") and tag == "pfa")
+    ],
+)
+def test_json_booleans_are_not_state_numbers(tag, field):
+    machine, tail = _BOOL_MACHINES[tag]
+    data = machine_to_dict(machine)
+    assert loads(json.dumps(data)) == machine
+    _BOOL_STATES[field](data, tail)
+    with pytest.raises(MachineFormatError, match="True|False|duplicate"):
+        loads(json.dumps(data))
+
+
+def test_a_boolean_state_count_exits_2(tmp_path, capsys):
+    data = machine_to_dict(evenodd_dfa(1))
+    data["states"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--machine", str(path), "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: states True must be an integer up to the cap 1048576\n"
+    )
