@@ -39,6 +39,7 @@ _KIND_CAPS = {KIND_UNARY_DFA: 18, KIND_DFA: 8, KIND_UNARY_NFA: 4}
 
 DEFAULT_WORK_CAP = 10**8  # search nodes visited by min_dfa_size and min_unary_nfa_size
 DEFAULT_WORD_CAP = 10**7  # words walked by disjointness_check
+_SHOWN_WORDS = 10**100  # the largest word count a cap message prints in full
 
 # Transition sentinels and instance label bits of the general DFA search.
 _UNSET = -2
@@ -480,9 +481,13 @@ def disjointness_check(
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
     base = len(problem.alphabet)
-    total = sum(base**length for length in range(max_length + 1))
+    # Words up to length n: n + 1 over one symbol, else (base^(n+1) - 1)/(base - 1),
+    # which passes the cap and 10^100 before n reaches their bit length.
+    cut = min(max_length, max(work_cap, _SHOWN_WORDS).bit_length())
+    total = max_length + 1 if base == 1 else (base ** (cut + 1) - 1) // (base - 1)
     if total > work_cap:
-        raise ResourceCapError(f"{total} words above the {work_cap} cap")
+        count = total if total <= _SHOWN_WORDS else "more than 10^100"
+        raise ResourceCapError(f"{count} words above the {work_cap} cap")
     yes_count = 0
     no_count = 0
     for word in _words(problem.alphabet, max_length):
@@ -499,3 +504,4 @@ def disjointness_check(
     return VerificationReport(
         SOLVES, measured={"words": total, "yes": yes_count, "no": no_count}
     )
+

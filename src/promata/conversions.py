@@ -20,7 +20,6 @@ from .machines import (
     _image,
     _mask,
     _nfa_stepper,
-    _nfa_tables,
     _twoway_stepper,
 )
 
@@ -174,15 +173,14 @@ def remove_epsilon(nfa: OneWayNfa) -> OneWayNfa:
     Symbol moves are composed through closures on both sides, and a state
     becomes accepting when its closure meets an accepting state.
     """
-    closure, succ = _nfa_tables(nfa)
+    closure, succ = nfa._closure, nfa._succ  # type: ignore[attr-defined]
     accepting_mask = _mask(nfa.accepting)
+    accepting = set(nfa.accepting)
+    accepting.update(state for state, reach in closure.items() if reach & accepting_mask)
     transitions: set[tuple[int, str | None, int]] = set()
-    accepting: set[int] = set()
-    for state in range(nfa.state_count):
-        if closure[state] & accepting_mask:
-            accepting.add(state)
-        for sym in nfa.alphabet:
-            moved = _image(closure[state], succ[sym])
+    for sym, rows in succ.items():
+        for state in rows.keys() | closure.keys():
+            moved = _image(closure[state], rows) if state in closure else rows[state]
             transitions.update((state, sym, target) for target in _bits(moved))
     return OneWayNfa(
         state_count=nfa.state_count,

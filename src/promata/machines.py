@@ -145,11 +145,31 @@ class OneWayNfa(_Machine):
     labels: Mapping[int, str] = field(default_factory=dict)
 
     def _check_rules(self, symbols: frozenset[str]) -> None:
+        # Bitmask tables: each silent state's EPSILON closure (any other
+        # state closes to itself), and per symbol each moving state's closed
+        # successors.
+        succ: dict[str | None, dict[int, int]] = {sym: {} for sym in (*self.alphabet, EPSILON)}
         for src, sym, dst in self.transitions:
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
             if sym is not EPSILON and sym not in symbols:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
+            row = succ[sym]
+            row[src] = row.get(src, 0) | 1 << dst
+        eps = succ.pop(EPSILON)
+        closure = {}
+        for state in eps:
+            reach = frontier = 1 << state
+            while frontier:
+                frontier = _image(frontier, eps) & ~reach
+                reach |= frontier
+            closure[state] = reach
+        if closure:
+            for rows in succ.values():
+                for src, targets in rows.items():
+                    rows[src] = targets | _image(targets, closure)
+        object.__setattr__(self, "_closure", closure)
+        object.__setattr__(self, "_succ", succ)
 
 
 @dataclass(frozen=True)
@@ -216,18 +236,15 @@ class OneWayAfa(_Machine):
     _state_sets = ("accepting", "existential")
 
     def _check_rules(self, symbols: frozenset[str]) -> None:
-        eps_out: dict[int, list[int]] = {}
-        by_symbol: dict[tuple[int, str], list[int]] = {}
+        masks: dict[tuple[int, str | None], int] = {}  # (state, label): targets
         for src, sym, dst in self.transitions:
             _check_state(src, self.state_count, "transition source")
             _check_state(dst, self.state_count, "transition target")
-            if sym is EPSILON:
-                eps_out.setdefault(src, []).append(dst)
-            else:
-                if sym not in symbols:
-                    raise ValueError(f"transition symbol {sym!r} not in alphabet")
-                by_symbol.setdefault((src, sym), []).append(dst)
-        mixed = {src for src, _ in by_symbol} & eps_out.keys()
+            if sym is not EPSILON and sym not in symbols:
+                raise ValueError(f"transition symbol {sym!r} not in alphabet")
+            masks[src, sym] = masks.get((src, sym), 0) | 1 << dst
+        eps_out = {src: _bits(mask) for (src, sym), mask in masks.items() if sym is EPSILON}
+        mixed = {src for src, sym in masks if sym is not EPSILON} & eps_out.keys()
         if mixed:
             raise ValueError(
                 f"states {sorted(mixed)} mix EPSILON and symbol transitions"
@@ -236,73 +253,75 @@ class OneWayAfa(_Machine):
             raise ValueError(f"max_eps_chain must be an integer, not {self.max_eps_chain!r}")
         if self.max_eps_chain < 0:
             raise ValueError("max_eps_chain must be non-negative")
-        depth = _eps_chain_depths(self.state_count, eps_out)
-        longest = max(depth) if depth else 0
+        depth = _eps_chain_depths(eps_out)
+        longest = max(depth.values(), default=0)
         if longest > self.max_eps_chain:
             raise ValueError(
                 f"longest EPSILON chain has {longest} edges, above the declared "
                 f"bound {self.max_eps_chain}"
             )
-        object.__setattr__(
-            self, "_eps_order", tuple(sorted(range(self.state_count), key=depth.__getitem__))
-        )
-        object.__setattr__(self, "_eps_out", eps_out)
-        object.__setattr__(self, "_by_symbol", by_symbol)
+        object.__setattr__(self, "_depth", depth)
+        # Per symbol, and at the end of the input under EPSILON, the program
+        # _afa_stepper evaluates: (bit, target mask, existential, silent) for
+        # each state whose bit the symbol can set. Symbol states read the
+        # previous value and come first; silent states read the value being
+        # built, so they follow in EPSILON-depth order.
+        existential = self.existential
+        programs: dict[str | None, list[tuple[int, int, bool, bool]]] = {
+            sym: [] for sym in self.alphabet
+        }
+        for (src, sym), mask in masks.items():
+            if sym is not EPSILON:
+                programs[sym].append((1 << src, mask, src in existential, False))
+        programs[EPSILON] = [
+            (1 << src, masks[src, EPSILON], src in existential, True)
+            for src in sorted(depth, key=lambda state: (depth[state], state))
+        ]
+        for sym in self.alphabet:
+            programs[sym] += programs[EPSILON]
+        object.__setattr__(self, "_programs", programs)
+        object.__setattr__(self, "_halted", _mask(self.accepting - eps_out.keys()))
 
     @property
     def eps_order(self) -> tuple[int, ...]:
-        """States ordered so every EPSILON target precedes its sources."""
-        return self._eps_order  # type: ignore[attr-defined]
+        """States ordered so every EPSILON target precedes its sources: by
+        longest EPSILON chain, then by number."""
+        depth = self._depth  # type: ignore[attr-defined]
+        return (
+            *itertools.filterfalse(depth.__contains__, range(self.state_count)),
+            *sorted(depth, key=lambda state: (depth[state], state)),
+        )
 
     def universal(self) -> frozenset[int]:
         return frozenset(range(self.state_count)) - self.existential
 
 
-def _eps_chain_depths(count: int, eps_out: Mapping[int, list[int]]) -> list[int]:
-    """Longest EPSILON path (in edges) from each state; raises on a cycle.
+def _eps_chain_depths(eps_out: Mapping[int, list[int]]) -> dict[int, int]:
+    """Longest EPSILON path (in edges) from each state with an EPSILON move;
+    every other state has depth 0. Raises on a cycle.
 
     Iterative topological pass from the sinks backwards, so chain length is
-    bounded by memory rather than by the interpreter's recursion limit."""
-    sources: list[list[int]] = [[] for _ in range(count)]
-    pending = [0] * count
+    bounded by memory rather than by the interpreter's recursion limit, and
+    only states on an EPSILON move are visited."""
+    sources: dict[int, list[int]] = {}
     for src, targets in eps_out.items():
-        pending[src] = len(targets)
         for dst in targets:
-            sources[dst].append(src)
-    depth = [0] * count
-    ready = [state for state in range(count) if not pending[state]]
-    finished = 0
+            sources.setdefault(dst, []).append(src)
+    pending = {src: len(targets) for src, targets in eps_out.items()}
+    depth: dict[int, int] = {}
+    ready = [state for state in sources if state not in eps_out]
     while ready:
         state = ready.pop()
-        finished += 1
-        for src in sources[state]:
-            depth[src] = max(depth[src], depth[state] + 1)
+        reach = depth.get(state, 0) + 1
+        for src in sources.get(state, ()):
+            if depth.get(src, 0) < reach:
+                depth[src] = reach
             pending[src] -= 1
             if not pending[src]:
                 ready.append(src)
-    if finished < count:
+    if any(pending.values()):
         raise ValueError("EPSILON transitions form a cycle")
     return depth
-
-
-def _check_stochastic_row(
-    row: tuple[tuple[int, Fraction], ...], count: int, key: tuple[int, str]
-) -> None:
-    ratios = []
-    for dst, prob in row:
-        _check_state(dst, count, "transition target")
-        if not isinstance(prob, Fraction):
-            raise ValueError(f"probability {prob!r} on {key!r} must be a Fraction")
-        num, den = prob.numerator, prob.denominator
-        if not 0 <= num <= den:
-            raise ValueError(f"probability {prob} on {key!r} outside [0, 1]")
-        ratios.append((num, den))
-    # The row sums to 1 iff its numerators over the least common denominator
-    # sum to that denominator; integers skip the gcd of every Fraction add.
-    common = math.lcm(*(den for _, den in ratios))
-    if sum(num * (common // den) for num, den in ratios) != common:
-        total = sum((prob for _, prob in row), Fraction(0))
-        raise ValueError(f"probabilities on {key!r} sum to {total}, not 1")
 
 
 def _sorted_rows(
@@ -341,11 +360,32 @@ class OneWayPfa(_Machine):
         for state, role in self.roles.items():
             if role not in _ROLES:
                 raise ValueError(f"state {state} has unknown role {role!r}")
-        for (src, sym), row in self.transitions.items():
+        for key, row in self.transitions.items():
+            src, sym = key
             _check_state(src, self.state_count, "transition source")
             if sym not in symbols:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            _check_stochastic_row(row, self.state_count, (src, sym))
+            for dst, prob in row:
+                _check_state(dst, self.state_count, "transition target")
+                if not isinstance(prob, Fraction):
+                    raise ValueError(f"probability {prob!r} on {key!r} must be a Fraction")
+                if not 0 <= prob.numerator <= prob.denominator:
+                    raise ValueError(f"probability {prob} on {key!r} outside [0, 1]")
+        # D, the lcm of every denominator, and each row as (target, weight)
+        # pairs with integer weights over D, zero entries dropped. A row sums
+        # to 1 iff its weights sum to D, and steps on weights skip the gcd of
+        # every Fraction operation.
+        unit = math.lcm(*(prob.denominator for row in self.transitions.values() for _, prob in row))
+        weights = {}
+        for key, row in self.transitions.items():
+            weights[key] = scaled = tuple(
+                (dst, prob.numerator * (unit // prob.denominator)) for dst, prob in row if prob
+            )
+            if sum(weight for _, weight in scaled) != unit:
+                total = sum((prob for _, prob in row), Fraction(0))
+                raise ValueError(f"probabilities on {key!r} sum to {total}, not 1")
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_weights", weights)
 
     def states_with_role(self, role: str) -> frozenset[int]:
         return frozenset(s for s, r in self.roles.items() if r == role)
@@ -645,39 +685,25 @@ def dfa_run(dfa: OneWayDfa, word: str) -> RunResult:
 
 
 def _mask(states: Iterable[int]) -> int:
-    """The bitmask of a set of states: bit q is set iff q is in the set."""
-    out = 0
+    """The bitmask of a set of states: bit q is set iff q is in the set.
+    Set byte by byte, as OR-ing each bit into an int would copy the int
+    once per state."""
+    states = tuple(states)
+    out = bytearray(max(states, default=0) // 8 + 1)
     for state in states:
-        out |= 1 << state
-    return out
+        out[state >> 3] |= 1 << (state & 7)
+    return int.from_bytes(out, "little")
 
 
-def _image(mask: int, rows: list[int]) -> int:
-    """The union of rows[q] over the states q of a bitmask state set."""
+def _image(mask: int, rows: Mapping[int, int]) -> int:
+    """The union of rows[q] over the states q of a bitmask state set; a
+    state missing from rows adds nothing."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= rows[low.bit_length() - 1]
+        out |= rows.get(low.bit_length() - 1, 0)
         mask ^= low
     return out
-
-
-def _nfa_tables(nfa: OneWayNfa) -> tuple[list[int], dict[str, list[int]]]:
-    """EPSILON closure of each state, and per symbol each state's closed
-    successors, as state-set bitmasks."""
-    eps = [0] * nfa.state_count
-    moves = {sym: [0] * nfa.state_count for sym in nfa.alphabet}
-    for src, sym, dst in nfa.transitions:
-        (eps if sym is EPSILON else moves[sym])[src] |= 1 << dst
-    closure = []
-    for state in range(nfa.state_count):
-        reach = frontier = 1 << state
-        while frontier:
-            frontier = _image(frontier, eps) & ~reach
-            reach |= frontier
-        closure.append(reach)
-    succ = {sym: [_image(row, closure) for row in rows] for sym, rows in moves.items()}
-    return closure, succ
 
 
 def _bits(mask: int) -> list[int]:
@@ -692,10 +718,10 @@ def _bits(mask: int) -> list[int]:
 
 def _nfa_stepper(nfa: OneWayNfa) -> Stepper:
     """The value is the EPSILON-closed set of current states, as a bitmask."""
-    closure, succ = _nfa_tables(nfa)
+    succ = nfa._succ  # type: ignore[attr-defined]
     accepting = _mask(nfa.accepting)
     return Stepper(
-        closure[nfa.initial],
+        nfa._closure.get(nfa.initial, 1 << nfa.initial),  # type: ignore[attr-defined]
         lambda current, sym: _image(current, succ[sym]),
         lambda current: bool(current & accepting),
     )
@@ -884,41 +910,28 @@ def _afa_stepper(afa: OneWayAfa) -> Stepper:
     States are evaluated in EPSILON-depth order, so silent targets are set
     before their sources read them.
     """
-    eps = afa._eps_out  # type: ignore[attr-defined]
-    by_symbol = afa._by_symbol  # type: ignore[attr-defined]
-
-    def program(sym: str | None) -> list[tuple[int, int, bool, bool]]:
-        """(bit, target mask, existential, reads the new value) for every
-        state whose bit can be set on reading sym, or at the end of the
-        input when sym is None: EPSILON states read the value being built,
-        symbol states the previous one."""
-        out = []
-        for state in afa.eps_order:
-            targets = eps.get(state) or by_symbol.get((state, sym))
-            if targets:
-                out.append((1 << state, _mask(targets), state in afa.existential, state in eps))
-        return out
-
-    def evaluate(program: list[tuple[int, int, bool, bool]], prev: int, out: int) -> int:
-        for bit, mask, existential, silent in program:
-            hit = (out if silent else prev) & mask
-            if hit if existential else hit == mask:
-                out |= bit
-        return out
-
-    programs = {sym: program(sym) for sym in afa.alphabet}
-    halted = _mask(afa.accepting - eps.keys())
+    programs = afa._programs  # type: ignore[attr-defined]
 
     def step(value: int, sym: str) -> int:
-        return evaluate(programs[sym], value, 0)
+        return _evaluate(programs[sym], value, 0)
 
     initial = afa.initial
     return Stepper(
-        evaluate(program(None), 0, halted),
+        _evaluate(programs[EPSILON], 0, afa._halted),  # type: ignore[attr-defined]
         step,
         lambda value: bool(value >> initial & 1),
         reverse=True,
     )
+
+
+def _evaluate(program: list[tuple[int, int, bool, bool]], prev: int, out: int) -> int:
+    """One backward step of an AFA program (see OneWayAfa._check_rules):
+    prev is the value after the step's symbol, out the bits set so far."""
+    for bit, mask, existential, silent in program:
+        hit = (out if silent else prev) & mask
+        if hit if existential else hit == mask:
+            out |= bit
+    return out
 
 
 def afa_accepts(afa: OneWayAfa, word: str) -> bool:

@@ -48,29 +48,14 @@ class OutcomeDistribution:
             raise ValueError("outcome probabilities must sum to exactly 1")
 
 
-def _integer_rows(
-    pfa: OneWayPfa,
-) -> tuple[int, dict[tuple[int, str], tuple[tuple[int, int], ...]]]:
-    """(D, rows): D is the lcm of every transition probability's denominator,
-    and each row becomes (target, weight) pairs with integer weights over D,
-    zero entries dropped, so the weights of a row sum to exactly D."""
-    unit = math.lcm(*(prob.denominator for row in pfa.transitions.values() for _, prob in row))
-    rows = {
-        key: tuple(
-            (target, prob.numerator * (unit // prob.denominator)) for target, prob in row if prob
-        )
-        for key, row in pfa.transitions.items()
-    }
-    return unit, rows
-
-
 def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
     """The value is (masses, scale): the state still running holds exact
     mass masses[state] / scale, with scale = D^j after j symbols for the
-    common denominator D of _integer_rows. A step multiplies and adds plain
-    ints, and the fractions are reduced only in outcome. Mass reaching a
-    (state, symbol) with no row halts and leaves the distribution."""
-    unit, rows = _integer_rows(pfa)
+    common denominator D the machine keeps as _unit, with its integer rows
+    as _weights. A step multiplies and adds plain ints, and the fractions
+    are reduced only in outcome. Mass reaching a (state, symbol) with no
+    row halts and leaves the distribution."""
+    unit, rows = pfa._unit, pfa._weights  # type: ignore[attr-defined]
     roles = pfa.roles
 
     def step(value: tuple[dict[int, int], int], sym: str) -> tuple[dict[int, int], int]:
@@ -152,8 +137,8 @@ def _multinomial(
     getrandbits: Callable[[int], int], n: int, row: tuple[tuple[int, int], ...], left: int
 ) -> Iterator[tuple[int, int]]:
     """Yield (target, count) for an exact multinomial split of n trials over
-    a row of _integer_rows, whose weights sum to left; targets that draw no
-    trial are skipped. It is a chain of binomials: each target takes
+    a row of a machine's _weights, whose weights sum to left; targets that
+    draw no trial are skipped. It is a chain of binomials: each target takes
     Bin(trials left, its weight / the weight left), and the last takes what
     remains."""
     for target, weight in row[:-1]:
@@ -177,19 +162,19 @@ def monte_carlo(
     keeps how many trials sit in each state and advances that count vector
     one symbol at a time. The trials in state q split among the targets of
     q's row as one exact multinomial draw over the row's integer weights
-    (see _integer_rows and _multinomial), so the final counts have exactly
-    the law of running each trial alone. Trials that meet a missing row
-    halt and count as neutral. One generator random.Random(str(seed))
-    serves the whole call, so the result is a pure function of (machine,
-    word, trials, seed) and differs for seeds s and -s. The cost is about
-    |word| x occupied states x row length x (log2(trials) + 2) generator
-    calls; a call for n tied trials builds an n-bit integer. Frequencies
-    come back as exact counts over trials.
+    (the machine's _weights over D, see _multinomial), so the final counts
+    have exactly the law of running each trial alone. Trials that meet a
+    missing row halt and count as neutral. One generator
+    random.Random(str(seed)) serves the whole call, so the result is a pure
+    function of (machine, word, trials, seed) and differs for seeds s and
+    -s. The cost is about |word| x occupied states x row length x
+    (log2(trials) + 2) generator calls; a call for n tied trials builds an
+    n-bit integer. Frequencies come back as exact counts over trials.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _require_symbols(word, pfa.symbols)
-    unit, rows = _integer_rows(pfa)
+    unit, rows = pfa._unit, pfa._weights  # type: ignore[attr-defined]
     getrandbits = random.Random(str(seed)).getrandbits
     counts = {pfa.initial: trials}
     for sym in word:

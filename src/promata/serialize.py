@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 from fractions import Fraction
 from itertools import chain
 from typing import Any
@@ -68,38 +68,31 @@ def _require(data: dict[str, Any], key: str) -> Any:
     return data[key]
 
 
+def _listed_once(values: list, made: Collection, what: str) -> Any:
+    """`made`, the set or table made from `values`, once no entry of
+    `values` repeats. Python takes JSON true and false for 1 and 0, so
+    either one next to an equal state is a repeat too."""
+    if len(made) != len(values):
+        raise MachineFormatError(f"duplicate {what}")
+    return made
+
+
 def _dfa_rows(table: dict) -> Iterable[list]:
     return ([src, sym, dst] for (src, sym), dst in table.items())
 
 
 def _dfa_table(rows: list) -> dict:
     table = {(src, sym): dst for src, sym, dst in rows}
-    if len(table) != len(rows):
-        raise MachineFormatError("dfa has duplicate (state, symbol) entries")
-    return table
+    return _listed_once(rows, table, "(state, symbol) transitions")
 
 
 def _silent_rows(moves: frozenset) -> Iterable[list]:
     return ([src, "" if sym is EPSILON else sym, dst] for src, sym, dst in moves)
 
 
-def _unfolded(values: list, frozen: frozenset) -> frozenset:
-    """`frozen`, the set made from `values`, once it has folded no JSON true
-    or false into an equal state. Python takes them for 1 and 0, so a set
-    keeps whichever of an equal pair came first, and the machine's checks
-    meet the bool only when it was kept; a set as long as its list folded
-    nothing."""
-    if len(frozen) != len(values):
-        for value in values:
-            for item in value if isinstance(value, list) else (value,):
-                if isinstance(item, bool):
-                    raise ValueError(f"{item!r} is not a state number")
-    return frozen
-
-
 def _silent_moves(rows: list) -> frozenset:
     moves = frozenset((src, EPSILON if sym == "" else sym, dst) for src, sym, dst in rows)
-    return _unfolded(rows, moves)
+    return _listed_once(rows, moves, "transitions")
 
 
 def _head_rows(moves: frozenset) -> Iterable[list]:
@@ -112,7 +105,7 @@ def _head_moves(rows: list) -> frozenset:
         if move not in _MOVE_FROM_JSON:
             raise MachineFormatError(f"bad move {move!r}, expected L/S/R")
         moves.append((src, sym, dst, _MOVE_FROM_JSON[move]))
-    return _unfolded(rows, frozenset(moves))
+    return _listed_once(rows, frozenset(moves), "transitions")
 
 
 def _stochastic_rows(table: dict) -> Iterable[list]:
@@ -129,6 +122,8 @@ def _stochastic_table(rows: list) -> dict:
         if isinstance(src, bool):  # the row's key would fold into state 0 or 1
             raise ValueError(f"transition source {src!r} is not a state number")
         table.setdefault((src, sym), []).append((dst, fraction_from_str(prob)))
+    moves = {(src, sym, dst) for src, sym, dst, _ in rows}
+    _listed_once(rows, moves, "(state, symbol, target) transitions")
     return {key: tuple(row) for key, row in table.items()}
 
 
@@ -199,7 +194,7 @@ def machine_from_dict(data: dict[str, Any]) -> Machine:
         fields["transitions"] = transitions(_require(data, "transitions"))
         for name in cls._state_sets:
             listed = _require(data, name)
-            fields[name] = _unfolded(listed, frozenset(listed))
+            fields[name] = _listed_once(listed, frozenset(listed), f"{name} states")
         for key, attribute, default in options:
             fields[attribute] = data.get(key, default)
         if cls is OneWayPfa:

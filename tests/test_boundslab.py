@@ -508,3 +508,23 @@ def test_disjointness_rejects_a_negative_horizon(max_length):
 def test_disjointness_work_cap():
     with pytest.raises(ResourceCapError):
         disjointness_check(trios_problem(1, 1), 30, work_cap=100)
+
+
+@pytest.mark.parametrize("max_length", [10**6, 10**9])
+def test_disjointness_cap_counts_no_further_than_it_must(max_length):
+    # A unary problem has max_length + 1 words; a 3-symbol one has more
+    # than 10^100, which the message says instead of the count.
+    with pytest.raises(ResourceCapError) as unary:
+        disjointness_check(evenodd_problem(1), max_length, work_cap=1000)
+    assert str(unary.value) == f"{max_length + 1} words above the 1000 cap"
+    with pytest.raises(ResourceCapError) as ternary:
+        disjointness_check(trios_problem(1, 1), max_length)
+    assert str(ternary.value) == "more than 10^100 words above the 10000000 cap"
+
+
+def test_disjointness_cap_message_counts_every_word_up_to_10_to_the_100():
+    # (3^210 - 1)/2 is about 10^99.9; one symbol more passes 10^100.
+    with pytest.raises(ResourceCapError, match=f"^{(3**210 - 1) // 2} words"):
+        disjointness_check(trios_problem(1, 1), 209, work_cap=10)
+    with pytest.raises(ResourceCapError, match="^more than 10"):
+        disjointness_check(trios_problem(1, 1), 210, work_cap=10)

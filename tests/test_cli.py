@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from promata import (
     EPSILON,
     OneWayAfa,
     OneWayNfa,
+    TwoWayMachine,
     dfa_minimize,
     dumps,
     evenodd_afa_epsfree,
@@ -34,9 +36,10 @@ from promata import (
     up_dfa,
     up_pfa,
 )
-from promata import cli
+from promata import cli, serialize
 from promata.acceptance import CriterionResult
 from promata.cli import main
+from promata.machines import RIGHT
 from promata.serialize import load
 
 
@@ -1086,3 +1089,129 @@ def test_up_dfa_past_the_iteration_cap_exits_3_within_a_second():
     assert err == "resource cap: critical lengths exceed the iteration cap 1000000\n"
     assert seconds - startup < 1
 
+
+
+# --- every command that reads a machine file ends in a documented exit code ---
+
+# Unary machines, one per type, so the evenodd problem fits each alphabet.
+_READ_MACHINES = {
+    "dfa": evenodd_dfa(1),
+    "nfa": OneWayNfa(
+        3, ("a",), 0, frozenset({(0, "a", 1), (1, EPSILON, 2), (2, "a", 0)}), frozenset({2})
+    ),
+    "afa": evenodd_afa_rt(1),
+    "2way": TwoWayMachine(
+        2,
+        ("a",),
+        0,
+        frozenset({(0, "⊢", 0, RIGHT), (0, "a", 1, RIGHT), (1, "a", 0, RIGHT)}),
+        frozenset({0}),
+        True,
+    ),
+    "pfa": up_pfa(Fraction(1, 2)),
+}
+# The commands that read a machine file, which is appended to each.
+_READERS = [
+    ("simulate", "--word", "aaa", "--machine"),
+    *(("convert", "--algorithm", name, "--from") for name in cli._CONVERSIONS),
+    ("pumping", "--m", "2", "--machine"),
+    ("verify", "promise", "--problem", "evenodd", "--k", "1", "--max-length", "3", "--machine"),
+    ("prob", "exact", "--word", "aa", "--machine"),
+    ("prob", "mc", "--word", "aa", "--trials", "50", "--machine"),
+    ("prob", "lasvegas", "--problem", "evenodd", "--k", "1", "--max-length", "3", "--machine"),
+]
+_JUNK_VALUES = [None, True, False, -1, 0, 1, 2, 7, 1.5, "", "a", "b", "⊣", "R", "1/2", "1/0",
+                [], [0], [0, "a", 1], {}, {"0": "accepting"}]
+
+
+def _slots(value):
+    """(container, key) for every value inside a JSON tree."""
+    keys = value if isinstance(value, dict) else range(len(value))
+    for key in keys:
+        yield value, key
+        if isinstance(value[key], (dict, list)):
+            yield from _slots(value[key])
+
+
+def _mutated(rng, data):
+    """data after one or two seeded edits: mostly an integer set to 0..3,
+    otherwise an entry dropped, repeated or replaced by junk."""
+    data = json.loads(json.dumps(data))
+    for _ in range(rng.randint(1, 2)):
+        slots = list(_slots(data))
+        numbers = [(parent, key) for parent, key in slots if type(parent[key]) is int]
+        if numbers and rng.random() < 0.6:
+            parent, key = rng.choice(numbers)
+            parent[key] = rng.randrange(4)
+            continue
+        parent, key = rng.choice(slots)
+        action = rng.choice(["drop", "repeat", "junk"])
+        if action == "drop":
+            del parent[key]
+        elif action == "repeat" and isinstance(parent, list):
+            parent.append(parent[key])
+        else:
+            parent[key] = rng.choice(_JUNK_VALUES)
+    return data
+
+
+def _assert_documented_exits(capsys, path, succeed=()):
+    """Every reader exits 0-3 with no internal error, and those in succeed exit 0."""
+    for reader in _READERS:
+        code, _, err = run_cli(capsys, *reader, path)
+        assert code in (0, 1, 2, 3) and "internal error" not in err, (reader, err)
+        assert code == 0 or reader not in succeed, (reader, err)
+
+
+def test_mutated_machine_files_end_in_a_documented_exit(capsys, monkeypatch, tmp_path):
+    for variable in ("SUBSET_CAP", "VECTOR_CAP", "WORK_CAP"):
+        monkeypatch.delenv(f"PROMATA_{variable}", raising=False)
+    rng = random.Random("machine-file-readers")
+    path = tmp_path / "mutant.json"
+    for tag, machine in _READ_MACHINES.items():
+        data = serialize.machine_to_dict(machine)
+        for _ in range(12):
+            path.write_text(json.dumps(_mutated(rng, data)))
+            _assert_documented_exits(capsys, str(path))
+
+
+def test_machine_files_declaring_2_20_states_end_in_a_documented_exit(capsys, tmp_path):
+    # One move from state 0, which accepts, to the last of 1,048,576 states:
+    # the NFA solves EvenOdd(1) up to length 3. Closing every state of such
+    # an NFA once took O(states^2) bits and ran out of memory.
+    last = (1 << 20) - 1
+    one_move = {
+        "dfa": [[0, "a", last]],
+        "nfa": [[0, "a", last]],
+        "afa": [[0, "a", last]],
+        "2way": [[0, "a", last, "R"]],
+    }
+    for tag, transitions in one_move.items():
+        data = serialize.machine_to_dict(_READ_MACHINES[tag])
+        data.update(states=last + 1, transitions=transitions, accepting=[0], labels={})
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps(data))
+        succeed = [_READERS[0]]
+        if tag == "nfa":
+            succeed += [("convert", "--algorithm", "subset", "--from"), _READERS[-4]]
+        _assert_documented_exits(capsys, str(path), succeed)
+
+
+@pytest.mark.slow
+def test_a_pfa_file_declaring_2_20_states_ends_in_a_documented_exit(capsys, tmp_path):
+    # A PFA's roles cover every state, so its file runs to 22 MB and each
+    # command takes over a second to read it: it goes through the commands
+    # that take a PFA, and the all-neutral machine fails the Las Vegas check.
+    last = (1 << 20) - 1
+    data = serialize.machine_to_dict(_READ_MACHINES["pfa"])
+    data.update(
+        states=last + 1,
+        transitions=[[0, "a", last, "1"]],
+        roles=dict.fromkeys(map(str, range(last + 1)), "neutral"),
+        labels={},
+    )
+    path = tmp_path / "pfa.json"
+    path.write_text(json.dumps(data))
+    for reader in (_READERS[0], *_READERS[-3:]):
+        code, out, err = run_cli(capsys, *reader, str(path))
+        assert (code, err) == (1 if "lasvegas" in reader else 0, ""), reader

@@ -30,9 +30,12 @@ from promata import (
     nfa_to_dfa,
     parity_dfa,
     promise_check,
+    remove_epsilon,
     twoway_accepts,
 )
-from promata.machines import DEFAULT_STATE_CAP, LEFT, RIGHT, STAY, RunResult, _fold, _run, _stepper
+from promata.machines import (
+    DEFAULT_STATE_CAP, LEFT, RIGHT, STAY, RunResult, _fold, _mask, _run, _stepper
+)
 
 
 def test_dfa_partial_transitions_stick():
@@ -161,6 +164,33 @@ def test_word_symbols_must_be_in_alphabet():
     dfa = OneWayDfa(1, ("a",), 0, {(0, "a"): 0}, frozenset({0}))
     with pytest.raises(ValueError):
         dfa_run(dfa, "ab")
+
+
+def test_nfa_tables_grow_with_the_moves_not_the_declared_states():
+    # Every one of 2^20 states accepts, and three moves touch the highest
+    # ones: only the silent state gets a closure of its own.
+    last = DEFAULT_STATE_CAP - 1
+    nfa = OneWayNfa(
+        state_count=DEFAULT_STATE_CAP,
+        alphabet=("a",),
+        initial=0,
+        transitions=frozenset({(0, "a", last), (last, EPSILON, last - 1), (last - 1, "a", 5)}),
+        accepting=frozenset(range(DEFAULT_STATE_CAP)),
+    )
+    assert nfa._closure == {last: 3 << (last - 1)}
+    assert nfa._succ == {"a": {0: 3 << (last - 1), last - 1: 1 << 5}}
+    assert nfa_accepts(nfa, "aa")
+    assert not nfa_accepts(nfa, "aaa")
+    assert remove_epsilon(nfa).transitions == {
+        (0, "a", last), (0, "a", last - 1), (last, "a", 5), (last - 1, "a", 5)
+    }
+
+
+def test_state_masks_set_exactly_the_listed_bits():
+    rng = random.Random("masks")
+    for size in (0, 1, 7, 8, 9, 100):
+        states = rng.sample(range(300), size)
+        assert _mask(states) == sum(1 << state for state in states)
 
 
 def test_nfa_epsilon_closure_reaches_accept():

@@ -319,7 +319,7 @@ def _block_sampler(pfa, word, trials, seed):
     word alone, a base-D digit per symbol picking a target by cumulative
     integer thresholds, in blocks of 4,096 trials with one generator each.
     Returns the (accept, reject, neutral) counts."""
-    unit, rows = probabilistic._integer_rows(pfa)
+    unit, rows = pfa._unit, pfa._weights
     halted = pfa.state_count
     tables = {}
     for sym in pfa.symbols:
@@ -453,7 +453,8 @@ def test_monte_carlo_conserves_trials():
         for trials in (1, 17, 10**4):
             word = "a" * rng.randint(0, 30)
             assert monte_carlo(pfa, word, trials, rng.randrange(99)).neutral == 0
-    unit, rows = probabilistic._integer_rows(_lcm_pfa())
+    pfa = _lcm_pfa()
+    unit, rows = pfa._unit, pfa._weights
     for row in rows.values():
         for n in (0, 1, 3, 1000):
             split = probabilistic._multinomial(rng.getrandbits, n, row, unit)

@@ -441,10 +441,10 @@ def test_stable_json_layout_cases(value):
 @pytest.mark.parametrize(
     "value",
     [
-        object(),
-        [1, object()],
+        pytest.param(object(), id="object()"),
+        pytest.param([1, object()], id="[1, object()]"),
         [[1, Fraction(1, 2)]],
-        [[1], [object()]],
+        pytest.param([[1], [object()]], id="[[1], [object()]]"),
         {"a": {1, 2}},
         {"a": [1, object()]},
         {1: 0, "a": 0},
@@ -541,6 +541,45 @@ def test_json_booleans_are_not_state_numbers(tag, field):
     _BOOL_STATES[field](data, tail)
     with pytest.raises(MachineFormatError, match="True|False|duplicate"):
         loads(json.dumps(data))
+
+
+# Each way a machine file can list one entry twice: a transition row, or a
+# state in a state set, written twice or once as a state and once as the
+# JSON bool equal to it.
+_REPEATS = {
+    "row": lambda data: data["transitions"].append(list(data["transitions"][0])),
+    "accepting": lambda data: data["accepting"].append(1),
+    "accepting-as-bool": lambda data: data["accepting"].append(True),
+    "existential": lambda data: data["existential"].append(0),
+}
+
+
+@pytest.mark.parametrize(
+    "tag,repeat",
+    [
+        (tag, repeat)
+        for tag in _BOOL_MACHINES
+        for repeat in _REPEATS
+        if not (repeat == "existential" and tag != "afa")
+        and not (repeat.startswith("accepting") and tag == "pfa")
+    ],
+)
+def test_an_entry_listed_twice_is_refused(tag, repeat):
+    data = machine_to_dict(_BOOL_MACHINES[tag][0])
+    _REPEATS[repeat](data)
+    with pytest.raises(MachineFormatError, match="duplicate"):
+        loads(json.dumps(data))
+
+
+def test_a_pfa_target_listed_twice_in_a_row_is_refused(tmp_path, capsys):
+    data = machine_to_dict(_BOOL_MACHINES["pfa"][0])
+    data["transitions"] = [[0, "a", 1, "1/2"], [0, "a", 1, "1/2"]]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["simulate", "--machine", str(path), "--word", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate (state, symbol, target) transitions\n"
 
 
 def test_a_boolean_state_count_exits_2(tmp_path, capsys):
