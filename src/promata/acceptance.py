@@ -55,8 +55,8 @@ from .probabilistic import (
     lasvegas_success,
     monte_carlo,
     outcome_dist,
-    restart_bound,
     trios_success_bound,
+    within_restart_bound,
 )
 
 TIER_FAST = "fast"
@@ -383,7 +383,7 @@ def criterion_11(tier: str = TIER_FAST) -> CriterionResult:
     rounds = expected_rounds(sigma)
     checks.expect("reciprocal form", rounds == 1 / sigma)
     checks.expect(
-        "under the closed-form ceiling", float(rounds) <= restart_bound(3) + 1e-9
+        "under the closed-form ceiling", within_restart_bound(rounds, 3)
     )
     return CriterionResult(
         11,

@@ -477,7 +477,10 @@ def disjointness_check(
     problem: PromiseProblem, max_length: int, work_cap: int = DEFAULT_WORD_CAP
 ) -> VerificationReport:
     """Walk every word up to max_length and confirm no word is classified
-    both yes and no. Independent of any enumerator the problem carries."""
+    both yes and no. Independent of any enumerator the problem carries.
+
+    Both the words and the symbols in them count against work_cap, since
+    classifying a word takes time linear in its length."""
     if max_length < 0:
         raise ValueError("max_length must be non-negative")
     base = len(problem.alphabet)
@@ -488,6 +491,15 @@ def disjointness_check(
     if total > work_cap:
         count = total if total <= _SHOWN_WORDS else "more than 10^100"
         raise ResourceCapError(f"{count} words above the {work_cap} cap")
+    # Symbols, the sum of n * base^n for n <= max_length, in closed form;
+    # here base^max_length <= total <= work_cap.
+    n = max_length
+    if base == 1:
+        symbols = n * (n + 1) // 2
+    else:
+        symbols = base * (1 - (n + 1) * base**n + n * base ** (n + 1)) // (base - 1) ** 2
+    if symbols > work_cap:
+        raise ResourceCapError(f"{symbols} symbols in {total} words above the {work_cap} cap")
     yes_count = 0
     no_count = 0
     for word in _words(problem.alphabet, max_length):

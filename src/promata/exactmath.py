@@ -19,42 +19,43 @@ def e_bounds(terms: int) -> tuple[Fraction, Fraction]:
     """Rational lower and upper bounds on e from the factorial series.
 
     The lower bound is the partial sum through 1/terms!; the tail is below
-    1/(terms * terms!) for terms >= 1, giving the upper bound.
+    1/(terms * terms!) for terms >= 1, giving the upper bound. The partial
+    sum is one integer over terms!, the sum of terms!/i! built by Horner's
+    rule (s_i = i * s_(i-1) + 1), so each bound takes a single reduction.
     """
     if terms < 1:
         raise ValueError("terms must be at least 1")
-    total = Fraction(0)
-    factorial = 1
-    for i in range(terms + 1):
-        if i > 0:
-            factorial *= i
-        total += Fraction(1, factorial)
-    return total, total + Fraction(1, terms * factorial)
+    total = factorial = 1
+    for i in range(1, terms + 1):
+        total = total * i + 1
+        factorial *= i
+    return Fraction(total, factorial), Fraction(terms * total + 1, terms * factorial)
 
 
 def ceil_ln(c: int) -> int:
     """Smallest integer k with e^k >= c, decided by exact rational bounds.
 
-    Equals the ceiling of ln(c) for c >= 2 (and 0 for c = 1). Each candidate
-    power is compared through an enclosure of e that widens until the
-    comparison is strict on one side; since e is transcendental, e^k never
-    equals an integer and the loop always separates.
+    Equals the ceiling of ln(c) for c >= 2 (and 0 for c = 1). The upper
+    bound of one enclosure low < e < high is raised k by k as an integer
+    numerator and denominator while high^k < c; then low^k >= c settles k,
+    and otherwise the enclosure is rebuilt with twice the terms. Since e is transcendental,
+    e^k never equals an integer and every comparison eventually separates.
     """
     if c < 1:
         raise ValueError("c must be at least 1")
     if c == 1:
         return 0
-    k = 1
+    terms, k = 20, 1
     while True:
-        terms = 20
-        while True:
-            low, high = e_bounds(terms)
-            if low**k >= c:
-                return k
-            if high**k < c:
-                break  # e^k is certainly below c, try the next power
-            terms *= 2
-        k += 1
+        low, high = e_bounds(terms)
+        step_num, step_den = high.as_integer_ratio()
+        high_num, high_den = step_num**k, step_den**k
+        while high_num < c * high_den:  # e^k is certainly below c: try k + 1
+            k += 1
+            high_num, high_den = high_num * step_num, high_den * step_den
+        if low**k >= c:
+            return k
+        terms *= 2  # the enclosure does not separate e^k from c
 
 
 def _directed_contexts(digits: int) -> tuple[decimal.Context, decimal.Context]:

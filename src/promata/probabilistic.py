@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AlphabetMismatchError, ResourceCapError
-from .exactmath import ceil_ln, pow_less_than
+from .exactmath import ceil_ln, e_bounds, pow_less_than
 from .machines import (
     FAILS,
     ROLE_ACCEPTING,
@@ -47,6 +47,37 @@ class OutcomeDistribution:
         if self.accept + self.reject + self.neutral != 1:
             raise ValueError("outcome probabilities must sum to exactly 1")
 
+    @classmethod
+    def _from_numerators(
+        cls, accept: int, reject: int, scale: int, gcds: tuple[int, int, int] | None = None
+    ) -> OutcomeDistribution:
+        """accept/scale, reject/scale and the rest, neutral, from integers.
+
+        0 <= accept, 0 <= reject and accept + reject <= scale is
+        __post_init__'s check in integers: every part lies in [0, 1] and the
+        three sum to exactly one, with no Fraction added. Each part is
+        reduced by its numerator's gcd with scale; a caller that knows the
+        three gcds (accept, reject, neutral) from small numbers passes them,
+        so no gcd between two big integers is taken.
+        """
+        neutral = scale - accept - reject
+        if scale < 1 or accept < 0 or reject < 0 or neutral < 0:
+            raise ValueError("need 0 <= accept, 0 <= reject and accept + reject <= scale")
+        if gcds is None:
+            gcds = (math.gcd(accept, scale), math.gcd(reject, scale), math.gcd(neutral, scale))
+        dist = object.__new__(cls)
+        for name, numerator, common in zip(
+            ("accept", "reject", "neutral"), (accept, reject, neutral), gcds
+        ):
+            numerator, left = divmod(numerator, common)
+            denominator, right = divmod(scale, common)
+            if left or right:
+                raise ValueError(f"{common} does not divide a numerator and the scale")
+            part = object.__new__(Fraction)  # in lowest terms: skip Fraction()'s gcd
+            part._numerator, part._denominator = numerator, denominator
+            object.__setattr__(dist, name, part)
+        return dist
+
 
 def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
     """The value is (masses, scale): the state still running holds exact
@@ -78,11 +109,7 @@ def _pfa_stepper(pfa: OneWayPfa) -> Stepper:
                 accept += mass
             elif role == ROLE_REJECTING:
                 reject += mass
-        return OutcomeDistribution(
-            Fraction(accept, scale),
-            Fraction(reject, scale),
-            Fraction(scale - accept - reject, scale),
-        )
+        return OutcomeDistribution._from_numerators(accept, reject, scale)
 
     return Stepper(({pfa.initial: 1}, 1), step, outcome)
 
@@ -187,11 +214,7 @@ def monte_carlo(
         counts = nxt
     accept = sum(counts.get(state, 0) for state in pfa.states_with_role(ROLE_ACCEPTING))
     reject = sum(counts.get(state, 0) for state in pfa.states_with_role(ROLE_REJECTING))
-    return OutcomeDistribution(
-        Fraction(accept, trials),
-        Fraction(reject, trials),
-        Fraction(trials - accept - reject, trials),
-    )
+    return OutcomeDistribution._from_numerators(accept, reject, trials)
 
 
 def trios_success_bound(n: int, r: int) -> Fraction:
@@ -259,6 +282,28 @@ def restart_bound(n: int) -> float:
     return (1 + 1 / (math.exp(n) - 1)) ** 2
 
 
+def within_restart_bound(rounds: Fraction, n: int) -> bool:
+    """Certified rounds <= (e^n / (e^n - 1))^2, the ceiling restart_bound
+    shows as a float, decided with no float.
+
+    The ceiling falls as e grows, so e_bounds' upper bound on e gives a
+    value at or below it and the lower bound one at or above it; the
+    enclosure widens until rounds falls on one side. The ceiling is
+    irrational (e^n is transcendental), so the loop always ends.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    rounds = Fraction(rounds)
+    terms = 20
+    while True:
+        low, high = e_bounds(terms)
+        if rounds <= (high**n / (high**n - 1)) ** 2:
+            return True
+        if rounds > (low**n / (low**n - 1)) ** 2:
+            return False
+        terms *= 2
+
+
 @dataclass(frozen=True)
 class RoundModel:
     """One round of a repeated three-way experiment.
@@ -324,9 +369,17 @@ def expeq_compose(
     """Exact outcome split of t composed rounds.
 
     Undecided mass is (1 - a - r)^t; the decided mass splits between accept
-    and reject in the ratio a : r. Rational arithmetic throughout; models
+    and reject in the ratio a : r. Exact arithmetic throughout; models
     whose tail power would exceed digit_cap digits raise ResourceCapError
     (the certified comparators remain usable at any size).
+
+    With 1 - a - r = N/D in lowest terms, the tail N^t/D^t is in lowest
+    terms, and so is the decided mass X/D^t with X = D^t - N^t, since
+    gcd(X, D^t) = gcd(N^t, D^t) = 1. Over the common scale w_d * D^t, with
+    a/(a + r) = w_n/w_d in lowest terms, accept is w_n * X, reject is
+    (w_d - w_n) * X and neutral is w_d * N^t. A side weight is coprime to
+    w_d, so that side's gcd with the scale is gcd(weight, D^t) * gcd(X, w_d),
+    and neutral's is w_d: every gcd taken has a small side.
     """
     if model.r is None:
         raise ValueError("instantiate r before composing rounds")
@@ -338,11 +391,24 @@ def expeq_compose(
             f"composition needs about {_tail_probability_digits(model)} digits, "
             f"above the {digit_cap}-digit cap"
         )
-    undecided = (1 - a - r) ** t
-    decided = 1 - undecided
-    accept = a * decided / (a + r)
-    reject = r * decided / (a + r)
-    return OutcomeDistribution(accept, reject, undecided)
+    q = 1 - a - r
+    tail_den = q.denominator**t
+    decided = tail_den - q.numerator**t
+    w = a / (a + r)
+    whole = w.denominator
+
+    def common(weight: int) -> int:
+        with_tail = math.gcd(weight, pow(q.denominator, t, weight)) if weight else tail_den
+        return with_tail * math.gcd(decided, whole)
+
+    accept_w = w.numerator
+    reject_w = whole - accept_w
+    return OutcomeDistribution._from_numerators(
+        accept_w * decided,
+        reject_w * decided,
+        whole * tail_den,
+        gcds=(common(accept_w), common(reject_w), whole),
+    )
 
 
 def expeq_tail_below(model: RoundModel, bound: Fraction) -> bool:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -528,3 +529,34 @@ def test_disjointness_cap_message_counts_every_word_up_to_10_to_the_100():
         disjointness_check(trios_problem(1, 1), 209, work_cap=10)
     with pytest.raises(ResourceCapError, match="^more than 10"):
         disjointness_check(trios_problem(1, 1), 210, work_cap=10)
+
+
+def test_disjointness_cap_counts_symbols_in_closed_form():
+    # 10^6 + 1 unary words pass the default word cap, but they hold
+    # 10^6 (10^6 + 1) / 2 symbols: the cap fires before any word is built.
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError) as unary:
+        disjointness_check(evenodd_problem(1), 10**6)
+    assert str(unary.value) == "500000500000 symbols in 1000001 words above the 10000000 cap"
+    assert time.perf_counter() - start < 1.0
+    # Over three symbols up to length 8: 9841 words holding 73812 symbols.
+    with pytest.raises(ResourceCapError) as ternary:
+        disjointness_check(trios_problem(1, 1), 8, work_cap=73811)
+    assert str(ternary.value) == "73812 symbols in 9841 words above the 73811 cap"
+    report = disjointness_check(trios_problem(1, 1), 8, work_cap=73812)
+    assert report.measured["words"] == 9841
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_disjointness_symbol_count_matches_the_words(size):
+    problem = PromiseProblem(
+        alphabet=("a", "b", "c")[:size], yes_member=lambda w: False, no_member=lambda w: False
+    )
+    for max_length in range(7):
+        symbols = sum(n * size**n for n in range(max_length + 1))
+        words = sum(size**n for n in range(max_length + 1))
+        cap = max(symbols, words)
+        assert disjointness_check(problem, max_length, work_cap=cap).measured["words"] == words
+        if symbols > words:
+            with pytest.raises(ResourceCapError, match=f"^{symbols} symbols in {words} words"):
+                disjointness_check(problem, max_length, work_cap=symbols - 1)

@@ -1,12 +1,14 @@
-"""Certified power comparisons against exact rational arithmetic."""
+"""Certified power comparisons and enclosures of e against exact rational arithmetic."""
 
+import functools
+import math
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from promata.exactmath import pow_less_than
+from promata.exactmath import ceil_ln, e_bounds, pow_less_than
 
 
 @pytest.mark.parametrize(
@@ -79,3 +81,67 @@ def test_rejects_bad_arguments():
         pow_less_than(Fraction(1, 2), -1, Fraction(1))
     with pytest.raises(ValueError):
         pow_less_than(Fraction(0), 3, Fraction(1))
+
+
+# --- enclosures of e ---
+
+
+@functools.lru_cache(maxsize=None)
+def _series_bounds(terms):
+    """e's bounds as reduced Fraction sums: sum of 1/i! for i <= terms, and
+    that plus 1/(terms * terms!)."""
+    total = sum(Fraction(1, math.factorial(i)) for i in range(terms + 1))
+    return total, total + Fraction(1, terms * math.factorial(terms))
+
+
+def _ceil_ln_per_k(c):
+    """The smallest k with e^k >= c, each k compared through an enclosure
+    that restarts at 20 terms and doubles until it separates."""
+    if c == 1:
+        return 0
+    k = 1
+    while True:
+        terms = 20
+        while True:
+            low, high = _series_bounds(terms)
+            if low**k >= c:
+                return k
+            if high**k < c:
+                break
+            terms *= 2
+        k += 1
+
+
+@pytest.mark.parametrize("terms", range(1, 61))
+def test_e_bounds_equal_the_series_sum(terms):
+    low, high = e_bounds(terms)
+    expected = _series_bounds(terms)
+    assert (low.numerator, low.denominator) == (expected[0].numerator, expected[0].denominator)
+    assert (high.numerator, high.denominator) == (expected[1].numerator, expected[1].denominator)
+    assert low < high
+
+
+def test_ceil_ln_equals_the_per_k_loop():
+    for c in range(1, 5001):
+        assert ceil_ln(c) == _ceil_ln_per_k(c), c
+    for c in (10**50, 10**200):
+        assert ceil_ln(c) == _ceil_ln_per_k(c), c
+
+
+def test_ceil_ln_widens_the_enclosure_near_a_power_of_e():
+    # floor(e^k) and its successor sit within 1 of e^k; 20 terms cannot
+    # separate e^k from c once k exceeds about 40.
+    for k in (1, 2, 10, 45, 60):
+        low, _ = e_bounds(200)
+        below = low**k
+        c = below.numerator // below.denominator
+        assert ceil_ln(c) == k
+        assert ceil_ln(c + 1) == k + 1
+        assert _ceil_ln_per_k(c) == k
+
+
+def test_e_bounds_and_ceil_ln_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        e_bounds(0)
+    with pytest.raises(ValueError):
+        ceil_ln(0)

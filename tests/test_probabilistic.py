@@ -44,7 +44,8 @@ from promata import (
 )
 from promata import probabilistic
 from promata.constructions import _trios_pairs
-from promata.probabilistic import _pfa_stepper
+from promata.exactmath import e_bounds
+from promata.probabilistic import _pfa_stepper, within_restart_bound
 
 
 def _coin(p=Fraction(1, 2)):
@@ -712,11 +713,27 @@ def test_restart_bound_decreases():
     assert values == sorted(values, reverse=True)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_restart_ceiling_is_decided_exactly(n):
+    # The ceiling lies within 10^-55 of both values below (60 series terms),
+    # so 10^-40 either side needs a wider enclosure than the first one.
+    low, high = e_bounds(60)
+    below = (high**n / (high**n - 1)) ** 2 - Fraction(1, 10**40)
+    above = (low**n / (low**n - 1)) ** 2 + Fraction(1, 10**40)
+    assert within_restart_bound(below, n) is True
+    assert within_restart_bound(above, n) is False
+    for rounds in (Fraction(1), Fraction(restart_bound(n)) * Fraction(99, 100), Fraction(3)):
+        assert within_restart_bound(rounds, n) is (float(rounds) <= restart_bound(n))
+    with pytest.raises(ValueError):
+        within_restart_bound(Fraction(1), 0)
+
+
 def test_restart_bound_dominates_observed_rounds():
     for n in (2, 3, 4):
         r = 3 * n
         rounds = expected_rounds(trios_success_bound(n, r))
         assert float(rounds) <= restart_bound(n) + 1e-9
+        assert within_restart_bound(rounds, n)
 
 
 # --- round composition ---
@@ -776,6 +793,111 @@ def test_compose_digit_cap():
     model = expeq_params(10, 1, 1).with_reject(Fraction(1, 10**6))
     with pytest.raises(ResourceCapError):
         expeq_compose(model, digit_cap=1000)
+
+
+def _plain_compose(model):
+    """expeq_compose as plain Fraction arithmetic, with its default cap check."""
+    a, r, t = model.a, model.r, model.t
+    if a + r == 0:
+        return Fraction(0), Fraction(0), Fraction(1)
+    q = 1 - a - r
+    digits = t * len(str(q.denominator))
+    cap = probabilistic.DEFAULT_DIGIT_CAP
+    if digits > cap:
+        raise ResourceCapError(
+            f"composition needs about {digits} digits, above the {cap}-digit cap"
+        )
+    tail = q**t
+    return a * (1 - tail) / (a + r), r * (1 - tail) / (a + r), tail
+
+
+def _terms(value):
+    return value.numerator, value.denominator
+
+
+@pytest.mark.parametrize("c", [3, 4, 5])
+@pytest.mark.parametrize(("m", "n"), [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("side", ["a_over_c", "a_times_c", "zero", "a", "one_minus_a"])
+def test_compose_equals_the_fraction_formula(c, m, n, side):
+    # Between them the cases give every gcd expeq_compose takes a factor
+    # above 1: the weight's with D^t (3, 4 and 5), the decided mass's with
+    # w_d (5 at c = 4, 3 at c = 5), and neutral's w_d.
+    base = expeq_params(c, m, n)
+    r = {
+        "a_over_c": base.a / c,
+        "a_times_c": base.a * c,
+        "zero": Fraction(0),
+        "a": base.a,
+        "one_minus_a": 1 - base.a,
+    }
+    model = base.with_reject(r[side])
+    try:
+        expected = _plain_compose(model)
+    except ResourceCapError as cap:
+        with pytest.raises(ResourceCapError) as raised:
+            expeq_compose(model)
+        assert str(raised.value) == str(cap)
+        return
+    dist = expeq_compose(model)
+    got = (dist.accept, dist.reject, dist.neutral)
+    assert [_terms(part) for part in got] == [_terms(part) for part in expected]
+    assert all(type(part) is Fraction for part in got)
+
+
+@pytest.mark.parametrize(
+    ("a", "r"),
+    [
+        (Fraction(0), Fraction(1, 3)),
+        (Fraction(1, 3), Fraction(0)),
+        (Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(2, 9), Fraction(4, 9)),
+        (Fraction(6, 35), Fraction(10, 21)),
+        (Fraction(0), Fraction(0)),
+    ],
+)
+def test_compose_edges_equal_the_fraction_formula(a, r):
+    for t in (1, 2, 7):
+        dist = expeq_compose(RoundModel(3, 1, 1, a, t, r))
+        expected = _plain_compose(RoundModel(3, 1, 1, a, t, r))
+        assert [_terms(p) for p in (dist.accept, dist.reject, dist.neutral)] == [
+            _terms(p) for p in expected
+        ]
+
+
+@pytest.mark.parametrize(
+    ("accept", "reject", "scale"),
+    [(-1, 1, 4), (1, -1, 4), (3, 2, 4), (5, 0, 4), (0, 5, 4), (0, 0, 0), (1, 0, -1)],
+)
+def test_outcome_numerators_outside_the_scale_are_refused(accept, reject, scale):
+    with pytest.raises(ValueError, match="accept \\+ reject <= scale"):
+        OutcomeDistribution._from_numerators(accept, reject, scale)
+
+
+def test_outcome_numerators_reduce_like_fractions():
+    for scale in range(1, 13):
+        for accept in range(scale + 1):
+            for reject in range(scale + 1 - accept):
+                dist = OutcomeDistribution._from_numerators(accept, reject, scale)
+                neutral = scale - accept - reject
+                assert [_terms(p) for p in (dist.accept, dist.reject, dist.neutral)] == [
+                    _terms(Fraction(x, scale)) for x in (accept, reject, neutral)
+                ]
+                assert dist == OutcomeDistribution(
+                    Fraction(accept, scale), Fraction(reject, scale), Fraction(neutral, scale)
+                )
+
+
+def test_outcome_numerators_refuse_a_gcd_that_does_not_divide():
+    with pytest.raises(ValueError, match="does not divide"):
+        OutcomeDistribution._from_numerators(2, 1, 6, gcds=(2, 3, 3))
+    dist = OutcomeDistribution._from_numerators(2, 1, 6, gcds=(2, 1, 3))
+    assert (dist.accept, dist.reject, dist.neutral) == (
+        Fraction(1, 3),
+        Fraction(1, 6),
+        Fraction(1, 2),
+    )
 
 
 @pytest.mark.parametrize("c", [3, 4, 5])
