@@ -3,9 +3,11 @@
 The searches here are oracles: they find the true minimum state count for a
 promise problem over a bounded instance set, smallest size first, over
 machines in a documented normal form. Unary DFAs are enumerated as lasso
-families; general DFAs and unary NFAs are found by backtracking on an
-explicit frame stack, choosing a transition or a row of targets only when
-an instance first needs it and numbering new states in order of first need.
+families; general DFAs and unary NFAs are found by backtracking that
+chooses a transition or a row of targets only when an instance first needs
+it and numbers new states in order of first need. Each choice is one level
+of recursion, so a search nests at most one call per table entry, and the
+walk over instances between choices is a loop.
 Minimality is always relative to the (max_length, machine-kind cap) pair in
 the search spec; every witness is re-validated with the ordinary simulator
 before being returned.
@@ -46,6 +48,12 @@ _UNSET = -2
 _DEAD = -1
 _YES = 1
 _NO = 2
+
+# Per subset of the states at the unary-nfa cap: its members, and, as a
+# bitmask over subsets, every subset that lies inside it.
+_SUBSETS = range(1 << _KIND_CAPS[KIND_UNARY_NFA])
+_MEMBERS = [tuple(q for q in range(s.bit_length()) if s >> q & 1) for s in _SUBSETS]
+_INSIDE = [sum(1 << s for s in _SUBSETS if not s & ~outer) for outer in _SUBSETS]
 
 
 @dataclass(frozen=True)
@@ -107,6 +115,14 @@ def _revalidated(spec: SearchSpec, witness, checked: int) -> SearchResult:
     return SearchResult(size=witness.state_count, witness=witness, candidates_checked=checked)
 
 
+def _unary_labels(spec: SearchSpec) -> list[tuple[int, str]]:
+    """(length, class) of each instance of a unary search, in enumeration
+    order. Each length is read off the problem's front-coded stream as
+    keep + len(suffix), so no word is built."""
+    coded = spec.problem._coded(spec.max_length)
+    return [(keep + len(suffix), cls) for keep, suffix, cls in coded]
+
+
 def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
     """Smallest deterministic one-way machine solving a unary promise problem.
 
@@ -122,9 +138,7 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
     if spec.machine_kind != KIND_UNARY_DFA:
         raise ValueError("spec.machine_kind must be 'unary-dfa'")
     sym = spec.problem.alphabet[0]
-    lengths = [
-        (len(word), cls) for word, cls in spec.problem.enumerate_instances(spec.max_length)
-    ]
+    lengths = _unary_labels(spec)
     checked = 0
     for size in range(1, spec.max_states + 1):
         for loop_target in (None, *range(size)):
@@ -208,6 +222,9 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
     sizes make the first machine found minimal; exhaustion means no machine
     up to max_states solves the problem on instances up to max_length.
 
+    Each assigned transition is one level of recursion and a branch assigns
+    each at most once, so the nesting is at most size * |alphabet| <= 24
+    deep however large the trie; the walk between assignments is a loop.
     candidates_checked counts search nodes, one per trie node placed on one
     branch, and the search raises ResourceCapError once it exceeds work_cap.
     """
@@ -217,54 +234,62 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
     nsym = len(symbols)
     parent, symbol, label, yes_below = _instance_trie(spec)
     nodes = len(parent)
+    node_state = [0] * nodes  # a re-walk from pos overwrites only entries >= pos
     checked = 0
-    for size in range(1, spec.max_states + 1):
-        trans = [_UNSET] * (size * nsym)
-        accept = [0] * size  # label bits each state is committed to
-        node_state = [0] * nodes
-        trail: list[int] = []  # states whose accept bits were set, for undo
-        frames: list[list[int]] = []  # [pos, key, choice, trail length, used]
-        used = 1
-        pos = 1
-        ok = label[0] != _YES | _NO
-        accept[0] = label[0]
-        while True:
-            while ok and pos < nodes:
-                checked += 1
-                if checked > work_cap:
-                    raise ResourceCapError(
-                        f"transition search at {size} states exceeded the work cap "
-                        f"of {work_cap} search nodes"
-                    )
-                source = node_state[parent[pos]]
-                if source == _DEAD:
-                    node_state[pos] = _DEAD
-                    pos += 1
-                    continue
-                key = source * nsym + symbol[pos]
+
+    def place(pos: int, size: int, trans: list[int], accept: list[int], used: int):
+        """Place trie nodes from pos on; at the first one that reads an unset
+        transition, try each choice for it. Returns the label bits each
+        state is committed to once every node is placed, else None with
+        trans as it was."""
+        nonlocal checked
+        parent_, symbol_, label_, yes_below_, node_state_ = (
+            parent, symbol, label, yes_below, node_state
+        )
+        while pos < nodes:
+            source = node_state_[parent_[pos]]
+            target = _DEAD
+            if source != _DEAD:
+                key = source * nsym + symbol_[pos]
                 target = trans[key]
                 if target == _UNSET:
-                    frames.append([pos, key, 0, len(trail), used])
-                    target = trans[key] = 0
-                if target == _DEAD:
-                    if yes_below[pos]:
-                        ok = False
-                        break
-                    node_state[pos] = _DEAD
-                    pos += 1
-                    continue
-                node_state[pos] = target
-                bits = label[pos]
-                if bits:
-                    held = accept[target]
-                    if held | bits == _YES | _NO:
-                        ok = False
-                        break
-                    if held != bits:
-                        accept[target] = bits
-                        trail.append(target)
-                pos += 1
-            if ok:
+                    break  # each try below places this node and counts it
+            checked += 1
+            if checked > work_cap:
+                raise ResourceCapError(
+                    f"transition search at {size} states exceeded the work cap "
+                    f"of {work_cap} search nodes"
+                )
+            if target == _DEAD:
+                if yes_below_[pos]:
+                    return None
+            elif label_[pos]:
+                bits = accept[target] | label_[pos]
+                if bits == _YES | _NO:
+                    return None
+                accept[target] = bits
+            node_state_[pos] = target
+            pos += 1
+        else:
+            return accept
+        # Choices in order: states 0..used-1, the new state `used` while the
+        # size allows it, then undefined.
+        choices = [*range(min(used + 1, size))]
+        if not yes_below_[pos]:
+            choices.append(_DEAD)
+        for choice in choices:
+            trans[key] = choice
+            found = place(pos, size, trans, accept[:], used + (choice == used))
+            if found is not None:
+                return found
+        trans[key] = _UNSET
+        return None
+
+    if label[0] != _YES | _NO:
+        for size in range(1, spec.max_states + 1):
+            trans = [_UNSET] * (size * nsym)
+            accept = place(1, size, trans, [label[0]] + [0] * (size - 1), 1)
+            if accept is not None:
                 transitions = {
                     (q, symbols[ix]): trans[q * nsym + ix]
                     for q in range(size)
@@ -279,28 +304,6 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
                     accepting=frozenset(q for q in range(size) if accept[q] == _YES),
                 )
                 return _revalidated(spec, witness, checked)
-            while frames:
-                frame = frames[-1]
-                pos, key, choice, mark, used = frame
-                while len(trail) > mark:
-                    accept[trail.pop()] = 0
-                # Choices in order: states 0..used-1, the new state `used`
-                # while the size allows it, then undefined.
-                if choice != _DEAD and choice + 1 < min(used + 1, size):
-                    choice += 1
-                elif choice != _DEAD and not yes_below[pos]:
-                    choice = _DEAD
-                else:
-                    trans[key] = _UNSET
-                    frames.pop()
-                    continue
-                frame[2] = trans[key] = choice
-                if choice == used:
-                    used += 1
-                ok = True
-                break
-            else:
-                break
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 
@@ -325,98 +328,82 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
     minimal; exhaustion means no machine up to max_states solves the
     problem on instances up to max_length.
 
-    candidates_checked counts search nodes, one per row choice tried, and
-    the search raises ResourceCapError once it exceeds work_cap.
+    Each assigned row is one level of recursion, so the nesting is at most
+    size <= 4 deep however long the trace; the steps between assignments
+    are a loop. candidates_checked counts search nodes, one per row choice
+    tried, and the search raises ResourceCapError once it exceeds work_cap.
     """
     if spec.machine_kind != KIND_UNARY_NFA:
         raise ValueError("spec.machine_kind must be 'unary-nfa'")
     sym = spec.problem.alphabet[0]
-    instances = [
-        (len(word), cls) for word, cls in spec.problem.enumerate_instances(spec.max_length)
-    ]
+    instances = _unary_labels(spec)
     horizon = max((length for length, _ in instances), default=0)
     label = [0] * (horizon + 1)
     for length, cls in instances:
         label[length] |= _YES if cls == "yes" else _NO
-    members = [
-        tuple(q for q in range(spec.max_states) if subset >> q & 1)
-        for subset in range(1 << spec.max_states)
-    ]
     checked = 0
-    for size in range(1, spec.max_states + 1):
-        row = [0] * size
-        unset = (1 << size) - 1  # states whose row is not assigned yet
-        trace = [1]  # S_0 .. S_t
-        forbidden = 1 if label[0] & _NO else 0
-        ok = not (label[0] & _YES and forbidden)
-        yes_sets = [1] if label[0] & _YES else []
-        frames: list[list[int]] = []  # [t, state, choice, forbidden, yes count, used]
-        used = 1
-        t = 0
-        while True:
-            if ok and t < horizon:
-                current = trace[t]
-                pending = current & unset
-                if not pending:
-                    subset = 0
-                    for q in members[current]:
-                        subset |= row[q]
-                    t += 1
-                    trace.append(subset)
-                    bits = label[t]
-                    if bits & _NO and subset & ~forbidden:
-                        forbidden |= subset
-                        ok = all(s & ~forbidden for s in yes_sets)
-                    if ok and bits & _YES:
-                        if subset & ~forbidden:
-                            yes_sets.append(subset)
-                        else:
-                            ok = False
-                    continue
-                low = pending & -pending
-                unset ^= low
-                frames.append([t, low.bit_length() - 1, -1, forbidden, len(yes_sets), used])
-            elif ok:
+
+    def grow(t: int, current: int, unset: int, used: int, forbidden: int, yes: int):
+        """Step the trace on from S_t = current, the subsets reached as yes
+        instances so far marked as bits of yes; at the first subset that
+        holds a state with an unset row, try each row for it. Returns the
+        forbidden set once the trace reaches the horizon, else None with
+        row as it was."""
+        nonlocal checked
+        while t < horizon:
+            pending = current & unset
+            if pending:
+                break
+            subset = 0
+            for q in _MEMBERS[current]:
+                subset |= row[q]
+            t += 1
+            current = subset
+            bits = label[t]
+            if bits & _NO and subset & ~forbidden:
+                forbidden |= subset
+                if yes & _INSIDE[forbidden]:
+                    return None
+            if bits & _YES:
+                if not subset & ~forbidden:
+                    return None
+                yes |= 1 << subset
+        else:
+            return forbidden
+        low = pending & -pending
+        q = low.bit_length() - 1
+        for new in range(size - used + 1):
+            for old in range(1 << used):
+                checked += 1
+                if checked > work_cap:
+                    raise ResourceCapError(
+                        f"relation search at {size} states exceeded the work cap "
+                        f"of {work_cap} search nodes"
+                    )
+                row[q] = old | (((1 << new) - 1) << used)
+                found = grow(t, current, unset ^ low, used + new, forbidden, yes)
+                if found is not None:
+                    return found
+        row[q] = 0
+        return None
+
+    # S_0 = {0} is subset 1: the forbidden set and yes subsets it starts.
+    start = (1 if label[0] & _NO else 0, 1 << 1 if label[0] & _YES else 0)
+    if label[0] != _YES | _NO:
+        for size in range(1, spec.max_states + 1):
+            row = [0] * size
+            forbidden = grow(0, 1, (1 << size) - 1, 1, *start)
+            if forbidden is not None:
                 witness = OneWayNfa(
                     state_count=size,
                     alphabet=(sym,),
                     initial=0,
                     transitions=frozenset(
-                        (q, sym, p)
-                        for q in range(size)
-                        for p in range(size)
-                        if row[q] >> p & 1
+                        (q, sym, p) for q in range(size) for p in _MEMBERS[row[q]]
                     ),
                     accepting=frozenset(q for q in range(size) if not forbidden >> q & 1),
                 )
                 return _revalidated(spec, witness, checked)
-            # Next row choice of the deepest frame, dropping exhausted ones.
-            # A choice's low `used` bits are the old targets and the rest
-            # counts the new states it adds.
-            while frames:
-                frame = frames[-1]
-                t, q, choice, forbidden, yes_count, used = frame
-                choice += 1
-                new = choice >> used
-                if new <= size - used:
-                    break
-                frames.pop()
-                row[q] = 0
-                unset |= 1 << q
-            else:
-                break
-            checked += 1
-            if checked > work_cap:
-                raise ResourceCapError(
-                    f"relation search at {size} states exceeded the work cap "
-                    f"of {work_cap} search nodes"
-                )
-            del trace[t + 1 :]
-            del yes_sets[yes_count:]
-            frame[2] = choice
-            row[q] = (choice & ((1 << used) - 1)) | (((1 << new) - 1) << used)
-            used += new
-            ok = True
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -467,12 +467,12 @@ class PromiseProblem:
                     f"enumerator kept {keep} symbols of a word of length {length}"
                 )
             length = keep + len(suffix)
+            out.append((keep, suffix, cls))
             if length > max_length:
-                word, _ = list(_decode([*out, (keep, suffix, cls)]))[-1]
+                word = _word_at(out, len(out) - 1)
                 raise ValueError(f"enumerator produced {word!r} beyond length {max_length}")
             if cls not in ("yes", "no"):
                 raise ValueError(f"enumerator produced class {cls!r}")
-            out.append((keep, suffix, cls))
         return out
 
     def _brute_force(self, max_length: int) -> list[tuple[str, str]]:
@@ -508,6 +508,21 @@ def _decode(coded: Iterable[tuple[int, str, str]]) -> Iterator[tuple[str, str]]:
     for keep, suffix, cls in coded:
         word = word[:keep] + suffix
         yield word, cls
+
+
+def _word_at(coded: Sequence[tuple[int, str, str]], index: int) -> str:
+    """The word of instance index of a front-coded list, rebuilt walking
+    back: each earlier suffix gives only the symbols the word still holds
+    of it, so the cost is O(index + len(word)) time and O(len(word)) space."""
+    keep, suffix, _ = coded[index]
+    parts = [suffix]
+    while keep:
+        index -= 1
+        earlier, suffix, _ = coded[index]
+        if earlier < keep:
+            parts.append(suffix[: keep - earlier])
+            keep = earlier
+    return "".join(reversed(parts))
 
 
 def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
@@ -1040,7 +1055,7 @@ def promise_check(
     measured = {"instances": len(coded), "max_length": max_length}
     for index, cls, accepted in _resumed_outcomes(stepper, machine.symbols, coded):
         if accepted != (cls == "yes"):
-            word, _ = list(_decode(coded[: index + 1]))[-1]
+            word = _word_at(coded, index)
             return VerificationReport(
                 FAILS,
                 counterexample=(word, cls, ACCEPT if accepted else REJECT),

@@ -19,10 +19,10 @@ from .machines import (
     PromiseProblem,
     Stepper,
     VerificationReport,
-    _decode,
     _fold,
     _require_symbols,
     _resumed_outcomes,
+    _word_at,
 )
 
 DEFAULT_DIGIT_CAP = 500_000  # digits of the tail power expeq_compose may build
@@ -255,7 +255,7 @@ def lasvegas_success(
             (dist.accept, dist.reject) if cls == "yes" else (dist.reject, dist.accept)
         )
         if bad != 0 or good < threshold or good == 0:
-            word, _ = list(_decode(coded[: index + 1]))[-1]
+            word = _word_at(coded, index)
             return VerificationReport(
                 FAILS,
                 counterexample=(word, cls, f"accept={dist.accept} reject={dist.reject}"),

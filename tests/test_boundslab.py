@@ -1,9 +1,12 @@
 """Exhaustive searches, pumping agreement, and disjointness scanning."""
 
+import contextlib
 import itertools
 import math
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,6 +34,23 @@ from promata import (
     up_problem,
 )
 from promata.machines import _dfa_block, _fold, _stepper, machine_accepts
+
+
+@contextlib.contextmanager
+def _recursion_headroom(frames):
+    """Lower the interpreter's recursion limit to `frames` calls below the
+    current depth, and restore it on exit."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_search_spec_validation():
@@ -80,7 +100,7 @@ def test_unary_nfa_search_needs_full_period():
     spec = SearchSpec("unary-nfa", 4, evenodd_problem(1), 24)
     result = min_unary_nfa_size(spec)
     assert result.found
-    assert result.size == 4
+    assert (result.size, result.candidates_checked) == (4, 215)
     nfa = result.witness
     assert isinstance(nfa, OneWayNfa)
     for n in range(25):
@@ -107,7 +127,7 @@ def test_searches_are_deterministic():
 def test_unary_nfa_search_parity_needs_two():
     spec = SearchSpec("unary-nfa", 4, parity_problem(lambda n: True), 12)
     result = min_unary_nfa_size(spec)
-    assert result.size == 2
+    assert (result.size, result.candidates_checked) == (2, 7)
 
 
 def test_dfa_search_exhausts_cleanly():
@@ -116,7 +136,7 @@ def test_dfa_search_exhausts_cleanly():
     assert result.size is None
     assert not result.found
     assert result.witness is None
-    assert result.candidates_checked > 0
+    assert result.candidates_checked == 27948
 
 
 def test_dfa_search_finds_trivial_machines():
@@ -124,7 +144,7 @@ def test_dfa_search_finds_trivial_machines():
     result = min_dfa_size(spec)
     # Accept #001, reject #101: the second letter decides, two states are
     # enough with partial transitions.
-    assert result.size == 2
+    assert (result.size, result.candidates_checked) == (2, 26)
     assert promise_check(result.witness, trios_problem(1, 1), 4).verdict == SOLVES
 
 
@@ -202,9 +222,12 @@ def test_dfa_search_matches_table_enumeration(seed):
 
 
 def test_dfa_search_exact_minimum_trios_2_1():
+    # Over three symbols at up to 8 states; 50 frames are twice the most the
+    # search nests, one per assigned transition.
     spec = SearchSpec("dfa", 8, trios_problem(2, 1), 7)
-    result = min_dfa_size(spec)
-    assert result.size == 4
+    with _recursion_headroom(50):
+        result = min_dfa_size(spec)
+    assert (result.size, result.candidates_checked) == (4, 47745)
     assert promise_check(result.witness, trios_problem(2, 1), 7).verdict == SOLVES
 
 
@@ -225,7 +248,8 @@ def test_dfa_search_deep_trie_needs_no_recursion():
         yes_member=lambda w: w.count("a") % 2 == 0,
         no_member=lambda w: w.count("a") % 2 == 1,
     )
-    result = min_dfa_size(SearchSpec("dfa", 8, problem, 8))
+    with _recursion_headroom(50):
+        result = min_dfa_size(SearchSpec("dfa", 8, problem, 8))
     assert result.size == 2
 
 
@@ -296,10 +320,12 @@ def test_unary_nfa_search_matches_relation_enumeration():
 
 
 def test_unary_nfa_search_exhausts_evenodd_2():
-    result = min_unary_nfa_size(SearchSpec("unary-nfa", 4, evenodd_problem(2), 40))
+    # The search nests one call per assigned row, at most 4.
+    with _recursion_headroom(50):
+        result = min_unary_nfa_size(SearchSpec("unary-nfa", 4, evenodd_problem(2), 40))
     assert result.size is None
     assert result.witness is None
-    assert result.candidates_checked > 1000
+    assert result.candidates_checked == 19028
 
 
 def test_unary_nfa_search_work_cap():
@@ -310,10 +336,18 @@ def test_unary_nfa_search_work_cap():
 
 def test_unary_nfa_search_long_trace_needs_no_recursion():
     # A 5,000-step subset trace: a search nesting one call per trace step
-    # would pass the interpreter's recursion limit.
+    # would pass the interpreter's recursion limit. The lengths are read off
+    # the front-coded stream; decoding it would hold about 12.5 MB of words.
     spec = SearchSpec("unary-nfa", 4, parity_problem(lambda n: True), 5000)
-    result = min_unary_nfa_size(spec)
+    tracemalloc.start()
+    try:
+        with _recursion_headroom(50):
+            result = min_unary_nfa_size(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert result.size == 2
+    assert peak < 4_000_000
 
 
 def test_yes_only_empty_word_problem():

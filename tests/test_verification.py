@@ -11,6 +11,7 @@ simulating every instance from scratch.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from promata import (
     OneWayPfa,
     PromiseProblem,
     TwoWayMachine,
+    evenodd_problem,
     front_coded,
     lasvegas_success,
     machine_accepts,
@@ -44,7 +46,9 @@ from promata.machines import (
     RIGHT_MARKER,
     STAY,
     Stepper,
+    _decode,
     _resumed_outcomes,
+    _word_at,
 )
 
 ALPHABET = ("a", "b")
@@ -357,6 +361,38 @@ def test_unary_sweep_steps_once_per_symbol():
         outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), coded)]
         assert outcomes == [2, 4, 1, 4, 3]
         assert len(calls) == steps
+
+
+def test_word_at_matches_decode_with_any_valid_keeps():
+    rng = random.Random(22)
+    for _ in range(300):
+        coded, length = [], 0
+        for _ in range(rng.randint(1, 30)):
+            keep = rng.randint(0, length)
+            suffix = "".join(rng.choice("abc") for _ in range(rng.randint(0, 4)))
+            coded.append((keep, suffix, rng.choice(("yes", "no"))))
+            length = keep + len(suffix)
+        words = [word for word, _ in _decode(coded)]
+        assert [_word_at(coded, index) for index in range(len(coded))] == words
+
+
+def test_late_counterexample_costs_memory_linear_in_its_word():
+    """A 20,000-state chain counts mod 4 and then gets stuck, so it fails
+    EvenOdd(1) only at the last of 10,001 instances. Naming that word must
+    not build the earlier ones, about 100 MB of words in all."""
+    n = 20_000
+    chain = OneWayDfa(
+        n, ("a",), 0, {(q, "a"): q + 1 for q in range(n - 1)}, frozenset(range(0, n, 4))
+    )
+    tracemalloc.start()
+    try:
+        report = promise_check(chain, evenodd_problem(1), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == FAILS
+    assert report.counterexample == ("a" * n, "yes", "reject")
+    assert peak < 10_000_000
 
 
 @pytest.mark.slow
