@@ -363,9 +363,8 @@ def criterion_10(tier: str = TIER_FAST) -> CriterionResult:
     for index, (pfa, word, name) in enumerate(pairs):
         exact = accept_prob(pfa, word)
         sampled = monte_carlo(pfa, word, trials, seed=4200 + index)
-        sigma = (float(exact) * (1 - float(exact)) / trials) ** 0.5
-        gap = abs(float(sampled.accept) - float(exact))
-        checks.expect(f"{name} within 4 sigma", gap <= 4 * sigma + 1e-12)
+        within = (sampled.accept - exact) ** 2 <= 16 * exact * (1 - exact) / trials
+        checks.expect(f"{name} within 4 sigma", within)
     return CriterionResult(
         10,
         "sampled frequencies track exact probabilities",

@@ -173,14 +173,18 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
     parent (both -1 at the root), its label bits (_YES, _NO, or both when
     one word was enumerated in both classes), and whether a yes instance
     ends at or below it. Children follow alphabet order, so the numbering is
-    fixed by the instance set alone.
+    fixed by the instance set alone. The trie grows along the front-coded
+    stream: each instance resumes on the previous one's path after its keep
+    symbols, so building costs one step per symbol the stream adds.
     """
     index = {sym: i for i, sym in enumerate(spec.problem.alphabet)}
     children: list[dict[int, int]] = [{}]
     bits = [0]
-    for word, cls in spec.problem.enumerate_instances(spec.max_length):
-        node = 0
-        for ch in word:
+    path = [0]  # path[i]: the node after i symbols of the previous instance
+    for keep, suffix, cls in spec.problem._coded(spec.max_length):
+        del path[keep + 1 :]
+        node = path[keep]
+        for ch in suffix:
             ix = index[ch]
             child = children[node].get(ix)
             if child is None:
@@ -189,6 +193,7 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
                 children.append({})
                 bits.append(0)
             node = child
+            path.append(node)
         bits[node] |= _YES if cls == "yes" else _NO
     order = [0]
     parent = [-1]

@@ -448,20 +448,17 @@ class PromiseProblem:
 
     def enumerate_instances(self, max_length: int) -> list[tuple[str, str]]:
         """All (word, "yes" | "no") instances of length at most max_length."""
-        if self.enumerator is None:
-            return self._brute_force(max_length)
         return list(_decode(self._coded(max_length)))
 
     def _coded(self, max_length: int) -> list[tuple[int, str, str]]:
-        """The instances up to max_length as a checked front-coded list; the
-        brute-forced ones are front-coded by their longest common prefixes."""
-        if self.enumerator is None:
-            return list(front_coded(self._brute_force(max_length)))
+        """The instances up to max_length as a checked front-coded list, read
+        from the enumerator or, without one, from _brute_force's whole words.
+        Every search and verifier reads its instances from here."""
         if max_length < 0:
             raise ValueError("max_length must be non-negative")
         out = []
         length = 0
-        for keep, suffix, cls in self.enumerator(max_length):
+        for keep, suffix, cls in (self.enumerator or self._brute_force)(max_length):
             if not 0 <= keep <= length:
                 raise ValueError(
                     f"enumerator kept {keep} symbols of a word of length {length}"
@@ -475,21 +472,16 @@ class PromiseProblem:
                 raise ValueError(f"enumerator produced class {cls!r}")
         return out
 
-    def _brute_force(self, max_length: int) -> list[tuple[str, str]]:
-        """Every word up to max_length that the predicates classify."""
-        if max_length < 0:
-            raise ValueError("max_length must be non-negative")
-        out = []
+    def _brute_force(self, max_length: int) -> Iterator[tuple[int, str, str]]:
+        """Every word up to max_length that the predicates classify, whole, as
+        (0, word, class): front-coding words this short costs more than it saves."""
         for word in _words(self.alphabet, max_length):
             yes = self.yes_member(word)
             no = self.no_member(word)
             if yes and no:
                 raise ValueError(f"promise classes overlap on {word!r}")
-            if yes:
-                out.append((word, "yes"))
-            elif no:
-                out.append((word, "no"))
-        return out
+            if yes or no:
+                yield 0, word, "yes" if yes else "no"
 
 
 def front_coded(instances: Iterable[tuple[str, str]]) -> Iterator[tuple[int, str, str]]:

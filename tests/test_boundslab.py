@@ -33,7 +33,10 @@ from promata import (
     trios_problem,
     up_problem,
 )
-from promata.machines import _dfa_block, _fold, _stepper, machine_accepts
+from promata.boundslab import _NO, _YES, _instance_trie
+from promata.machines import (
+    _decode, _dfa_block, _fold, _stepper, front_coded, machine_accepts
+)
 
 
 @contextlib.contextmanager
@@ -251,6 +254,113 @@ def test_dfa_search_deep_trie_needs_no_recursion():
     with _recursion_headroom(50):
         result = min_dfa_size(SearchSpec("dfa", 8, problem, 8))
     assert result.size == 2
+
+
+def _trie_walking_each_word(spec):
+    """_instance_trie's four arrays built by walking every decoded word from
+    the root: the reference for the trie grown along the front-coded stream."""
+    index = {sym: i for i, sym in enumerate(spec.problem.alphabet)}
+    children = [{}]
+    bits = [0]
+    for word, cls in spec.problem.enumerate_instances(spec.max_length):
+        node = 0
+        for ch in word:
+            ix = index[ch]
+            child = children[node].get(ix)
+            if child is None:
+                child = len(children)
+                children[node][ix] = child
+                children.append({})
+                bits.append(0)
+            node = child
+        bits[node] |= _YES if cls == "yes" else _NO
+    order = [0]
+    parent = [-1]
+    symbol = [-1]
+    for pos, node in enumerate(order):
+        for ix in sorted(children[node]):
+            order.append(children[node][ix])
+            parent.append(pos)
+            symbol.append(ix)
+    label = [bits[node] for node in order]
+    yes_below = [bool(b & _YES) for b in label]
+    for pos in range(len(order) - 1, 0, -1):
+        if yes_below[pos]:
+            yes_below[parent[pos]] = True
+    return parent, symbol, label, yes_below
+
+
+def _stream_spec(symbols, coded):
+    """A dfa search spec whose problem enumerates the given triples."""
+    problem = PromiseProblem(
+        alphabet=symbols,
+        yes_member=lambda w: False,
+        no_member=lambda w: False,
+        enumerator=lambda max_length: coded,
+    )
+    longest = max((len(word) for word, _ in _decode(coded)), default=0)
+    return SearchSpec("dfa", 2, problem, longest)
+
+
+def test_instance_trie_grown_along_the_stream_matches_walks_from_the_root():
+    rng = random.Random(23)
+    specs = [
+        SearchSpec("dfa", 4, trios_problem(2, 1), 7),
+        SearchSpec("dfa", 4, trios_problem(2, 2), 14),
+        SearchSpec("dfa", 4, evenodd_problem(1), 40),
+        SearchSpec("dfa", 4, up_problem(Fraction(9, 10)), 20),
+    ]
+    for _ in range(100):
+        # Arbitrary valid keeps: anywhere from none to the whole previous word.
+        symbols = ("a", "b", "c")[: rng.randint(1, 3)]
+        coded, length = [], 0
+        for _ in range(rng.randint(1, 30)):
+            keep = rng.randint(0, length)
+            suffix = "".join(rng.choice(symbols) for _ in range(rng.randint(0, 4)))
+            coded.append((keep, suffix, rng.choice(("yes", "no"))))
+            length = keep + len(suffix)
+        specs.append(_stream_spec(symbols, coded))
+        # A brute-forced problem, and its instances shuffled and front-coded
+        # whole or with only half of each shared prefix kept.
+        problem, max_length = _random_labelled_problem(rng)
+        specs.append(SearchSpec("dfa", 2, problem, max_length))
+        instances = problem.enumerate_instances(max_length)
+        rng.shuffle(instances)
+        half_kept = [
+            (keep // 2, word[keep // 2 :], cls)
+            for (keep, _, cls), (word, _) in zip(front_coded(instances), instances)
+        ]
+        for stream in (list(front_coded(instances)), half_kept):
+            specs.append(_stream_spec(problem.alphabet, stream))
+    for spec in specs:
+        assert _instance_trie(spec) == _trie_walking_each_word(spec)
+
+
+def test_instance_trie_labels_a_word_enumerated_in_both_classes():
+    coded = [(0, "ab", "yes"), (1, "", "no"), (0, "ab", "no"), (0, "", "no")]
+    spec = _stream_spec(("a", "b"), coded)
+    trie = _instance_trie(spec)
+    assert trie == _trie_walking_each_word(spec)
+    parent, symbol, label, yes_below = trie
+    assert (parent, symbol) == ([-1, 0, 1], [-1, 0, 1])
+    assert label == [_NO, _NO, _YES | _NO]
+    assert yes_below == [True, True, True]
+
+
+def test_instance_trie_costs_memory_linear_in_the_stream():
+    """EvenOdd(1) up to 20,000 enumerates a^0, a^2, .., a^20000. Walking each
+    word from the root decodes about 100 million symbols of words; the trie
+    grown along the stream steps once per symbol and holds one chain."""
+    spec = SearchSpec("dfa", 4, evenodd_problem(1), 20_000)
+    tracemalloc.start()
+    try:
+        parent, _, label, _ = _instance_trie(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parent) == 20_001
+    assert label[:5] == [_YES, 0, _NO, 0, _YES]
+    assert peak < 20_000_000
 
 
 def _relation_enumeration_size(spec):

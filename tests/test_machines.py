@@ -637,6 +637,29 @@ def test_problem_enumerator_with_a_bad_class_is_rejected(cls):
         _enumerated((0, "a", "yes"), (1, "", cls)).enumerate_instances(3)
 
 
+@pytest.mark.parametrize("enumerated", [False, True])
+def test_negative_max_length_is_rejected_with_or_without_an_enumerator(enumerated):
+    problem = _enumerated((0, "a", "yes")) if enumerated else _parity_problem()
+    for call in (problem._coded, problem.enumerate_instances):
+        with pytest.raises(ValueError, match="^max_length must be non-negative$"):
+            call(-1)
+    with pytest.raises(ValueError, match="^max_length must be non-negative$"):
+        promise_check(parity_dfa(), problem, -1)
+
+
+def test_overlapping_classes_are_rejected_when_brute_forced():
+    both = PromiseProblem(("a", "b"), lambda w: len(w) == 2, lambda w: w == "ab")
+    nothing = OneWayDfa(1, ("a", "b"), 0, {}, frozenset())
+    for call in (both._coded, both.enumerate_instances, lambda n: promise_check(nothing, both, n)):
+        with pytest.raises(ValueError, match="^promise classes overlap on 'ab'$"):
+            call(3)
+    # An enumerator's classes are taken as given, so a word may come in both.
+    assert _enumerated((0, "a", "yes"), (1, "", "no")).enumerate_instances(1) == [
+        ("a", "yes"),
+        ("a", "no"),
+    ]
+
+
 def test_probabilistic_machines_are_not_acceptors():
     pfa = OneWayPfa(1, ("a",), 0, {(0, "a"): ((0, Fraction(1)),)}, {0: ROLE_ACCEPTING})
     with pytest.raises(TypeError, match="unsupported machine type OneWayPfa"):
@@ -667,6 +690,9 @@ def test_brute_force_walks_visit_words_shortest_first_in_alphabet_order():
     problem = PromiseProblem(alphabet, yes_member, lambda word: word.count("a") % 2 == 1)
     assert [word for word, _ in problem.enumerate_instances(4)] == expected
     assert seen == expected
+    # Brute-forced words come whole, each with keep 0.
+    classes = ["yes" if word.count("a") % 2 == 0 else "no" for word in expected]
+    assert problem._coded(4) == [(0, word, cls) for word, cls in zip(expected, classes)]
     seen.clear()
     report = disjointness_check(problem, 4)
     assert report.verdict == SOLVES
