@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constructions import _lasso_dfa
 from .errors import ResourceCapError
 from .machines import (
     FAILS,
@@ -26,6 +27,7 @@ from .machines import (
     OneWayNfa,
     PromiseProblem,
     VerificationReport,
+    _bits,
     _orbit,
     _orbit_at,
     _stepper,
@@ -94,20 +96,6 @@ class SearchResult:
         return self.size is not None
 
 
-def _lasso_dfa(size: int, loop_target: int | None, mask: int, sym: str) -> OneWayDfa:
-    transitions = {(i, sym): i + 1 for i in range(size - 1)}
-    if loop_target is not None:
-        transitions[(size - 1, sym)] = loop_target
-    accepting = frozenset(q for q in range(size) if mask >> q & 1)
-    return OneWayDfa(
-        state_count=size,
-        alphabet=(sym,),
-        initial=0,
-        transitions=transitions,
-        accepting=accepting,
-    )
-
-
 def _revalidated(spec: SearchSpec, witness, checked: int) -> SearchResult:
     report = promise_check(witness, spec.problem, spec.max_length)
     if report.verdict != SOLVES:
@@ -162,7 +150,7 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
                     need_zero |= 1 << state
             if dead or need_one & need_zero:
                 continue
-            return _revalidated(spec, _lasso_dfa(size, loop_target, need_one, sym), checked)
+            return _revalidated(spec, _lasso_dfa(size, loop_target, _bits(need_one), sym), checked)
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 

@@ -314,10 +314,7 @@ def _cmd_prob(args: argparse.Namespace) -> tuple[dict, int]:
     if mode == "lasvegas":
         problem = _problem_from_args(args)
         threshold = _fraction("threshold", args.threshold) if args.threshold else Fraction(0)
-        horizon = _trios_length(args) if args.problem == "trios" else 16
-        return _verdict(
-            lasvegas_success(machine, problem, _verify_horizon(args, horizon), threshold)
-        )
+        return _verdict(lasvegas_success(machine, problem, _verify_horizon(args), threshold))
     if mode == "rounds":
         sigma = _fraction("sigma", args.sigma)
         payload = {
@@ -372,14 +369,15 @@ def _cmd_pumping(args: argparse.Namespace) -> tuple[dict, int]:
     return _verdict(pumping_check(machine, args.m, h_values))
 
 
-def _verify_horizon(args: argparse.Namespace, default: int) -> int:
-    """--max-length when given (0 included), else the mode's own horizon."""
-    return default if args.max_length is None else args.max_length
-
-
-def _trios_length(args: argparse.Namespace) -> int:
-    """r(3n+1), the length of every TRIOS(n, r) instance."""
-    return _FLAG_TYPES["r"](args.r) * (1 + 3 * args.n)
+def _verify_horizon(args: argparse.Namespace) -> int:
+    """The longest instance an instance check reads: --max-length when given
+    (0 included); else r(3n+1), the length of every TRIOS(n, r) instance, for
+    TRIOS problems; else 16."""
+    if args.max_length is not None:
+        return args.max_length
+    if args.problem == "trios" or args.mode == "lv-trios":
+        return _FLAG_TYPES["r"](args.r) * (1 + 3 * args.n)
+    return 16
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
@@ -388,7 +386,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
             raise ValueError("--machine is required for verify promise")
         machine = serialize.load(args.machine)
         problem = _problem_from_args(args)
-        return _verdict(promise_check(machine, problem, _verify_horizon(args, 16)))
+        return _verdict(promise_check(machine, problem, _verify_horizon(args)))
     if args.machine is not None:
         raise ValueError(
             "--machine is not read by verify lv-trios, which checks the built-in "
@@ -399,7 +397,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.mode == "lv-trios":
         problem = _from_flags(_PROBLEMS, "trios", args)
         machine = trios_lasvegas_pfa(args.n, args.r)
-        max_length = _verify_horizon(args, _trios_length(args))
+        max_length = _verify_horizon(args)
         threshold = (
             _fraction("threshold", args.threshold)
             if args.threshold
@@ -408,7 +406,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         return _verdict(lasvegas_success(machine, problem, max_length, threshold))
     problem = _problem_from_args(args)
     work_cap = _cap(args, "work_cap", DEFAULT_WORD_CAP)
-    return _verdict(disjointness_check(problem, _verify_horizon(args, 16), work_cap=work_cap))
+    return _verdict(disjointness_check(problem, _verify_horizon(args), work_cap=work_cap))
 
 
 def _cmd_reproduce_all(args: argparse.Namespace) -> tuple[dict | None, int]:
@@ -529,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-length",
         type=int,
-        help="longest instance checked (default 16; lv-trios: the TRIOS word length r(3n+1))",
+        help="longest instance checked (default 16; lv-trios and --problem trios: r(3n+1))",
     )
     p_verify.add_argument("--threshold")
     p_verify.add_argument("--work-cap", type=int, help="max words scanned by disjoint")
@@ -588,6 +586,10 @@ def _main(argv) -> int:
             else:
                 sys.stdout.write(text)
         return code
+    except MemoryError:
+        # Report after the except block ends: the exception's frames hold
+        # the data that filled memory, and leaving the block frees them.
+        pass
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
@@ -600,6 +602,8 @@ def _main(argv) -> int:
     except Exception as exc:  # last resort: one line and a usage exit, never a traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    print("resource cap: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

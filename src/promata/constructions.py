@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import product
 
@@ -72,6 +72,24 @@ def _check_power_cap(exponent: int, what: str) -> None:
         )
 
 
+def _lasso_dfa(
+    size: int, loop_target: int | None, accepting: Iterable[int], sym: str
+) -> OneWayDfa:
+    """The unary chain 0 -> 1 -> ... -> size-1 over sym, whose last state
+    moves back to loop_target, or has no move when loop_target is None.
+    Every all-reachable unary DFA is one of these up to renaming."""
+    transitions = {(i, sym): i + 1 for i in range(size - 1)}
+    if loop_target is not None:
+        transitions[(size - 1, sym)] = loop_target
+    return OneWayDfa(
+        state_count=size,
+        alphabet=(sym,),
+        initial=0,
+        transitions=transitions,
+        accepting=frozenset(accepting),
+    )
+
+
 # ---------------------------------------------------------------------------
 # EvenOdd(k): unary words of length m * 2^k, even m versus odd m.
 
@@ -107,14 +125,7 @@ def evenodd_dfa(k: int) -> OneWayDfa:
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_power_cap(k + 1, "evenodd_dfa")
-    period = 1 << (k + 1)
-    return OneWayDfa(
-        state_count=period,
-        alphabet=("a",),
-        initial=0,
-        transitions={(i, "a"): (i + 1) % period for i in range(period)},
-        accepting=frozenset({0}),
-    )
+    return _lasso_dfa(1 << (k + 1), 0, (0,), "a")
 
 
 def evenodd_afa_rt(k: int) -> OneWayAfa:
@@ -685,23 +696,14 @@ def _first_length(holds: Callable[[int], bool], guess: int) -> int:
     return high
 
 
-def up_dfa(
-    p: Fraction, iteration_cap: int = DEFAULT_ITERATION_CAP
-) -> OneWayDfa:
+def up_dfa(p: Fraction) -> OneWayDfa:
     """Chain acceptor for UP(p) with exactly A+1 states, all accepting.
 
     The last chain state has no outgoing transition, so every longer word
     gets stuck, which rejects all no instances for free.
     """
-    accept_until, _ = critical_lengths(p, iteration_cap)
-    count = accept_until + 1
-    return OneWayDfa(
-        state_count=count,
-        alphabet=("a",),
-        initial=0,
-        transitions={(i, "a"): i + 1 for i in range(count - 1)},
-        accepting=frozenset(range(count)),
-    )
+    accept_until, _ = critical_lengths(p)
+    return _lasso_dfa(accept_until + 1, None, range(accept_until + 1), "a")
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +731,4 @@ def parity_problem(member: Callable[[int], bool]) -> PromiseProblem:
 
 def parity_dfa() -> OneWayDfa:
     """Two-state parity counter; solves parity_problem for every member set."""
-    return OneWayDfa(
-        state_count=2,
-        alphabet=("a",),
-        initial=0,
-        transitions={(0, "a"): 1, (1, "a"): 0},
-        accepting=frozenset({0}),
-    )
+    return _lasso_dfa(2, 0, (0,), "a")

@@ -292,9 +292,6 @@ class OneWayAfa(_Machine):
             *sorted(depth, key=lambda state: (depth[state], state)),
         )
 
-    def universal(self) -> frozenset[int]:
-        return frozenset(range(self.state_count)) - self.existential
-
 
 def _eps_chain_depths(eps_out: Mapping[int, list[int]]) -> dict[int, int]:
     """Longest EPSILON path (in edges) from each state with an EPSILON move;
@@ -1001,20 +998,23 @@ def _resumed_outcomes(
     Each run resumes from the value the previous run reached after the
     instance's first keep symbols and steps only its suffix, so a sweep of
     words that extend one another costs one step per new symbol. A reverse
-    stepper reads the stream re-coded over the reversed words, so it
-    resumes from the longest suffix a word shares with the previous one.
-    Only each instance's suffix is checked against the alphabet; the kept
-    symbols were checked with an earlier instance. The error names the
-    word's first foreign symbol, in either direction.
+    stepper over two or more symbols reads the stream re-coded over the
+    reversed words, so it resumes from the longest suffix a word shares with
+    the previous one; over one symbol every word is its own reversal, so the
+    stream's keeps already serve. Only each instance's suffix is checked
+    against the alphabet; the kept symbols were checked with an earlier
+    instance. The error names the word's first foreign symbol, in either
+    direction.
     """
-    if stepper.reverse:
+    recoded = stepper.reverse and len(symbols) > 1
+    if recoded:
         coded = front_coded((word[::-1], cls) for word, cls in _decode(coded))
     step, outcome = stepper.step, stepper.outcome
     path = [stepper.start]  # path[i]: the value after i symbols of previous
     append = path.append
     for index, (keep, suffix, cls) in enumerate(coded):
         if not symbols.issuperset(suffix):
-            _require_symbols(suffix[::-1] if stepper.reverse else suffix, symbols)
+            _require_symbols(suffix[::-1] if recoded else suffix, symbols)
         del path[keep + 1 :]
         value = path[keep]
         for sym in suffix:

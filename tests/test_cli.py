@@ -555,6 +555,29 @@ def test_verify_promise_and_disjoint_default_horizon_is_16(tmp_path, capsys):
     assert json.loads(out)["measured"]["words"] == 17  # a^0 .. a^16
 
 
+def test_verify_promise_on_trios_defaults_to_the_word_length(tmp_path, capsys):
+    # TRIOS(3, 2) words have length 20: a horizon of 16 would check no
+    # instance and let a machine that accepts everything pass.
+    path = tmp_path / "all.json"
+    save(
+        promata.OneWayDfa(
+            state_count=1,
+            alphabet=("0", "1", "#"),
+            initial=0,
+            transitions={(0, sym): 0 for sym in "01#"},
+            accepting=frozenset({0}),
+        ),
+        path,
+    )
+    trios = ("--problem", "trios", "--n", "3", "--r", "2")
+    code, out, _ = run_cli(capsys, "verify", "promise", "--machine", str(path), *trios)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fails"
+    assert payload["counterexample"][1:] == ["no", "accept"]
+    assert payload["measured"] == {"instances": 2738, "max_length": 20}
+
+
 def test_prob_lasvegas_defaults_to_the_problem_horizon(tmp_path, capsys):
     path = tmp_path / "lv.json"
     run_cli(capsys, "build", "trios-pfa", "--n", "3", "--r", "2", "--out", str(path))
@@ -742,6 +765,16 @@ def test_unexpected_error_is_one_line_usage_error(tmp_path, capsys, monkeypatch)
     assert code == 2
     assert out == ""
     assert err == "internal error: RuntimeError: simulator fault\n"
+
+
+def test_running_out_of_memory_is_one_line_resource_cap(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_bounds", exhausted)
+    code, out, err = run_cli(capsys, "bounds", "--formula", "2nfa-to-dfa", "--n", "2")
+    assert (code, out) == (3, "")
+    assert err == "resource cap: out of memory\n"
 
 
 def test_jobs_flag_is_rejected(capsys):

@@ -363,6 +363,15 @@ def test_unary_sweep_steps_once_per_symbol():
         assert len(calls) == steps
 
 
+def test_unary_reverse_run_names_the_first_foreign_symbol():
+    """Over one symbol a reverse run resumes on the stream's own keeps, and
+    of two foreign symbols in its suffix still names the first in the word."""
+    stepper = Stepper(0, lambda value, sym: value + 1, lambda value: value, True)
+    coded = front_coded([("a", "yes"), ("abc", "no")])
+    with pytest.raises(InputDomainError, match="'b'"):
+        list(_resumed_outcomes(stepper, frozenset("a"), coded))
+
+
 def test_word_at_matches_decode_with_any_valid_keeps():
     rng = random.Random(22)
     for _ in range(300):
