@@ -44,8 +44,18 @@ from .conversions import (
     dfa_minimize,
     unary_afa_to_dfa,
 )
-from .machines import SOLVES, OneWayDfa, OneWayNfa, _dfa_block, afa_accepts, promise_check
+from .machines import (
+    SOLVES,
+    OneWayDfa,
+    OneWayNfa,
+    _dfa_block,
+    _resumed_outcomes,
+    afa_accepts,
+    front_coded,
+    promise_check,
+)
 from .probabilistic import (
+    _pfa_stepper,
     accept_prob,
     expected_rounds,
     expeq_compose,
@@ -273,7 +283,10 @@ def criterion_7(tier: str = TIER_FAST) -> CriterionResult:
     checks.expect("built machine is big enough", built.state_count >= 4)
     report = promise_check(built, problem, 7)
     checks.expect("built machine solves", report.verdict == SOLVES)
-    extra = [f"search nodes: {result.candidates_checked}"]
+    extra = [
+        f"search nodes: {result.candidates_checked}",
+        f"fooling set: {' '.join(result.fooling_set)}",
+    ]
     return CriterionResult(
         7, "three-state exhaustion for segments", checks.passed, checks.details(extra)
     )
@@ -282,9 +295,12 @@ def criterion_7(tier: str = TIER_FAST) -> CriterionResult:
 def criterion_8(tier: str = TIER_FAST) -> CriterionResult:
     """Analysis of the two-state stochastic chain and its deterministic twin."""
     checks = _Checks()
+    powers = list(front_coded(("a" * j, "yes") for j in range(41)))
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
         machine = up_pfa(p)
-        ok = all(accept_prob(machine, "a" * j) == p**j for j in range(41))
+        # One fold over a^0..a^40: each length resumes from the one before.
+        runs = _resumed_outcomes(_pfa_stepper(machine), machine.symbols, powers)
+        ok = all(dist.accept == p**j for j, _, dist in runs)
         checks.expect(f"geometric acceptance p={p}", ok)
     checks.expect("critical pair 1/2", critical_lengths(Fraction(1, 2)) == (0, 2))
     checks.expect("critical pair 9/10", critical_lengths(Fraction(9, 10)) == (2, 14))

@@ -16,10 +16,11 @@ before being returned.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .constructions import _lasso_dfa
-from .errors import ResourceCapError
+from .errors import InputDomainError, ResourceCapError
 from .machines import (
     FAILS,
     SOLVES,
@@ -85,22 +86,32 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of an exhaustive search. size None means the whole space up
-    to max_states was enumerated and no machine solves the problem."""
+    to max_states was enumerated and no machine solves the problem.
+    fooling_set holds the prefixes that certify the general DFA search's
+    lower bound (see _fooling_set); the unary searches leave it empty."""
 
     size: int | None
     witness: object
     candidates_checked: int
+    fooling_set: tuple[str, ...] = ()
 
     @property
     def found(self) -> bool:
         return self.size is not None
 
 
-def _revalidated(spec: SearchSpec, witness, checked: int) -> SearchResult:
+def _revalidated(
+    spec: SearchSpec, witness, checked: int, fooling_set: tuple[str, ...] = ()
+) -> SearchResult:
     report = promise_check(witness, spec.problem, spec.max_length)
     if report.verdict != SOLVES:
         raise AssertionError("search invariant broken: witness failed revalidation")
-    return SearchResult(size=witness.state_count, witness=witness, candidates_checked=checked)
+    return SearchResult(
+        size=witness.state_count,
+        witness=witness,
+        candidates_checked=checked,
+        fooling_set=fooling_set,
+    )
 
 
 def _unary_labels(spec: SearchSpec) -> list[tuple[int, str]]:
@@ -163,21 +174,22 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
     ends at or below it. Children follow alphabet order, so the numbering is
     fixed by the instance set alone. The trie grows along the front-coded
     stream: each instance resumes on the previous one's path after its keep
-    symbols, so building costs one step per symbol the stream adds.
+    symbols, so building costs one step per symbol the stream adds. Edges
+    are keyed by the symbol itself while the trie grows; a symbol outside
+    the alphabet leaves its nodes out of the numbering and is reported.
     """
-    index = {sym: i for i, sym in enumerate(spec.problem.alphabet)}
-    children: list[dict[int, int]] = [{}]
+    alphabet = spec.problem.alphabet
+    children: list[dict[str, int]] = [{}]
     bits = [0]
     path = [0]  # path[i]: the node after i symbols of the previous instance
     for keep, suffix, cls in spec.problem._coded(spec.max_length):
         del path[keep + 1 :]
         node = path[keep]
         for ch in suffix:
-            ix = index[ch]
-            child = children[node].get(ix)
+            child = children[node].get(ch)
             if child is None:
                 child = len(children)
-                children[node][ix] = child
+                children[node][ch] = child
                 children.append({})
                 bits.append(0)
             node = child
@@ -187,16 +199,101 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
     parent = [-1]
     symbol = [-1]
     for pos, node in enumerate(order):
-        for ix in sorted(children[node]):
-            order.append(children[node][ix])
-            parent.append(pos)
-            symbol.append(ix)
+        kids = children[node]
+        for ix, ch in enumerate(alphabet):
+            if ch in kids:
+                order.append(kids[ch])
+                parent.append(pos)
+                symbol.append(ix)
+    if len(order) < len(children):
+        foreign = next(ch for kids in children for ch in kids if ch not in alphabet)
+        raise InputDomainError(f"symbol {foreign!r} not in alphabet")
     label = [bits[node] for node in order]
     yes_below = [bool(b & _YES) for b in label]
     for pos in range(len(order) - 1, 0, -1):
         if yes_below[pos]:
             yes_below[parent[pos]] = True
     return parent, symbol, label, yes_below
+
+
+def _fooling_set(
+    parent: list[int], symbol: list[int], label: list[int], yes_below: list[bool],
+    nsym: int, limit: int,
+) -> list[int]:
+    """Trie nodes that every machine solving the instances puts in
+    pairwise different states, so it needs at least as many states.
+
+    Two nodes clash when some suffix leads from one to a yes instance and
+    from the other to a no instance: one state cannot hold both. Only nodes
+    with a yes instance at or below them join, since a node with none may
+    be stuck, and a stuck run holds no state. Depth by depth, in BFS order,
+    a greedy clique takes each node that clashes with every member so far;
+    the largest clique of two or more wins, and the greedy stops at limit
+    members. Each pair of nodes a clash walk visits is one step, reading
+    both nodes' rows of the child table; all depths together take at most
+    as many steps as the trie has nodes, about one pass over the child
+    table. A walk the budget cuts short counts as no clash, so the clique
+    stays certified. Over one symbol the trie is a path, with no two nodes
+    at one depth.
+    """
+    nodes = len(parent)
+    if nsym == 1:
+        return []
+    child = [-1] * (nodes * nsym)
+    for pos in range(1, nodes):
+        child[parent[pos] * nsym + symbol[pos]] = pos
+    budget = nodes
+    offsets = range(nsym)
+
+    def clash(first: int, second: int) -> bool:
+        """Whether a walk of the pairs below first and second, within the
+        budget left, reaches a yes instance on one side and a no on the other."""
+        nonlocal budget
+        left = budget
+        pending = [first, second]
+        pop, push = pending.pop, pending.extend
+        found = False
+        while pending and left > 0:
+            b = pop()
+            a = pop()
+            left -= 1
+            la, lb = label[a], label[b]
+            if la & _YES and lb & _NO or la & _NO and lb & _YES:
+                found = True
+                break
+            a *= nsym
+            b *= nsym
+            for ix in offsets:
+                ca = child[a + ix]
+                if ca >= 0:
+                    cb = child[b + ix]
+                    if cb >= 0:
+                        push((ca, cb))
+        budget = left
+        return found
+
+    best: list[int] = []
+    lo, hi = 0, 1  # one depth's nodes, consecutive in BFS order
+    while lo < nodes and budget > 0:
+        clique: list[int] = []
+        for pos in range(lo, hi):
+            if yes_below[pos] and all(clash(pos, member) for member in clique):
+                clique.append(pos)
+                if len(clique) == limit:
+                    return clique
+        if len(clique) > max(len(best), 1):
+            best = clique
+        lo, hi = hi, bisect_left(parent, hi, hi)
+    return best
+
+
+def _prefix(parent: list[int], symbol: list[int], symbols: tuple[str, ...], pos: int) -> str:
+    """The word that leads from the trie's root to node pos."""
+    letters = []
+    while pos:
+        letters.append(symbols[symbol[pos]])
+        pos = parent[pos]
+    return "".join(reversed(letters))
 
 
 def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchResult:
@@ -215,6 +312,14 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
     sizes make the first machine found minimal; exhaustion means no machine
     up to max_states solves the problem on instances up to max_length.
 
+    A fooling set (see _fooling_set) of k trie nodes, computed once, proves
+    that no machine with fewer than k states solves the instances, so the
+    sizes start at k, and none start when k exceeds max_states. It also
+    prunes: a branch dies as soon as it puts two of its nodes in one state.
+    A cut branch holds no solving machine, so the first machine found is
+    the one the unpruned search would find. The result carries the
+    set's prefixes as fooling_set.
+
     Each assigned transition is one level of recursion and a branch assigns
     each at most once, so the nesting is at most size * |alphabet| <= 24
     deep however large the trie; the walk between assignments is a loop.
@@ -227,17 +332,25 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
     nsym = len(symbols)
     parent, symbol, label, yes_below = _instance_trie(spec)
     nodes = len(parent)
+    fooling = _fooling_set(parent, symbol, label, yes_below, nsym, spec.max_states + 1)
+    prefixes = tuple(_prefix(parent, symbol, symbols, pos) for pos in fooling)
+    member = [False] * nodes
+    for pos in fooling:
+        member[pos] = True
     node_state = [0] * nodes  # a re-walk from pos overwrites only entries >= pos
     checked = 0
 
-    def place(pos: int, size: int, trans: list[int], accept: list[int], used: int):
+    def place(
+        pos: int, size: int, trans: list[int], accept: list[int], used: int, held: int
+    ):
         """Place trie nodes from pos on; at the first one that reads an unset
-        transition, try each choice for it. Returns the label bits each
-        state is committed to once every node is placed, else None with
-        trans as it was."""
+        transition, try each choice for it. held marks the states that
+        fooling-set nodes already occupy. Returns the label bits each state
+        is committed to once every node is placed, else None with trans as
+        it was."""
         nonlocal checked
-        parent_, symbol_, label_, yes_below_, node_state_ = (
-            parent, symbol, label, yes_below, node_state
+        parent_, symbol_, label_, yes_below_, member_, node_state_ = (
+            parent, symbol, label, yes_below, member, node_state
         )
         while pos < nodes:
             source = node_state_[parent_[pos]]
@@ -256,11 +369,16 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
             if target == _DEAD:
                 if yes_below_[pos]:
                     return None
-            elif label_[pos]:
-                bits = accept[target] | label_[pos]
-                if bits == _YES | _NO:
-                    return None
-                accept[target] = bits
+            else:
+                if label_[pos]:
+                    bits = accept[target] | label_[pos]
+                    if bits == _YES | _NO:
+                        return None
+                    accept[target] = bits
+                if member_[pos]:
+                    if held >> target & 1:
+                        return None
+                    held |= 1 << target
             node_state_[pos] = target
             pos += 1
         else:
@@ -272,16 +390,17 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
             choices.append(_DEAD)
         for choice in choices:
             trans[key] = choice
-            found = place(pos, size, trans, accept[:], used + (choice == used))
+            found = place(pos, size, trans, accept[:], used + (choice == used), held)
             if found is not None:
                 return found
         trans[key] = _UNSET
         return None
 
     if label[0] != _YES | _NO:
-        for size in range(1, spec.max_states + 1):
+        for size in range(max(1, len(fooling)), spec.max_states + 1):
             trans = [_UNSET] * (size * nsym)
-            accept = place(1, size, trans, [label[0]] + [0] * (size - 1), 1)
+            # The root is alone at its depth, so it holds no fooling-set node.
+            accept = place(1, size, trans, [label[0]] + [0] * (size - 1), 1, 0)
             if accept is not None:
                 transitions = {
                     (q, symbols[ix]): trans[q * nsym + ix]
@@ -296,8 +415,10 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
                     transitions=transitions,
                     accepting=frozenset(q for q in range(size) if accept[q] == _YES),
                 )
-                return _revalidated(spec, witness, checked)
-    return SearchResult(size=None, witness=None, candidates_checked=checked)
+                return _revalidated(spec, witness, checked, prefixes)
+    return SearchResult(
+        size=None, witness=None, candidates_checked=checked, fooling_set=prefixes
+    )
 
 
 def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchResult:

@@ -358,6 +358,8 @@ def _cmd_minsize(args: argparse.Namespace) -> tuple[dict, int]:
         "candidates_checked": result.candidates_checked,
         "witness": serialize.machine_to_dict(result.witness) if result.witness else None,
     }
+    if args.kind == "dfa":
+        payload["fooling_set"] = list(result.fooling_set)
     return payload, 0 if result.found else 1
 
 
@@ -530,7 +532,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="longest instance checked (default 16; lv-trios and --problem trios: r(3n+1))",
     )
     p_verify.add_argument("--threshold")
-    p_verify.add_argument("--work-cap", type=int, help="max words scanned by disjoint")
+    p_verify.add_argument(
+        "--work-cap", type=int, help="max words scanned by disjoint, and max symbols in them"
+    )
 
     p_repro = command("reproduce-all", _cmd_reproduce_all, "run the acceptance checks")
     p_repro.add_argument("--tier", default="fast", choices=["fast", "slow"])

@@ -519,8 +519,7 @@ def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
     one length come in the lexicographic order that alphabet's sequence
     gives its symbols. One word is held at a time."""
     for length in range(max_length + 1):
-        for letters in itertools.product(alphabet, repeat=length):
-            yield "".join(letters)
+        yield from map("".join, itertools.product(alphabet, repeat=length))
 
 
 @dataclass(frozen=True)

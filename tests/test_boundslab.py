@@ -15,6 +15,7 @@ from promata import (
     EPSILON,
     FAILS,
     SOLVES,
+    InputDomainError,
     OneWayDfa,
     OneWayNfa,
     PromiseProblem,
@@ -33,7 +34,8 @@ from promata import (
     trios_problem,
     up_problem,
 )
-from promata.boundslab import _NO, _YES, _instance_trie
+from promata import boundslab
+from promata.boundslab import _NO, _YES, _fooling_set, _instance_trie
 from promata.machines import (
     _decode, _dfa_block, _fold, _stepper, front_coded, machine_accepts
 )
@@ -139,7 +141,9 @@ def test_dfa_search_exhausts_cleanly():
     assert result.size is None
     assert not result.found
     assert result.witness is None
-    assert result.candidates_checked == 27948
+    # The fooling set #00 #01 #10 starts the sizes at 3 and prunes them.
+    assert result.fooling_set == ("#00", "#01", "#10")
+    assert result.candidates_checked == 8053
 
 
 def test_dfa_search_finds_trivial_machines():
@@ -224,13 +228,121 @@ def test_dfa_search_matches_table_enumeration(seed):
             assert promise_check(result.witness, problem, max_length).verdict == SOLVES
 
 
+def _fooling_set_holds(spec, prefixes):
+    """Independent check of a fooling set against the enumerated words:
+    the prefixes differ, each has a yes completion, and for each pair some
+    suffix makes one prefix a yes instance and the other a no instance."""
+    yes, no = set(), set()
+    for word, cls in spec.problem.enumerate_instances(spec.max_length):
+        (yes if cls == "yes" else no).add(word)
+    if len(set(prefixes)) != len(prefixes):
+        return False
+    if not all(any(word.startswith(u) for word in yes) for u in prefixes):
+        return False
+    for u, v in itertools.combinations(prefixes, 2):
+        suffixes = {word[len(u):] for word in yes | no if word.startswith(u)}
+        if not any(
+            u + s in yes and v + s in no or u + s in no and v + s in yes for s in suffixes
+        ):
+            return False
+    return True
+
+
+def _cheap_table_enumeration(spec, size):
+    """Whether _table_enumeration_size runs through sizes up to size fast."""
+    return (size + 1) ** (size * len(spec.problem.alphabet)) <= 5000
+
+
+def test_fooling_set_is_certified_on_random_problems():
+    rng = random.Random(25)
+    sizes = set()
+    for _ in range(320):
+        problem, max_length = _random_labelled_problem(rng)
+        spec = SearchSpec("dfa", rng.randint(1, 3), problem, max_length)
+        result = min_dfa_size(spec)
+        bound = len(result.fooling_set)
+        sizes.add(bound)
+        assert _fooling_set_holds(spec, result.fooling_set)
+        assert bound != 1
+        if bound > spec.max_states:
+            assert (result.size, result.candidates_checked) == (None, 0)
+        elif result.found:
+            assert bound <= result.size
+        top = result.size or spec.max_states
+        if _cheap_table_enumeration(spec, top):
+            minimum = _table_enumeration_size(spec)
+            assert minimum is None or bound <= minimum
+            assert minimum == result.size
+    assert sizes >= {0, 2, 3, 4}
+
+
+def test_fooling_set_certifies_trios():
+    spec = SearchSpec("dfa", 8, trios_problem(2, 1), 7)
+    result = min_dfa_size(spec)
+    assert result.fooling_set == ("#00", "#01", "#10")
+    assert _fooling_set_holds(spec, result.fooling_set)
+    # The prefixes #x with x != 111 fill 6 + 1 states, so the search has
+    # nothing left to do; #111 has no yes completion and may be stuck.
+    spec = SearchSpec("dfa", 6, trios_problem(3, 1), 10)
+    result = min_dfa_size(spec)
+    assert (result.size, result.candidates_checked) == (None, 0)
+    assert result.fooling_set == tuple(f"#{x:03b}" for x in range(7))
+    assert _fooling_set_holds(spec, result.fooling_set)
+
+
+def test_fooling_set_prunes_only_branches_without_a_solver(monkeypatch):
+    rng = random.Random(26)
+    specs = [SearchSpec("dfa", 8, trios_problem(2, 1), 7)]
+    for _ in range(60):
+        problem, max_length = _random_labelled_problem(rng)
+        specs.append(SearchSpec("dfa", 3, problem, max_length))
+    counts = []
+    for spec in specs:
+        pruned = min_dfa_size(spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(boundslab, "_fooling_set", lambda *args: [])
+            plain = min_dfa_size(spec)
+        assert plain.fooling_set == ()
+        assert (pruned.size, pruned.witness) == (plain.size, plain.witness)
+        assert pruned.candidates_checked <= plain.candidates_checked
+        counts.append((plain.candidates_checked, pruned.candidates_checked))
+    # Without the set the search visits what it always did on TRIOS(2,1).
+    assert counts[0] == (47745, 21806)
+
+
+class _CountingList(list):
+    """A list that counts the items read from it by index."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_fooling_set_takes_at_most_one_step_per_trie_node():
+    # Every word over three symbols up to length 8, classed by the parity of
+    # its a's: a same-parity pair at one depth never clashes, and walking it
+    # costs a whole subtrie, so only the budget stops the greedy. Each step
+    # reads the labels of its pair once.
+    problem = PromiseProblem(
+        alphabet=("a", "b", "c"),
+        yes_member=lambda w: w.count("a") % 2 == 0,
+        no_member=lambda w: w.count("a") % 2 == 1,
+    )
+    parent, symbol, label, yes_below = _instance_trie(SearchSpec("dfa", 8, problem, 8))
+    counted = _CountingList(label)
+    assert _fooling_set(parent, symbol, counted, yes_below, 3, 9) == [1, 2]
+    assert len(parent) < counted.reads <= 2 * len(parent)
+
+
 def test_dfa_search_exact_minimum_trios_2_1():
     # Over three symbols at up to 8 states; 50 frames are twice the most the
     # search nests, one per assigned transition.
     spec = SearchSpec("dfa", 8, trios_problem(2, 1), 7)
     with _recursion_headroom(50):
         result = min_dfa_size(spec)
-    assert (result.size, result.candidates_checked) == (4, 47745)
+    assert (result.size, result.candidates_checked) == (4, 21806)
     assert promise_check(result.witness, trios_problem(2, 1), 7).verdict == SOLVES
 
 
@@ -345,6 +457,15 @@ def test_instance_trie_labels_a_word_enumerated_in_both_classes():
     assert (parent, symbol) == ([-1, 0, 1], [-1, 0, 1])
     assert label == [_NO, _NO, _YES | _NO]
     assert yes_below == [True, True, True]
+
+
+@pytest.mark.parametrize("suffix", ["zb", "bz", "z"])
+def test_instance_trie_names_a_symbol_outside_the_alphabet(suffix):
+    coded = [(0, "ab", "yes"), (1, suffix, "no")]
+    with pytest.raises(InputDomainError, match="symbol 'z' not in alphabet"):
+        _instance_trie(_stream_spec(("a", "b"), coded))
+    with pytest.raises(InputDomainError, match="symbol 'z' not in alphabet"):
+        min_dfa_size(_stream_spec(("a", "b"), coded))
 
 
 def test_instance_trie_costs_memory_linear_in_the_stream():

@@ -435,6 +435,7 @@ def test_minsize_report(capsys):
     assert payload["size"] == 4
     assert payload["witness"]["states"] == 4
     assert payload["bounded_by"] == {"max_states": 18, "max_length": 32}
+    assert "fooling_set" not in payload
 
 
 def test_minsize_not_found_exits_one(capsys):
@@ -458,6 +459,33 @@ def test_minsize_not_found_exits_one(capsys):
     payload = json.loads(out)
     assert payload["size"] is None
     assert payload["witness"] is None
+    assert payload["fooling_set"] == ["#00", "#01", "#10"]
+    assert payload["candidates_checked"] == 8053
+
+
+def test_minsize_fooling_set_explains_an_empty_search(capsys):
+    # Seven prefixes need seven states, more than --max-states allows, so
+    # the search visits no node.
+    code, out, _ = run_cli(
+        capsys,
+        "minsize",
+        "--kind",
+        "dfa",
+        "--problem",
+        "trios",
+        "--n",
+        "3",
+        "--r",
+        "1",
+        "--max-states",
+        "6",
+        "--max-length",
+        "10",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["size"], payload["candidates_checked"]) == (None, 0)
+    assert payload["fooling_set"] == ["#000", "#001", "#010", "#011", "#100", "#101", "#110"]
 
 
 def test_pumping_cli(tmp_path, capsys):
