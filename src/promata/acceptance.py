@@ -48,9 +48,9 @@ from .machines import (
     SOLVES,
     OneWayDfa,
     OneWayNfa,
+    _afa_stepper,
     _dfa_block,
     _resumed_outcomes,
-    afa_accepts,
     front_coded,
     promise_check,
 )
@@ -139,16 +139,15 @@ def criterion_2(tier: str = TIER_FAST) -> CriterionResult:
     checks = _Checks()
     deviations = []
     for k in range(1, 6):
-        problem = evenodd_problem(k)
-        horizon = 2 ** (k + 3)
-        report = promise_check(evenodd_afa_rt(k), problem, horizon)
-        checks.expect(f"rt({k}) solves", report.verdict == SOLVES)
         machine = evenodd_afa_rt(k)
+        horizon = 2 ** (k + 3)
+        report = promise_check(machine, evenodd_problem(k), horizon)
+        checks.expect(f"rt({k}) solves", report.verdict == SOLVES)
+        # One fold over a^0..a^horizon: each length resumes from the one before.
         period = 2 ** (k + 1)
-        agree = all(
-            afa_accepts(machine, "a" * n) == (n % period == 0)
-            for n in range(horizon + 1)
-        )
+        powers = front_coded(("a" * n, "yes") for n in range(horizon + 1))
+        runs = _resumed_outcomes(_afa_stepper(machine), machine.symbols, powers)
+        agree = all(accepted == (n % period == 0) for n, _, accepted in runs)
         checks.expect(f"rt({k}) divisibility cross-check", agree)
     for k in range(1, 6):
         kk = max(k, 3)

@@ -9,18 +9,18 @@ it and numbers new states in order of first need. Each choice is one level
 of recursion, so a search nests at most one call per table entry, and the
 walk over instances between choices is a loop.
 Minimality is always relative to the (max_length, machine-kind cap) pair in
-the search spec; every witness is re-validated with the ordinary simulator
-before being returned.
+the search spec; every witness is re-validated by promise_check on the
+instances the search read before being returned.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constructions import _lasso_dfa
-from .errors import InputDomainError, ResourceCapError
+from .errors import ResourceCapError
 from .machines import (
     FAILS,
     SOLVES,
@@ -101,9 +101,16 @@ class SearchResult:
 
 
 def _revalidated(
-    spec: SearchSpec, witness, checked: int, fooling_set: tuple[str, ...] = ()
+    spec: SearchSpec,
+    coded: list[tuple[int, str, str]],
+    witness,
+    checked: int,
+    fooling_set: tuple[str, ...] = (),
 ) -> SearchResult:
-    report = promise_check(witness, spec.problem, spec.max_length)
+    """The search's result, once promise_check passes the witness on the
+    instances the search read, coded, replayed rather than enumerated again."""
+    replay = replace(spec.problem, enumerator=lambda max_length: coded)
+    report = promise_check(witness, replay, spec.max_length)
     if report.verdict != SOLVES:
         raise AssertionError("search invariant broken: witness failed revalidation")
     return SearchResult(
@@ -112,14 +119,6 @@ def _revalidated(
         candidates_checked=checked,
         fooling_set=fooling_set,
     )
-
-
-def _unary_labels(spec: SearchSpec) -> list[tuple[int, str]]:
-    """(length, class) of each instance of a unary search, in enumeration
-    order. Each length is read off the problem's front-coded stream as
-    keep + len(suffix), so no word is built."""
-    coded = spec.problem._coded(spec.max_length)
-    return [(keep + len(suffix), cls) for keep, suffix, cls in coded]
 
 
 def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
@@ -137,7 +136,9 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
     if spec.machine_kind != KIND_UNARY_DFA:
         raise ValueError("spec.machine_kind must be 'unary-dfa'")
     sym = spec.problem.alphabet[0]
-    lengths = _unary_labels(spec)
+    coded = spec.problem._coded(spec.max_length)
+    # Each length is read off the stream as keep + len(suffix): no word is built.
+    lengths = [(keep + len(suffix), cls) for keep, suffix, cls in coded]
     checked = 0
     for size in range(1, spec.max_states + 1):
         for loop_target in (None, *range(size)):
@@ -161,12 +162,16 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
                     need_zero |= 1 << state
             if dead or need_one & need_zero:
                 continue
-            return _revalidated(spec, _lasso_dfa(size, loop_target, _bits(need_one), sym), checked)
+            witness = _lasso_dfa(size, loop_target, _bits(need_one), sym)
+            return _revalidated(spec, coded, witness, checked)
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 
-def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], list[bool]]:
-    """Prefix trie of the instance set, numbered in BFS order from the root 0.
+def _instance_trie(
+    alphabet: tuple[str, ...], coded: list[tuple[int, str, str]]
+) -> tuple[list[int], list[int], list[int], list[bool]]:
+    """Prefix trie of a checked front-coded instance list over alphabet,
+    numbered in BFS order from the root 0.
 
     Returns per node its parent, the symbol index on the edge from the
     parent (both -1 at the root), its label bits (_YES, _NO, or both when
@@ -175,14 +180,12 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
     fixed by the instance set alone. The trie grows along the front-coded
     stream: each instance resumes on the previous one's path after its keep
     symbols, so building costs one step per symbol the stream adds. Edges
-    are keyed by the symbol itself while the trie grows; a symbol outside
-    the alphabet leaves its nodes out of the numbering and is reported.
+    are keyed by the symbol itself while the trie grows.
     """
-    alphabet = spec.problem.alphabet
     children: list[dict[str, int]] = [{}]
     bits = [0]
     path = [0]  # path[i]: the node after i symbols of the previous instance
-    for keep, suffix, cls in spec.problem._coded(spec.max_length):
+    for keep, suffix, cls in coded:
         del path[keep + 1 :]
         node = path[keep]
         for ch in suffix:
@@ -205,9 +208,6 @@ def _instance_trie(spec: SearchSpec) -> tuple[list[int], list[int], list[int], l
                 order.append(kids[ch])
                 parent.append(pos)
                 symbol.append(ix)
-    if len(order) < len(children):
-        foreign = next(ch for kids in children for ch in kids if ch not in alphabet)
-        raise InputDomainError(f"symbol {foreign!r} not in alphabet")
     label = [bits[node] for node in order]
     yes_below = [bool(b & _YES) for b in label]
     for pos in range(len(order) - 1, 0, -1):
@@ -330,7 +330,8 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
         raise ValueError("spec.machine_kind must be 'dfa'")
     symbols = tuple(spec.problem.alphabet)
     nsym = len(symbols)
-    parent, symbol, label, yes_below = _instance_trie(spec)
+    coded = spec.problem._coded(spec.max_length)
+    parent, symbol, label, yes_below = _instance_trie(symbols, coded)
     nodes = len(parent)
     fooling = _fooling_set(parent, symbol, label, yes_below, nsym, spec.max_states + 1)
     prefixes = tuple(_prefix(parent, symbol, symbols, pos) for pos in fooling)
@@ -415,7 +416,7 @@ def min_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchRe
                     transitions=transitions,
                     accepting=frozenset(q for q in range(size) if accept[q] == _YES),
                 )
-                return _revalidated(spec, witness, checked, prefixes)
+                return _revalidated(spec, coded, witness, checked, prefixes)
     return SearchResult(
         size=None, witness=None, candidates_checked=checked, fooling_set=prefixes
     )
@@ -450,11 +451,11 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
     if spec.machine_kind != KIND_UNARY_NFA:
         raise ValueError("spec.machine_kind must be 'unary-nfa'")
     sym = spec.problem.alphabet[0]
-    instances = _unary_labels(spec)
-    horizon = max((length for length, _ in instances), default=0)
+    coded = spec.problem._coded(spec.max_length)
+    horizon = max((keep + len(suffix) for keep, suffix, _ in coded), default=0)
     label = [0] * (horizon + 1)
-    for length, cls in instances:
-        label[length] |= _YES if cls == "yes" else _NO
+    for keep, suffix, cls in coded:
+        label[keep + len(suffix)] |= _YES if cls == "yes" else _NO
     checked = 0
 
     def grow(t: int, current: int, unset: int, used: int, forbidden: int, yes: int):
@@ -517,7 +518,7 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
                     ),
                     accepting=frozenset(q for q in range(size) if not forbidden >> q & 1),
                 )
-                return _revalidated(spec, witness, checked)
+                return _revalidated(spec, coded, witness, checked)
     return SearchResult(size=None, witness=None, candidates_checked=checked)
 
 

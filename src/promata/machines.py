@@ -260,7 +260,6 @@ class OneWayAfa(_Machine):
                 f"longest EPSILON chain has {longest} edges, above the declared "
                 f"bound {self.max_eps_chain}"
             )
-        object.__setattr__(self, "_depth", depth)
         # Per symbol, and at the end of the input under EPSILON, the program
         # _afa_stepper evaluates: (bit, target mask, existential, silent) for
         # each state whose bit the symbol can set. Symbol states read the
@@ -281,16 +280,6 @@ class OneWayAfa(_Machine):
             programs[sym] += programs[EPSILON]
         object.__setattr__(self, "_programs", programs)
         object.__setattr__(self, "_halted", _mask(self.accepting - eps_out.keys()))
-
-    @property
-    def eps_order(self) -> tuple[int, ...]:
-        """States ordered so every EPSILON target precedes its sources: by
-        longest EPSILON chain, then by number."""
-        depth = self._depth  # type: ignore[attr-defined]
-        return (
-            *itertools.filterfalse(depth.__contains__, range(self.state_count)),
-            *sorted(depth, key=lambda state: (depth[state], state)),
-        )
 
 
 def _eps_chain_depths(eps_out: Mapping[int, list[int]]) -> dict[int, int]:
@@ -450,9 +439,13 @@ class PromiseProblem:
     def _coded(self, max_length: int) -> list[tuple[int, str, str]]:
         """The instances up to max_length as a checked front-coded list, read
         from the enumerator or, without one, from _brute_force's whole words.
-        Every search and verifier reads its instances from here."""
+        Every search and verifier reads its instances from here, so this is
+        where each instance's keep, symbols, length and class are checked.
+        Only the suffix's symbols are: the kept ones passed with an earlier
+        instance, so the error names the word's first foreign symbol."""
         if max_length < 0:
             raise ValueError("max_length must be non-negative")
+        symbols = frozenset(self.alphabet)
         out = []
         length = 0
         for keep, suffix, cls in (self.enumerator or self._brute_force)(max_length):
@@ -460,6 +453,8 @@ class PromiseProblem:
                 raise ValueError(
                     f"enumerator kept {keep} symbols of a word of length {length}"
                 )
+            if not symbols.issuperset(suffix):
+                _require_symbols(suffix, symbols)
             length = keep + len(suffix)
             out.append((keep, suffix, cls))
             if length > max_length:
@@ -536,10 +531,6 @@ class VerificationReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if (self.verdict == FAILS) != (self.counterexample is not None):
             raise ValueError("counterexample is present exactly when verdict is fails")
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == SOLVES
 
 
 def _unary(word: str) -> bool:
@@ -992,7 +983,8 @@ def _shared_prefix(a: str, b: str) -> int:
 def _resumed_outcomes(
     stepper: Stepper, symbols: frozenset[str], coded: Iterable[tuple[int, str, str]]
 ) -> Iterator[tuple[int, str, object]]:
-    """(index, class, outcome) for each instance of a front-coded stream.
+    """(index, class, outcome) for each instance of a front-coded stream
+    whose words lie over symbols, as PromiseProblem._coded checks.
 
     Each run resumes from the value the previous run reached after the
     instance's first keep symbols and steps only its suffix, so a sweep of
@@ -1000,26 +992,33 @@ def _resumed_outcomes(
     stepper over two or more symbols reads the stream re-coded over the
     reversed words, so it resumes from the longest suffix a word shares with
     the previous one; over one symbol every word is its own reversal, so the
-    stream's keeps already serve. Only each instance's suffix is checked
-    against the alphabet; the kept symbols were checked with an earlier
-    instance. The error names the word's first foreign symbol, in either
-    direction.
+    stream's keeps already serve.
     """
-    recoded = stepper.reverse and len(symbols) > 1
-    if recoded:
+    if stepper.reverse and len(symbols) > 1:
         coded = front_coded((word[::-1], cls) for word, cls in _decode(coded))
     step, outcome = stepper.step, stepper.outcome
     path = [stepper.start]  # path[i]: the value after i symbols of previous
     append = path.append
     for index, (keep, suffix, cls) in enumerate(coded):
-        if not symbols.issuperset(suffix):
-            _require_symbols(suffix[::-1] if recoded else suffix, symbols)
         del path[keep + 1 :]
         value = path[keep]
         for sym in suffix:
             value = step(value, sym)
             append(value)
         yield index, cls, outcome(value)
+
+
+def _instances_for(
+    machine: _Machine, problem: PromiseProblem, max_length: int
+) -> list[tuple[int, str, str]]:
+    """The problem's checked instances up to max_length, for a machine over
+    the same alphabet."""
+    if machine.symbols != frozenset(problem.alphabet):
+        raise AlphabetMismatchError(
+            f"machine alphabet {sorted(machine.symbols)} differs from problem "
+            f"alphabet {sorted(problem.alphabet)}"
+        )
+    return problem._coded(max_length)
 
 
 def promise_check(
@@ -1037,12 +1036,7 @@ def promise_check(
     as a short word run afresh, and a repeated one a dictionary lookup.
     """
     stepper = _stepper(machine)
-    if machine.symbols != frozenset(problem.alphabet):
-        raise AlphabetMismatchError(
-            f"machine alphabet {sorted(machine.symbols)} differs from problem "
-            f"alphabet {sorted(problem.alphabet)}"
-        )
-    coded = problem._coded(max_length)
+    coded = _instances_for(machine, problem, max_length)
     measured = {"instances": len(coded), "max_length": max_length}
     for index, cls, accepted in _resumed_outcomes(stepper, machine.symbols, coded):
         if accepted != (cls == "yes"):

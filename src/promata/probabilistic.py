@@ -8,7 +8,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AlphabetMismatchError, ResourceCapError
+from .errors import ResourceCapError
 from .exactmath import ceil_ln, e_bounds, pow_less_than
 from .machines import (
     FAILS,
@@ -20,6 +20,7 @@ from .machines import (
     Stepper,
     VerificationReport,
     _fold,
+    _instances_for,
     _require_symbols,
     _resumed_outcomes,
     _word_at,
@@ -241,12 +242,7 @@ def lasvegas_success(
     enumeration keeps.
     """
     threshold = Fraction(threshold)
-    if frozenset(problem.alphabet) != pfa.symbols:
-        raise AlphabetMismatchError(
-            f"machine alphabet {sorted(pfa.symbols)} differs from problem "
-            f"alphabet {sorted(problem.alphabet)}"
-        )
-    coded = problem._coded(max_length)
+    coded = _instances_for(pfa, problem, max_length)
     measured: dict[str, object] = {"instances": len(coded), "threshold": threshold}
     min_success: Fraction | None = None
     runs = _resumed_outcomes(_pfa_stepper(pfa), pfa.symbols, coded)

@@ -330,7 +330,7 @@ def test_fooling_set_takes_at_most_one_step_per_trie_node():
         yes_member=lambda w: w.count("a") % 2 == 0,
         no_member=lambda w: w.count("a") % 2 == 1,
     )
-    parent, symbol, label, yes_below = _instance_trie(SearchSpec("dfa", 8, problem, 8))
+    parent, symbol, label, yes_below = _instance_trie(problem.alphabet, problem._coded(8))
     counted = _CountingList(label)
     assert _fooling_set(parent, symbol, counted, yes_below, 3, 9) == [1, 2]
     assert len(parent) < counted.reads <= 2 * len(parent)
@@ -445,13 +445,14 @@ def test_instance_trie_grown_along_the_stream_matches_walks_from_the_root():
         for stream in (list(front_coded(instances)), half_kept):
             specs.append(_stream_spec(problem.alphabet, stream))
     for spec in specs:
-        assert _instance_trie(spec) == _trie_walking_each_word(spec)
+        coded = spec.problem._coded(spec.max_length)
+        assert _instance_trie(spec.problem.alphabet, coded) == _trie_walking_each_word(spec)
 
 
 def test_instance_trie_labels_a_word_enumerated_in_both_classes():
     coded = [(0, "ab", "yes"), (1, "", "no"), (0, "ab", "no"), (0, "", "no")]
     spec = _stream_spec(("a", "b"), coded)
-    trie = _instance_trie(spec)
+    trie = _instance_trie(("a", "b"), coded)
     assert trie == _trie_walking_each_word(spec)
     parent, symbol, label, yes_below = trie
     assert (parent, symbol) == ([-1, 0, 1], [-1, 0, 1])
@@ -461,11 +462,59 @@ def test_instance_trie_labels_a_word_enumerated_in_both_classes():
 
 @pytest.mark.parametrize("suffix", ["zb", "bz", "z"])
 def test_instance_trie_names_a_symbol_outside_the_alphabet(suffix):
+    """The trie reads the list _coded checked, which names the symbol."""
     coded = [(0, "ab", "yes"), (1, suffix, "no")]
+    spec = _stream_spec(("a", "b"), coded)
     with pytest.raises(InputDomainError, match="symbol 'z' not in alphabet"):
-        _instance_trie(_stream_spec(("a", "b"), coded))
+        _instance_trie(("a", "b"), spec.problem._coded(spec.max_length))
     with pytest.raises(InputDomainError, match="symbol 'z' not in alphabet"):
         min_dfa_size(_stream_spec(("a", "b"), coded))
+
+
+_SEARCHES = {"unary-dfa": min_unary_dfa_size, "dfa": min_dfa_size, "unary-nfa": min_unary_nfa_size}
+
+
+@pytest.mark.parametrize("kind", sorted(_SEARCHES))
+def test_searches_name_a_symbol_outside_the_alphabet(kind):
+    """No one-state machine alternates yes, no, yes on a^0, a^1, a^2, so no
+    witness is revalidated: the search's own read of the stream must name
+    the foreign symbol rather than report that no machine exists."""
+    coded = [(0, "", "yes"), (0, "b", "no"), (0, "aa", "yes")]
+    problem = PromiseProblem(("a",), lambda w: False, lambda w: False, lambda max_length: coded)
+    with pytest.raises(InputDomainError, match="symbol 'b' not in alphabet"):
+        _SEARCHES[kind](SearchSpec(kind, 1, problem, 2))
+
+
+@pytest.mark.parametrize("kind", sorted(_SEARCHES))
+def test_searches_read_their_instances_once(kind):
+    """A search and the revalidation of its witness share one read of the
+    instances: a brute-forced problem classifies each word once, and an
+    enumerator runs once."""
+    calls = {"yes": 0, "no": 0, "enumerator": 0}
+
+    def yes_member(word):
+        calls["yes"] += 1
+        return word.count("a") % 2 == 0
+
+    def no_member(word):
+        calls["no"] += 1
+        return word.count("a") % 2 == 1
+
+    alphabet = ("a", "b") if kind == "dfa" else ("a",)
+    problem = PromiseProblem(alphabet, yes_member, no_member)
+    assert _SEARCHES[kind](SearchSpec(kind, 4, problem, 7)).found
+    words = sum(len(alphabet) ** n for n in range(8))
+    assert (calls["yes"], calls["no"]) == (words, words)
+
+    evenodd = evenodd_problem(1)
+
+    def enumerator(max_length):
+        calls["enumerator"] += 1
+        return evenodd.enumerator(max_length)
+
+    problem = PromiseProblem(("a",), evenodd.yes_member, evenodd.no_member, enumerator)
+    assert _SEARCHES[kind](SearchSpec(kind, 4, problem, 40)).found
+    assert calls["enumerator"] == 1
 
 
 def test_instance_trie_costs_memory_linear_in_the_stream():
@@ -475,7 +524,7 @@ def test_instance_trie_costs_memory_linear_in_the_stream():
     spec = SearchSpec("dfa", 4, evenodd_problem(1), 20_000)
     tracemalloc.start()
     try:
-        parent, _, label, _ = _instance_trie(spec)
+        parent, _, label, _ = _instance_trie(("a",), spec.problem._coded(spec.max_length))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,6 +15,7 @@ from promata import (
     ROLE_NEUTRAL,
     ROLE_REJECTING,
     SOLVES,
+    InputDomainError,
     OneWayAfa,
     OneWayDfa,
     OneWayNfa,
@@ -635,6 +636,15 @@ def test_problem_enumerator_keeping_more_than_the_previous_word_is_rejected(code
 def test_problem_enumerator_with_a_bad_class_is_rejected(cls):
     with pytest.raises(ValueError, match="enumerator produced class"):
         _enumerated((0, "a", "yes"), (1, "", cls)).enumerate_instances(3)
+
+
+def test_problem_enumerator_foreign_symbol_is_rejected_at_its_own_instance():
+    """The foreign symbol comes before a later instance's length fault, and
+    listing the instances rejects it too."""
+    bad = _enumerated((0, "a", "yes"), (1, "b", "no"), (0, "aaaa", "yes"))
+    for call in (bad._coded, bad.enumerate_instances):
+        with pytest.raises(InputDomainError, match="^symbol 'b' not in alphabet$"):
+            call(3)
 
 
 @pytest.mark.parametrize("enumerated", [False, True])

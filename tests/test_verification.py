@@ -154,10 +154,13 @@ def _random_pfa(rng):
 
 
 def _afa_reference(afa, word):
-    """The alternating semantics read off its definition, one position at a time."""
+    """The alternating semantics read off its definition, by memoized
+    recursion over (state, position): no evaluation order is taken from the
+    machine's own tables."""
     value = {}
-    for pos in range(len(word), -1, -1):
-        for state in afa.eps_order:
+
+    def accepts(state, pos):
+        if (state, pos) not in value:
             silent = [d for s, a, d in afa.transitions if s == state and a is EPSILON]
             reading = [
                 d
@@ -165,14 +168,16 @@ def _afa_reference(afa, word):
                 if s == state and pos < len(word) and a == word[pos]
             ]
             if silent:
-                branch = [value[(d, pos)] for d in silent]
+                branch = [accepts(d, pos) for d in silent]
             elif reading:
-                branch = [value[(d, pos + 1)] for d in reading]
+                branch = [accepts(d, pos + 1) for d in reading]
             else:
                 value[(state, pos)] = pos == len(word) and state in afa.accepting
-                continue
+                return value[(state, pos)]
             value[(state, pos)] = any(branch) if state in afa.existential else all(branch)
-    return value[(afa.initial, 0)]
+        return value[(state, pos)]
+
+    return accepts(afa.initial, 0)
 
 
 def _half_kept(instances):
@@ -364,12 +369,20 @@ def test_unary_sweep_steps_once_per_symbol():
 
 
 def test_unary_reverse_run_names_the_first_foreign_symbol():
-    """Over one symbol a reverse run resumes on the stream's own keeps, and
-    of two foreign symbols in its suffix still names the first in the word."""
-    stepper = Stepper(0, lambda value, sym: value + 1, lambda value: value, True)
-    coded = front_coded([("a", "yes"), ("abc", "no")])
+    """A one-symbol AFA reads its words backwards, resuming on the stream's
+    own keeps; of two foreign symbols in a suffix the first in the word is
+    named, not the first read."""
+    afa = OneWayAfa(
+        1, ("a",), 0, frozenset({(0, "a", 0)}), frozenset({0}), frozenset({0})
+    )
+    problem = PromiseProblem(
+        alphabet=("a",),
+        yes_member=lambda w: False,
+        no_member=lambda w: False,
+        enumerator=lambda max_length: front_coded([("a", "yes"), ("abc", "no")]),
+    )
     with pytest.raises(InputDomainError, match="'b'"):
-        list(_resumed_outcomes(stepper, frozenset("a"), coded))
+        promise_check(afa, problem, 3)
 
 
 def test_word_at_matches_decode_with_any_valid_keeps():
