@@ -42,7 +42,7 @@ KIND_UNARY_NFA = "unary-nfa"
 
 _KIND_CAPS = {KIND_UNARY_DFA: 18, KIND_DFA: 8, KIND_UNARY_NFA: 4}
 
-DEFAULT_WORK_CAP = 10**8  # search nodes visited by min_dfa_size and min_unary_nfa_size
+DEFAULT_WORK_CAP = 10**8  # search nodes, or unary-dfa instance checks, per search
 DEFAULT_WORD_CAP = 10**7  # words walked by disjointness_check
 _SHOWN_WORDS = 10**100  # the largest word count a cap message prints in full
 
@@ -121,7 +121,7 @@ def _revalidated(
     )
 
 
-def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
+def min_unary_dfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> SearchResult:
     """Smallest deterministic one-way machine solving a unary promise problem.
 
     Normal form: renaming states by first visit turns any all-reachable
@@ -131,7 +131,9 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
     every candidate. Within one family the accepting set is not looped over:
     each instance pins the bit of its final state (set for yes, clear for
     no), which decides all 2^s accepting sets at once and is equivalent to
-    enumerating them. candidates_checked counts the families examined.
+    enumerating them. candidates_checked counts the families examined. Each
+    family's scan charges every instance against work_cap before it starts,
+    and the search raises ResourceCapError once the charge exceeds it.
     """
     if spec.machine_kind != KIND_UNARY_DFA:
         raise ValueError("spec.machine_kind must be 'unary-dfa'")
@@ -143,6 +145,11 @@ def min_unary_dfa_size(spec: SearchSpec) -> SearchResult:
     for size in range(1, spec.max_states + 1):
         for loop_target in (None, *range(size)):
             checked += 1
+            if checked * len(lengths) > work_cap:
+                raise ResourceCapError(
+                    f"lasso search at {size} states exceeded the work cap "
+                    f"of {work_cap} instance checks"
+                )
             need_one = 0
             need_zero = 0
             dead = False

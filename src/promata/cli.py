@@ -348,8 +348,7 @@ def _cmd_minsize(args: argparse.Namespace) -> tuple[dict, int]:
     problem = _problem_from_args(args)
     spec = SearchSpec(args.kind, args.max_states, problem, args.max_length)
     search = _SEARCHES[args.kind]
-    work_cap = _cap(args, "work_cap", DEFAULT_WORK_CAP)
-    result = search(spec) if args.kind == "unary-dfa" else search(spec, work_cap=work_cap)
+    result = search(spec, work_cap=_cap(args, "work_cap", DEFAULT_WORK_CAP))
     payload = {
         "kind": args.kind,
         "problem": args.problem,
@@ -515,7 +514,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_min)
     p_min.add_argument("--max-states", type=int, required=True)
     p_min.add_argument("--max-length", type=int, required=True)
-    p_min.add_argument("--work-cap", type=int, help="max search nodes (dfa and unary-nfa)")
+    p_min.add_argument(
+        "--work-cap", type=int, help="max search nodes, or instance checks for unary-dfa"
+    )
 
     p_pump = command("pumping", _cmd_pumping, "block-pumping agreement check")
     p_pump.add_argument("--machine", required=True)

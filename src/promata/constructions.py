@@ -617,6 +617,8 @@ def up_problem(p: Fraction) -> PromiseProblem:
             elif 4 * num <= den:
                 yield previous, "a" * (j - previous), "no"
                 previous = j
+                num, den = 0, 1  # p < 1: every longer length is no; stop multiplying
+                continue
             num *= p.numerator
             den *= p.denominator
 

@@ -8,8 +8,6 @@ ever taken from a machine float near the boundary.
 
 from __future__ import annotations
 
-import decimal
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ResourceCapError
@@ -58,96 +56,59 @@ def ceil_ln(c: int) -> int:
         terms *= 2  # the enclosure does not separate e^k from c
 
 
-def _directed_contexts(digits: int) -> tuple[decimal.Context, decimal.Context]:
-    """Decimal contexts at the given precision that round toward -inf and
-    toward +inf, over the widest exponent range, with overflow and underflow
-    saturating instead of trapping.
-
-    Saturation keeps every bound rigorous for positive operands: rounding
-    down, an overflow gives the largest finite number and an underflow gives
-    0; rounding up, an overflow gives Infinity and an underflow the smallest
-    positive number.
-    """
-    return tuple(
-        decimal.Context(
-            prec=digits,
-            rounding=rounding,
-            Emin=decimal.MIN_EMIN,
-            Emax=decimal.MAX_EMAX,
-            traps=[decimal.InvalidOperation, decimal.DivisionByZero],
-        )
-        for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
-    )
+_Enclosure = tuple[int, int, int]  # (lo, hi, shift): lo * 2^shift <= x <= hi * 2^shift
 
 
-def _int_enclosure(
-    n: int, floor_ctx: decimal.Context, ceil_ctx: decimal.Context
-) -> tuple[Decimal, Decimal]:
-    """Decimals lo <= n <= hi for an integer n >= 1, exact for short n.
-
-    A long n is read through its leading 4 * precision bits, top, as
-    top * 2^shift <= n < (top + 1) * 2^shift, so no conversion ever touches
-    all of its digits.
-    """
-    shift = n.bit_length() - 4 * floor_ctx.prec
-    if shift <= 0:
-        exact = Decimal(n)
-        return exact, exact
-    top = n >> shift
-    two = Decimal(2)
-    scale_lo, scale_hi = _pow_enclosure(two, two, shift, floor_ctx, ceil_ctx)
-    return (
-        floor_ctx.multiply(Decimal(top), scale_lo),
-        ceil_ctx.multiply(Decimal(top + 1), scale_hi),
-    )
+def _enclose(value: Fraction, bits: int) -> _Enclosure:
+    """An enclosure of a positive rational: lo is its floor at about `bits`
+    bits, and hi = lo + 1 unless that division is exact, as for a dyadic
+    value. One floor division, so the cost is linear in the terms' length."""
+    num, den = value.numerator, value.denominator
+    shift = num.bit_length() - den.bit_length() - bits
+    if shift < 0:
+        lo, rest = divmod(num << -shift, den)
+    else:
+        lo, rest = divmod(num, den << shift)
+    return lo, lo + (rest != 0), shift
 
 
-def _enclose(
-    value: Fraction, floor_ctx: decimal.Context, ceil_ctx: decimal.Context
-) -> tuple[Decimal, Decimal]:
-    """Decimals lo <= value <= hi for a positive rational, equal when value
-    has short terms and is representable at the contexts' precision."""
-    num_lo, num_hi = _int_enclosure(value.numerator, floor_ctx, ceil_ctx)
-    den_lo, den_hi = _int_enclosure(value.denominator, floor_ctx, ceil_ctx)
-    return floor_ctx.divide(num_lo, den_hi), ceil_ctx.divide(num_hi, den_lo)
+def _times(a: _Enclosure, b: _Enclosure, bits: int) -> _Enclosure:
+    """The product of two enclosures, its ends rounded down and up to
+    `bits` bits by right shifts."""
+    lo, hi, shift = a[0] * b[0], a[1] * b[1], a[2] + b[2]
+    drop = hi.bit_length() - bits
+    if drop > 0:
+        lo >>= drop
+        hi = -(-hi >> drop)
+        shift += drop
+    return lo, hi, shift
 
 
-def _pow_enclosure(
-    base_lo: Decimal,
-    base_hi: Decimal,
-    exponent: int,
-    floor_ctx: decimal.Context,
-    ceil_ctx: decimal.Context,
-) -> tuple[Decimal, Decimal]:
-    """Decimals lo <= base^exponent <= hi for base in [base_lo, base_hi],
-    a positive interval, via directed rounding.
-
-    Square-and-multiply over Decimal intervals: the lower track rounds every
-    operation down, the upper track up, so the enclosure is rigorous at any
-    precision.
-    """
-    result_lo, result_hi = Decimal(1), Decimal(1)
-    for bit in bin(exponent)[2:]:
-        result_lo = floor_ctx.multiply(result_lo, result_lo)
-        result_hi = ceil_ctx.multiply(result_hi, result_hi)
-        if bit == "1":
-            result_lo = floor_ctx.multiply(result_lo, base_lo)
-            result_hi = ceil_ctx.multiply(result_hi, base_hi)
-    return result_lo, result_hi
+def _below(a: int, ea: int, b: int, eb: int) -> bool:
+    """Whether a * 2^ea < b * 2^eb, for integers a, b >= 0. Leading bits at
+    different positions decide at once, so exponents like 10^19 never build
+    a long shift; at one position, |ea - eb| is below either's length."""
+    if not a or not b:
+        return a < b
+    top_a, top_b = a.bit_length() + ea, b.bit_length() + eb
+    if top_a != top_b:
+        return top_a < top_b
+    if ea >= eb:
+        return a << (ea - eb) < b
+    return a < b << (eb - ea)
 
 
-_PRECISIONS = (40, 80, 160, 320, 640)
+_PRECISIONS = (133, 266, 532, 1064, 2127)  # bits: 40 to 640 decimal digits
 
 
 def pow_less_than(base: Fraction, exponent: int, bound: Fraction) -> bool:
     """Decide base^exponent < bound with certainty, for 0 < base, 0 <= exp.
 
-    At escalating precision, an enclosure of the power is compared with an
-    enclosure of bound at the same precision, both in the Decimal domain;
-    the first precision whose enclosures separate decides. If they never
-    separate, the two sides are equal (or astronomically close), and the
-    exact rational comparison is attempted as a last resort with a size
-    guard.
+    At escalating precision, square-and-multiply over binary enclosures
+    rounded outward (Moore's interval arithmetic) encloses the power, which
+    is compared with an enclosure of bound; the first precision whose
+    enclosures separate decides, and dyadic sides stay exact. If none
+    separates, the exact comparison is tried under a size guard.
     """
     base = Fraction(base)
     bound = Fraction(bound)
@@ -159,24 +120,22 @@ def pow_less_than(base: Fraction, exponent: int, bound: Fraction) -> bool:
         return False
     if exponent == 0 or base == 1:
         return 1 < bound
-    for digits in _PRECISIONS:
-        floor_ctx, ceil_ctx = _directed_contexts(digits)
-        base_lo, base_hi = _enclose(base, floor_ctx, ceil_ctx)
-        lo, hi = _pow_enclosure(base_lo, base_hi, exponent, floor_ctx, ceil_ctx)
-        bound_lo, bound_hi = _enclose(bound, floor_ctx, ceil_ctx)
-        if hi < bound_lo:
+    for bits in _PRECISIONS:
+        step = power = _enclose(base, bits)
+        for bit in bin(exponent)[3:]:
+            power = _times(power, power, bits)
+            if bit == "1":
+                power = _times(power, step, bits)
+        lo, hi, shift = power
+        bound_lo, bound_hi, bound_shift = _enclose(bound, bits)
+        if _below(hi, shift, bound_lo, bound_shift):
             return True
-        if lo >= bound_hi:
+        if not _below(lo, shift, bound_hi, bound_shift):
             return False
-    # Enclosures would only fail to separate when base^exponent = bound or
-    # the gap needs more than 640 digits; fall back to exact arithmetic if
-    # the operands stay manageable.
-    # Decimal digits from the bit length: str() of a long int is quadratic
-    # and refused past the interpreter's digit limit.
+    # Enclosures fail to separate only when base^exponent = bound or the gap
+    # is below 2^-2127 of them: compare exactly if the operands stay small.
+    # Digits come from bit lengths, since str() of a long int is quadratic.
     digits_per_factor = max(base.numerator, base.denominator).bit_length() * 30103 // 100000 + 1
-    digit_estimate = exponent * digits_per_factor
-    if digit_estimate > 2_000_000:
-        raise ResourceCapError(
-            "power comparison did not separate within the precision ladder"
-        )
+    if exponent * digits_per_factor > 2_000_000:
+        raise ResourceCapError("power comparison did not separate within the precision ladder")
     return base**exponent < bound

@@ -213,9 +213,7 @@ def monte_carlo(
                 for target, taken in _multinomial(getrandbits, n, row, unit):
                     nxt[target] = nxt.get(target, 0) + taken
         counts = nxt
-    accept = sum(counts.get(state, 0) for state in pfa.states_with_role(ROLE_ACCEPTING))
-    reject = sum(counts.get(state, 0) for state in pfa.states_with_role(ROLE_REJECTING))
-    return OutcomeDistribution._from_numerators(accept, reject, trials)
+    return _pfa_stepper(pfa).outcome((counts, trials))
 
 
 def trios_success_bound(n: int, r: int) -> Fraction:
@@ -335,9 +333,7 @@ class RoundModel:
         return RoundModel(self.c, self.m, self.n, self.a, self.t, Fraction(r))
 
 
-def expeq_params(
-    c: int, m: int, n: int, r: Fraction | None = None, max_bits: int = 10**6
-) -> RoundModel:
+def expeq_params(c: int, m: int, n: int, max_bits: int = 10**6) -> RoundModel:
     """Round acceptance weight and round count for block exponents m, n.
 
     a = 1/(3 * (2c^2)^(m+n)) and t = 3 * (2c^2)^(m+n) * ceil(ln c), with the
@@ -351,7 +347,7 @@ def expeq_params(
     if (m + n) * base.bit_length() > max_bits:
         raise ResourceCapError(f"(2c^2)^(m+n) exceeds the {max_bits}-bit cap")
     scale = 3 * base ** (m + n)
-    return RoundModel(c=c, m=m, n=n, a=Fraction(1, scale), t=scale * ceil_ln(c), r=r)
+    return RoundModel(c=c, m=m, n=n, a=Fraction(1, scale), t=scale * ceil_ln(c))
 
 
 def _tail_probability_digits(model: RoundModel) -> int:

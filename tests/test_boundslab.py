@@ -101,6 +101,13 @@ def test_unary_dfa_search_parity():
     assert result.size == 2
 
 
+def test_unary_dfa_search_work_cap():
+    # Each lasso family's scan of the 33 instances counts against the cap.
+    spec = SearchSpec("unary-dfa", 18, evenodd_problem(1), 64)
+    with pytest.raises(ResourceCapError, match="instance checks"):
+        min_unary_dfa_size(spec, work_cap=100)
+
+
 def test_unary_nfa_search_needs_full_period():
     spec = SearchSpec("unary-nfa", 4, evenodd_problem(1), 24)
     result = min_unary_nfa_size(spec)

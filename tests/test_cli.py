@@ -846,6 +846,29 @@ def test_minsize_unary_nfa_work_cap_exits_3(capsys):
     assert "1000 search nodes" in err
 
 
+def test_minsize_unary_dfa_work_cap_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "minsize",
+        "--kind",
+        "unary-dfa",
+        "--problem",
+        "evenodd",
+        "--k",
+        "1",
+        "--max-states",
+        "4",
+        "--max-length",
+        "64",
+        "--work-cap",
+        "100",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap:") and err.count("\n") == 1
+    assert "100 instance checks" in err
+
+
 def test_multi_character_symbol_is_usage_error(tmp_path, capsys):
     path = tmp_path / "d.json"
     run_cli(capsys, "build", "parity-dfa", "--out", str(path))

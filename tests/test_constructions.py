@@ -8,6 +8,7 @@ comparison, geometric decay) over an explicit range of inputs.
 import decimal
 import math
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -385,6 +386,19 @@ def test_up_problem_is_two_point():
     assert not problem.yes_member("a" * (accept_at + 1))
     instances = problem.enumerate_instances(reject_at)
     assert len(instances) == 2
+
+
+def test_up_enumeration_stops_multiplying_past_the_first_no_instance():
+    # Past R every length is a no instance; the powers p^j need not grow.
+    p = Fraction(999, 1000)
+    accept_at, reject_at = critical_lengths(p)
+    start = time.perf_counter()
+    coded = up_problem(p)._coded(100_000)
+    assert time.perf_counter() - start < 1.0
+    lengths = [(keep + len(suffix), cls) for keep, suffix, cls in coded]
+    expected = [(j, "yes") for j in range(accept_at + 1)]
+    expected += [(j, "no") for j in range(reject_at, 100_001)]
+    assert lengths == expected
 
 
 def test_up_dfa_sticks_past_the_accept_length():

@@ -25,9 +25,9 @@ def test_huge_exponents_answer_within_a_second(base, exponent, bound, expected):
 
 
 def test_decimal_overflow_and_underflow_saturate():
-    # 1.5^(10^10) ~ 10^(1.76e9) lies past an exponent range of 10^9;
-    # 2^(10^19) ~ 10^(3e18) and 2^-(10^19) lie past even the widest Decimal
-    # range, so their enclosures saturate.
+    # 1.5^(10^10) ~ 10^(1.76e9), 2^(10^19) ~ 10^(3e18) and 2^-(10^19) lie
+    # past any bounded exponent range; binary enclosures carry the exponent
+    # as an int, and their leading bits' positions decide without a shift.
     assert pow_less_than(Fraction(3, 2), 10**10, Fraction(10**100)) is False
     assert pow_less_than(Fraction(2), 10**19, Fraction(3)) is False
     assert pow_less_than(Fraction(1, 2), 10**19, Fraction(1, 10**1000)) is True
@@ -54,16 +54,23 @@ def test_equality_is_not_less():
     # reach the exact fallback.
     base = Fraction(3**10000, 2**15000)
     assert pow_less_than(base, 2, base**2) is False
+    # Powers of two are enclosed exactly, so dyadic equalities decide at the
+    # first precision, far past the exact fallback's digit guard.
+    assert pow_less_than(Fraction(1, 2), 10**7, Fraction(1, 2 ** (10**7))) is False
+    assert pow_less_than(Fraction(4), 10**7, Fraction(2 ** (2 * 10**7))) is False
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_agrees_with_exact_comparison(seed):
     rng = random.Random(seed)
     for _ in range(200):
-        base = Fraction(rng.randint(1, 30), rng.randint(1, 30))
+        kind = rng.randrange(5)
+        if kind == 4:
+            base = Fraction(2) ** rng.randint(-10, 10)
+        else:
+            base = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         exponent = rng.randint(0, 40)
         power = base**exponent
-        kind = rng.randrange(4)
         if kind == 0:
             bound = power
         elif kind == 1:
@@ -71,8 +78,10 @@ def test_agrees_with_exact_comparison(seed):
             bound = power * (1 + rng.choice((-1, 1)) * nudge)
         elif kind == 2:
             bound = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-        else:
+        elif kind == 3:
             bound = Fraction(rng.randint(-5, 0))
+        else:
+            bound = power * Fraction(2) ** rng.randint(-1, 1)
         assert pow_less_than(base, exponent, bound) is (power < bound)
 
 
