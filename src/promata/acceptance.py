@@ -1,7 +1,8 @@
 """The package's acceptance gate: eleven reproducible checks.
 
-Each criterion is a function returning a structured result, so the test
-suite and the command line can share one registry. Checks that need random
+Each criterion is registered once, with its number and title, by
+_criterion, which runs its checks and builds its structured result, so the
+test suite and the command line share one registry. Checks that need random
 machines use fixed seeds; checks that need big-number comparisons use the
 exact or certified engines, never floats at a decision boundary (floats
 appear only where a tolerance is part of the check itself).
@@ -9,7 +10,9 @@ appear only where a tolerance is part of the check itself).
 
 from __future__ import annotations
 
+import functools
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,6 +40,7 @@ from .constructions import (
     up_problem,
 )
 from .conversions import (
+    _floor_cbrt,
     bound_2nfa_to_dfa,
     bound_afa_to_dfa,
     bound_svfa_to_dfa,
@@ -89,11 +93,14 @@ class CriterionResult:
 
 
 class _Checks:
-    """Collects named boolean checks and the first failures' names."""
+    """Collects named boolean checks and the first failures' names, plus
+    the notes and deviations a criterion reports beside them."""
 
     def __init__(self) -> None:
         self.failed: list[str] = []
         self.count = 0
+        self.notes: list[str] = []
+        self.deviations: list[str] = []
 
     def expect(self, name: str, ok: bool) -> None:
         self.count += 1
@@ -104,17 +111,42 @@ class _Checks:
     def passed(self) -> bool:
         return not self.failed
 
-    def details(self, extra: list[str] | None = None) -> list[str]:
+    def details(self) -> list[str]:
         lines = [f"{self.count} checks"]
         lines.extend(f"failed: {name}" for name in self.failed[:8])
-        if extra:
-            lines.extend(extra)
+        lines.extend(self.notes)
         return lines
 
 
-def criterion_1(tier: str = TIER_FAST) -> CriterionResult:
+CRITERIA: dict[int, Callable[[str], CriterionResult]] = {}
+
+
+def _criterion(number: int, title: str):
+    """Register the decorated body as criterion `number` in CRITERIA.
+
+    The body takes a fresh _Checks and the tier, and records its checks,
+    notes and deviations on it; the registered function takes the tier
+    alone and builds the CriterionResult from them.
+    """
+
+    def register(body: Callable[[_Checks, str], None]) -> Callable[[str], CriterionResult]:
+        @functools.wraps(body)
+        def run(tier: str = TIER_FAST) -> CriterionResult:
+            checks = _Checks()
+            body(checks, tier)
+            return CriterionResult(
+                number, title, checks.passed, checks.details(), checks.deviations
+            )
+
+        CRITERIA[number] = run
+        return run
+
+    return register
+
+
+@_criterion(1, "construction state counts")
+def criterion_1(checks: _Checks, tier: str) -> None:
     """Exact state-count formulas of every sized construction."""
-    checks = _Checks()
     for k in range(1, 9):
         checks.expect(f"rt({k}) count", evenodd_afa_rt(k).state_count == 7 * k + 2)
         checks.expect(f"counter({k}) count", evenodd_dfa(k).state_count == 2 ** (k + 1))
@@ -131,13 +163,11 @@ def criterion_1(tier: str = TIER_FAST) -> CriterionResult:
         machine = up_dfa(p)
         a_len, _ = critical_lengths(p)
         checks.expect(f"chain({p}) count", machine.state_count == expected == a_len + 1)
-    return CriterionResult(1, "construction state counts", checks.passed, checks.details())
 
 
-def criterion_2(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(2, "divisibility machines solve their problems")
+def criterion_2(checks: _Checks, tier: str) -> None:
     """The alternating machines solve their divisibility problems."""
-    checks = _Checks()
-    deviations = []
     for k in range(1, 6):
         machine = evenodd_afa_rt(k)
         horizon = 2 ** (k + 3)
@@ -155,22 +185,15 @@ def criterion_2(tier: str = TIER_FAST) -> CriterionResult:
             evenodd_afa_epsfree(kk), evenodd_problem(kk), 2 ** (kk + 3)
         )
         checks.expect(f"epsfree({kk}) solves", report.verdict == SOLVES)
-    deviations.append(
+    checks.deviations.append(
         "the padded machine is checked against the problem of its own order; "
         "orders below 3 clamp machine and problem together"
     )
-    return CriterionResult(
-        2,
-        "divisibility machines solve their problems",
-        checks.passed,
-        checks.details(),
-        deviations,
-    )
 
 
-def criterion_3(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(3, "minimal unary sizes and pumping")
+def criterion_3(checks: _Checks, tier: str) -> None:
     """Minimal unary machine sizes, plus the block-pumping property."""
-    checks = _Checks()
     search_ks = [1, 2] + ([3] if tier == TIER_SLOW else [])
     for k in search_ks:
         spec = SearchSpec(KIND_UNARY_DFA, 18, evenodd_problem(k), 2 ** (k + 4))
@@ -193,15 +216,12 @@ def criterion_3(tier: str = TIER_FAST) -> CriterionResult:
         report = pumping_check(machine, 6, (1,))
         nfa_ok += report.verdict == SOLVES
     checks.expect("pumping on 200 nondeterministic machines", nfa_ok == 200)
-    extra = [f"tier={tier}", f"search orders: {search_ks}"]
-    return CriterionResult(
-        3, "minimal unary sizes and pumping", checks.passed, checks.details(extra)
-    )
+    checks.notes += [f"tier={tier}", f"search orders: {search_ks}"]
 
 
-def criterion_4(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(4, "determinization reproduces the counter")
+def criterion_4(checks: _Checks, tier: str) -> None:
     """Valuation-vector determinization reproduces the canonical counter."""
-    checks = _Checks()
     for k in (1, 2):
         source = evenodd_afa_rt(k)
         big = unary_afa_to_dfa(source)
@@ -211,15 +231,36 @@ def criterion_4(tier: str = TIER_FAST) -> CriterionResult:
         checks.expect(
             f"vector count cap k={k}", big.state_count <= 2 ** source.state_count
         )
-    return CriterionResult(
-        4, "determinization reproduces the counter", checks.passed, checks.details()
-    )
 
 
-def criterion_5(tier: str = TIER_FAST) -> CriterionResult:
+def _chain_holds(n: int) -> bool:
+    """Whether 1 + 3^((n-1)/3) <= 2^(529n/1000), decided in integers.
+
+    With c the floor cube root of 3^(n-1) * 2^(3s), the value x lies in
+    [lo, hi] / 2^s for lo = 2^s + c and hi = lo + 1 (hi = lo when the root
+    is exact). The bit length b of an integer y^k brackets k log2 y in
+    (b - 1, b], so comparing 1000 b with k (1000 s + 529 n) decides the
+    chain when hi's power lies below 2^(529n/1000) or lo's above it;
+    otherwise s and k double. Equality would loop; it occurs at no n this
+    criterion asks about.
+    """
+    s, k = 8, 64
+    while True:
+        scaled = 3 ** (n - 1) << 3 * s
+        c = _floor_cbrt(scaled)
+        lo = (1 << s) + c
+        hi = lo + (c**3 != scaled)
+        budget = k * (1000 * s + 529 * n)
+        if 1000 * (hi**k).bit_length() <= budget:
+            return True
+        if 1000 * ((lo**k).bit_length() - 1) > budget:
+            return False
+        s, k = 2 * s, 2 * k
+
+
+@_criterion(5, "trade-off formulas")
+def criterion_5(checks: _Checks, tier: str) -> None:
     """Closed-form trade-off values and their stated ceilings."""
-    checks = _Checks()
-    deviations = []
     checks.expect("double sum at 1", bound_2nfa_to_dfa(1).value == 1)
     checks.expect("double sum at 2", bound_2nfa_to_dfa(2).value == 7)
     for n in range(1, 13):
@@ -230,29 +271,18 @@ def criterion_5(tier: str = TIER_FAST) -> CriterionResult:
     checks.expect("self-verifying at 4", bound_svfa_to_dfa(4).value == 4)
     checks.expect("self-verifying at 7", bound_svfa_to_dfa(7).value == 10)
     for n in range(4, 31):
-        bound = bound_svfa_to_dfa(n)
-        real = bound.real_value if bound.real_value is not None else float(bound.value)
-        checks.expect(
-            f"exponent chain n={n}", real <= 2 ** (0.529 * n) + 1e-9
-        )
+        checks.expect(f"exponent chain n={n}", _chain_holds(n))
     for n in (1, 2, 3):
-        bound = bound_svfa_to_dfa(n)
-        real = bound.real_value if bound.real_value is not None else float(bound.value)
-        checks.expect(
-            f"exponent chain pinned false n={n}", real > 2 ** (0.529 * n) + 1e-9
-        )
-    deviations.append(
+        checks.expect(f"exponent chain pinned false n={n}", not _chain_holds(n))
+    checks.deviations.append(
         "the 0.529-exponent ceiling is asserted for sizes 4..30 and pinned as "
         "false at sizes 1..3, where the stated chain does not hold"
     )
-    return CriterionResult(
-        5, "trade-off formulas", checks.passed, checks.details(), deviations
-    )
 
 
-def criterion_6(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(6, "zero-error segment machines meet the bound")
+def criterion_6(checks: _Checks, tier: str) -> None:
     """Zero-error segment machines meet the exact success bound."""
-    checks = _Checks()
     instances_seen = 0
     for n in (1, 2, 3):
         for r in (1, 2):
@@ -263,17 +293,12 @@ def criterion_6(tier: str = TIER_FAST) -> CriterionResult:
             report = lasvegas_success(machine, problem, horizon, bound)
             checks.expect(f"zero error n={n} r={r}", report.verdict == SOLVES)
             instances_seen += report.measured.get("instances", 0)
-    return CriterionResult(
-        6,
-        "zero-error segment machines meet the bound",
-        checks.passed,
-        checks.details([f"instances checked: {instances_seen}"]),
-    )
+    checks.notes.append(f"instances checked: {instances_seen}")
 
 
-def criterion_7(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(7, "three-state exhaustion for segments")
+def criterion_7(checks: _Checks, tier: str) -> None:
     """No three-state machine solves the width-2 segment problem."""
-    checks = _Checks()
     problem = trios_problem(2, 1)
     spec = SearchSpec(KIND_DFA, 3, problem, 7)
     result = min_dfa_size(spec)
@@ -282,18 +307,15 @@ def criterion_7(tier: str = TIER_FAST) -> CriterionResult:
     checks.expect("built machine is big enough", built.state_count >= 4)
     report = promise_check(built, problem, 7)
     checks.expect("built machine solves", report.verdict == SOLVES)
-    extra = [
+    checks.notes += [
         f"search nodes: {result.candidates_checked}",
         f"fooling set: {' '.join(result.fooling_set)}",
     ]
-    return CriterionResult(
-        7, "three-state exhaustion for segments", checks.passed, checks.details(extra)
-    )
 
 
-def criterion_8(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(8, "stochastic chain analysis")
+def criterion_8(checks: _Checks, tier: str) -> None:
     """Analysis of the two-state stochastic chain and its deterministic twin."""
-    checks = _Checks()
     powers = list(front_coded(("a" * j, "yes") for j in range(41)))
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
         machine = up_pfa(p)
@@ -310,19 +332,16 @@ def criterion_8(tier: str = TIER_FAST) -> CriterionResult:
         checks.expect(f"chain solves p={p}", report.verdict == SOLVES)
         spec = SearchSpec(KIND_UNARY_DFA, 18, problem, r_len + a_len + 2)
         checks.expect(f"chain minimal p={p}", min_unary_dfa_size(spec).size == a_len + 1)
-    return CriterionResult(
-        8, "stochastic chain analysis", checks.passed, checks.details()
-    )
 
 
-def criterion_9(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(9, "round composition bounds and traversal pumping")
+def criterion_9(checks: _Checks, tier: str) -> None:
     """Round-composition bounds, certified at any size, plus traversal pumping."""
-    checks = _Checks()
-    deviations = [
+    checks.deviations.append(
         "astronomical round counts are decided by certified directed-rounding "
         "interval comparison; the composition is cross-checked in exact "
         "rationals wherever the tail stays under the digit cap"
-    ]
+    )
     for c in (3, 10, 100):
         third = Fraction(1, c)
         decisive = 1 - Fraction(2, c + 1)
@@ -354,18 +373,11 @@ def criterion_9(tier: str = TIER_FAST) -> CriterionResult:
         if _triples_agree(machine):
             triple_ok += 1
     checks.expect("block-structured pumping triples", triple_ok == 200)
-    return CriterionResult(
-        9,
-        "round composition bounds and traversal pumping",
-        checks.passed,
-        checks.details(),
-        deviations,
-    )
 
 
-def criterion_10(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(10, "sampled frequencies track exact probabilities")
+def criterion_10(checks: _Checks, tier: str) -> None:
     """Sampled frequencies track exact probabilities within four sigmas."""
-    checks = _Checks()
     trials = 10**5
     pairs = []
     for j in (0, 1, 2, 3, 5):
@@ -380,17 +392,12 @@ def criterion_10(tier: str = TIER_FAST) -> CriterionResult:
         sampled = monte_carlo(pfa, word, trials, seed=4200 + index)
         within = (sampled.accept - exact) ** 2 <= 16 * exact * (1 - exact) / trials
         checks.expect(f"{name} within 4 sigma", within)
-    return CriterionResult(
-        10,
-        "sampled frequencies track exact probabilities",
-        checks.passed,
-        checks.details([f"pairs: {len(pairs)}, trials each: {trials}"]),
-    )
+    checks.notes.append(f"pairs: {len(pairs)}, trials each: {trials}")
 
 
-def criterion_11(tier: str = TIER_FAST) -> CriterionResult:
+@_criterion(11, "restart-round accounting")
+def criterion_11(checks: _Checks, tier: str) -> None:
     """Restart-round accounting, exact and against the closed-form ceiling."""
-    checks = _Checks()
     checks.expect("one round at certainty", expected_rounds(Fraction(1)) == 1)
     checks.expect("two rounds at a half", expected_rounds(Fraction(1, 2)) == 2)
     sigma = trios_success_bound(3, 9)
@@ -399,12 +406,7 @@ def criterion_11(tier: str = TIER_FAST) -> CriterionResult:
     checks.expect(
         "under the closed-form ceiling", within_restart_bound(rounds, 3)
     )
-    return CriterionResult(
-        11,
-        "restart-round accounting",
-        checks.passed,
-        checks.details([f"rounds = {rounds} ~ {float(rounds):.6f}"]),
-    )
+    checks.notes.append(f"rounds = {rounds} ~ {float(rounds):.6f}")
 
 
 def _random_dfa(rng: random.Random, alphabet: tuple[str, ...], density: float) -> OneWayDfa:
@@ -468,21 +470,6 @@ def _triples_agree(machine: OneWayDfa) -> bool:
         if not plain == both == tail:
             return False
     return True
-
-
-CRITERIA = {
-    1: criterion_1,
-    2: criterion_2,
-    3: criterion_3,
-    4: criterion_4,
-    5: criterion_5,
-    6: criterion_6,
-    7: criterion_7,
-    8: criterion_8,
-    9: criterion_9,
-    10: criterion_10,
-    11: criterion_11,
-}
 
 
 def run_criterion(number: int, tier: str = TIER_FAST) -> CriterionResult:

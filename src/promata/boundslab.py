@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from .constructions import _lasso_dfa
 from .errors import ResourceCapError
 from .machines import (
+    DEFAULT_STATE_CAP,
     FAILS,
     SOLVES,
     OneWayDfa,
@@ -40,9 +41,11 @@ KIND_UNARY_DFA = "unary-dfa"
 KIND_DFA = "dfa"
 KIND_UNARY_NFA = "unary-nfa"
 
-_KIND_CAPS = {KIND_UNARY_DFA: 18, KIND_DFA: 8, KIND_UNARY_NFA: 4}
+# unary-dfa is bounded by its work cap, dfa by its recursion depth, and
+# unary-nfa by the subset tables below.
+_KIND_CAPS = {KIND_UNARY_DFA: DEFAULT_STATE_CAP, KIND_DFA: 8, KIND_UNARY_NFA: 4}
 
-DEFAULT_WORK_CAP = 10**8  # search nodes, or unary-dfa instance checks, per search
+DEFAULT_WORK_CAP = 10**8  # search nodes and trace steps, or unary-dfa instance checks
 DEFAULT_WORD_CAP = 10**7  # words walked by disjointness_check
 _SHOWN_WORDS = 10**100  # the largest word count a cap message prints in full
 
@@ -453,7 +456,8 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
     Each assigned row is one level of recursion, so the nesting is at most
     size <= 4 deep however long the trace; the steps between assignments
     are a loop. candidates_checked counts search nodes, one per row choice
-    tried, and the search raises ResourceCapError once it exceeds work_cap.
+    tried. Search nodes and trace steps walked both count against work_cap,
+    and the search raises ResourceCapError once their sum exceeds it.
     """
     if spec.machine_kind != KIND_UNARY_NFA:
         raise ValueError("spec.machine_kind must be 'unary-nfa'")
@@ -464,6 +468,7 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
     for keep, suffix, cls in coded:
         label[keep + len(suffix)] |= _YES if cls == "yes" else _NO
     checked = 0
+    walked = 0  # trace steps
 
     def grow(t: int, current: int, unset: int, used: int, forbidden: int, yes: int):
         """Step the trace on from S_t = current, the subsets reached as yes
@@ -471,7 +476,8 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
         holds a state with an unset row, try each row for it. Returns the
         forbidden set once the trace reaches the horizon, else None with
         row as it was."""
-        nonlocal checked
+        nonlocal checked, walked
+        first = t
         while t < horizon:
             pending = current & unset
             if pending:
@@ -485,22 +491,25 @@ def min_unary_nfa_size(spec: SearchSpec, work_cap: int = DEFAULT_WORK_CAP) -> Se
             if bits & _NO and subset & ~forbidden:
                 forbidden |= subset
                 if yes & _INSIDE[forbidden]:
-                    return None
+                    break  # a yes subset lies wholly inside the forbidden set
             if bits & _YES:
                 if not subset & ~forbidden:
-                    return None
+                    break  # this yes subset is wholly forbidden
                 yes |= 1 << subset
         else:
             return forbidden
+        walked += t - first
+        if not pending:  # the walk broke at a violation
+            return None
         low = pending & -pending
         q = low.bit_length() - 1
         for new in range(size - used + 1):
             for old in range(1 << used):
                 checked += 1
-                if checked > work_cap:
+                if checked + walked > work_cap:
                     raise ResourceCapError(
                         f"relation search at {size} states exceeded the work cap "
-                        f"of {work_cap} search nodes"
+                        f"of {work_cap} search nodes and trace steps"
                     )
                 row[q] = old | (((1 << new) - 1) << used)
                 found = grow(t, current, unset ^ low, used + new, forbidden, yes)

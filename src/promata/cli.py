@@ -11,6 +11,7 @@ byte-identical. Exit codes: 0 when the requested check solves/succeeds,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -416,16 +417,7 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> tuple[dict | None, int]:
         print(result.line)
     payload = {
         "tier": args.tier,
-        "criteria": [
-            {
-                "number": result.number,
-                "title": result.title,
-                "passed": result.passed,
-                "details": result.details,
-                "deviations": result.deviations,
-            }
-            for result in results
-        ],
+        "criteria": [dataclasses.asdict(result) for result in results],
         "all_passed": all(result.passed for result in results),
     }
     # The criterion lines are the report on stdout; the JSON goes only to --out.

@@ -7,7 +7,28 @@ variant at the bottom widens the exhaustive-search criterion.
 
 import pytest
 
-from promata.acceptance import TIER_FAST, TIER_SLOW, run_criterion
+from promata.acceptance import (
+    CRITERIA,
+    TIER_FAST,
+    TIER_SLOW,
+    _chain_holds,
+    run_criterion,
+)
+from promata.conversions import _floor_cbrt
+
+TITLES = [
+    "construction state counts",
+    "divisibility machines solve their problems",
+    "minimal unary sizes and pumping",
+    "determinization reproduces the counter",
+    "trade-off formulas",
+    "zero-error segment machines meet the bound",
+    "three-state exhaustion for segments",
+    "stochastic chain analysis",
+    "round composition bounds and traversal pumping",
+    "sampled frequencies track exact probabilities",
+    "restart-round accounting",
+]
 
 
 def _run(number, tier=TIER_FAST):
@@ -59,6 +80,29 @@ def test_criterion_10_sampling_tracks_exact():
 
 def test_criterion_11_restart_round_accounting():
     _run(11)
+
+
+def test_registry_holds_each_criterion_once_in_order():
+    assert list(CRITERIA) == list(range(1, 12))
+    results = [run_criterion(number) for number in CRITERIA]
+    assert [result.number for result in results] == list(range(1, 12))
+    assert [result.title for result in results] == TITLES
+    assert [result.number for result in results if result.deviations] == [2, 5, 9]
+    assert [CRITERIA[number].__name__ for number in CRITERIA] == [
+        f"criterion_{number}" for number in range(1, 12)
+    ]
+
+
+def test_exponent_chain_matches_a_direct_power_comparison():
+    # At s = 32 fractional bits, hi / 2^s bounds 1 + 3^((n-1)/3) from above
+    # closely enough that raising it to the 1000th power decides the chain.
+    s = 32
+    for n in range(1, 31):
+        scaled = 3 ** (n - 1) << 3 * s
+        c = _floor_cbrt(scaled)
+        hi = (1 << s) + c + (c**3 != scaled)
+        assert _chain_holds(n) == (hi**1000 <= 1 << (529 * n + 1000 * s)), n
+    assert [n for n in range(1, 31) if not _chain_holds(n)] == [1, 2, 3]
 
 
 @pytest.mark.slow

@@ -21,6 +21,7 @@ from promata import (
     PromiseProblem,
     ResourceCapError,
     SearchSpec,
+    critical_lengths,
     disjointness_check,
     dfa_to_nfa,
     evenodd_dfa,
@@ -37,7 +38,7 @@ from promata import (
 from promata import boundslab
 from promata.boundslab import _NO, _YES, _fooling_set, _instance_trie
 from promata.machines import (
-    _decode, _dfa_block, _fold, _stepper, front_coded, machine_accepts
+    DEFAULT_STATE_CAP, _decode, _dfa_block, _fold, _stepper, front_coded, machine_accepts
 )
 
 
@@ -63,7 +64,7 @@ def test_search_spec_validation():
     with pytest.raises(ValueError):
         SearchSpec("moore", 4, problem, 10)
     with pytest.raises(ValueError):
-        SearchSpec("unary-dfa", 40, problem, 10)
+        SearchSpec("unary-dfa", DEFAULT_STATE_CAP + 1, problem, 10)
     with pytest.raises(ValueError):
         SearchSpec("dfa", 9, problem, 10)
     with pytest.raises(ValueError):
@@ -106,6 +107,17 @@ def test_unary_dfa_search_work_cap():
     spec = SearchSpec("unary-dfa", 18, evenodd_problem(1), 64)
     with pytest.raises(ResourceCapError, match="instance checks"):
         min_unary_dfa_size(spec, work_cap=100)
+
+
+def test_unary_dfa_search_reaches_past_18_states():
+    # UP(99/100)'s chain needs A + 1 = 29 states; the work cap, not a state
+    # cap, bounds the lasso search.
+    p = Fraction(99, 100)
+    a_len, r_len = critical_lengths(p)
+    spec = SearchSpec("unary-dfa", 40, up_problem(p), r_len + a_len + 2)
+    assert (a_len, r_len + a_len + 2) == (28, 168)
+    result = min_unary_dfa_size(spec)
+    assert (result.size, result.candidates_checked) == (29, 435)
 
 
 def test_unary_nfa_search_needs_full_period():
@@ -619,6 +631,14 @@ def test_unary_nfa_search_work_cap():
     spec = SearchSpec("unary-nfa", 4, evenodd_problem(2), 40)
     with pytest.raises(ResourceCapError):
         min_unary_nfa_size(spec, work_cap=1000)
+
+
+def test_unary_nfa_search_charges_trace_steps():
+    # 19,028 row choices stay under the cap, but their subset traces along
+    # 2,000 lengths do not.
+    spec = SearchSpec("unary-nfa", 4, up_problem(Fraction(49, 50)), 2000)
+    with pytest.raises(ResourceCapError, match="search nodes and trace steps"):
+        min_unary_nfa_size(spec, work_cap=20_000)
 
 
 def test_unary_nfa_search_long_trace_needs_no_recursion():
