@@ -7,7 +7,6 @@ auditable; the advertised state counts are enforced at construction time.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import product
@@ -57,10 +56,10 @@ class _StateMap:
         return {idx: name for name, idx in self.index.items()}
 
 
-def _check_cap(states: int, what: str) -> None:
-    if states > DEFAULT_STATE_CAP:
+def _check_cap(count: int, what: str, unit: str = "states") -> None:
+    if count > DEFAULT_STATE_CAP:
         raise ResourceCapError(
-            f"{what} needs {states} states, above the cap {DEFAULT_STATE_CAP}"
+            f"{what} needs {count} {unit}, above the cap {DEFAULT_STATE_CAP}"
         )
 
 
@@ -128,6 +127,60 @@ def evenodd_dfa(k: int) -> OneWayDfa:
     return _lasso_dfa(1 << (k + 1), 0, (0,), "a")
 
 
+def _evenodd_afa_moves(k: int) -> int:
+    """How many moves evenodd_afa_rt(k) has: 4k + 3 reading ones and
+    (3k^2 + 15k - 2)/2 silent ones."""
+    return (3 * k * k + 23 * k + 4) // 2
+
+
+def _evenodd_rt_parts(
+    k: int,
+) -> tuple[list[str], list[tuple[int, int]], list[tuple[int, int]], list[int], list[int]]:
+    """evenodd_afa_rt(k) by state index: its state names, its reading and
+    its silent moves as (source, target) pairs, and its existential and
+    accepting states.
+
+    "s_ini" is state 0, "i_x" is 1 + 2(k - i) + x, "i_x,allone" is
+    2k + 3 + 2(k - i) + x, "i_x,exzero" is 4k + 3 + 2(k - i) + x and
+    "i_exzero" is 6k + 3 + (k - i).
+    """
+    # Index tables by bit position i: bit[i][x] is "i_x", allone[i][x]
+    # "i_x,allone", exzero[i][x] "i_x,exzero" and locate[i] "i_exzero".
+    # Positions below a kind's lowest i are never read.
+    bit, allone, exzero = (
+        [(base + 2 * (k - i), base + 2 * (k - i) + 1) for i in range(k + 1)]
+        for base in (1, 2 * k + 3, 4 * k + 3)
+    )
+    locate = [7 * k + 3 - i for i in range(k + 1)]
+    names = ["s_ini"]
+    names += [f"{i}_{x}" for i in range(k, -1, -1) for x in (0, 1)]
+    names += [f"{i}_{x},allone" for i in range(k, 0, -1) for x in (0, 1)]
+    names += [f"{i}_{x},exzero" for i in range(k, 0, -1) for x in (0, 1)]
+    names += [f"{i}_exzero" for i in range(k, 1, -1)]
+    assert len(names) == 7 * k + 2
+
+    reading = [(0, allone[k][1])]
+    for i in range(1, k + 1):
+        for x in (0, 1):
+            # Reading a symbol: either some lower bit was zero (no borrow
+            # reaches bit i) or all lower bits were one (bit i flips).
+            reading += [(bit[i][x], exzero[i][x]), (bit[i][x], allone[i][1 - x])]
+    reading += [(bit[0][x], bit[0][1 - x]) for x in (0, 1)]
+    silent = []
+    for i in range(1, k + 1):
+        for x in (0, 1):
+            silent.append((allone[i][x], bit[i][x]))
+            silent += [(allone[i][x], bit[j][1]) for j in range(i)]
+            silent.append((exzero[i][x], bit[i][x]))
+            silent.append((exzero[i][x], locate[i] if i > 1 else bit[0][0]))
+    for i in range(2, k + 1):
+        silent += [(locate[i], bit[j][0]) for j in range(i)]
+
+    existential = [*range(bit[k][0], bit[0][1] + 1), *range(locate[k], locate[1])]
+    accepting = [0, *(bit[i][0] for i in range(k + 1))]
+    return names, reading, silent, existential, accepting
+
+
 def evenodd_afa_rt(k: int) -> OneWayAfa:
     """Alternating acceptor for EvenOdd(k) with exactly 7k+2 states.
 
@@ -143,64 +196,20 @@ def evenodd_afa_rt(k: int) -> OneWayAfa:
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_cap(7 * k + 2, "evenodd_afa_rt")
-    sm = _StateMap()
-    sm.add("s_ini")
-    for i in range(k, -1, -1):
-        for x in (0, 1):
-            sm.add(f"{i}_{x}")
-    for i in range(k, 0, -1):
-        for x in (0, 1):
-            sm.add(f"{i}_{x},allone")
-    for i in range(k, 0, -1):
-        for x in (0, 1):
-            sm.add(f"{i}_{x},exzero")
-    for i in range(k, 1, -1):
-        sm.add(f"{i}_exzero")
-    assert len(sm) == 7 * k + 2
-
-    moves: set[tuple[int, str | None, int]] = set()
-    for i in range(1, k + 1):
-        for x in (0, 1):
-            # Reading a symbol: either some lower bit was zero (no borrow
-            # reaches bit i) or all lower bits were one (bit i flips).
-            moves.add((sm[f"{i}_{x}"], "a", sm[f"{i}_{x},exzero"]))
-            moves.add((sm[f"{i}_{x}"], "a", sm[f"{i}_{1 - x},allone"]))
-    for x in (0, 1):
-        moves.add((sm[f"0_{x}"], "a", sm[f"0_{1 - x}"]))
-    for i in range(1, k + 1):
-        for x in (0, 1):
-            moves.add((sm[f"{i}_{x},allone"], EPSILON, sm[f"{i}_{x}"]))
-            for j in range(i):
-                moves.add((sm[f"{i}_{x},allone"], EPSILON, sm[f"{j}_1"]))
-    for i in range(2, k + 1):
-        for x in (0, 1):
-            moves.add((sm[f"{i}_{x},exzero"], EPSILON, sm[f"{i}_{x}"]))
-            moves.add((sm[f"{i}_{x},exzero"], EPSILON, sm[f"{i}_exzero"]))
-    for x in (0, 1):
-        moves.add((sm[f"1_{x},exzero"], EPSILON, sm[f"1_{x}"]))
-        moves.add((sm[f"1_{x},exzero"], EPSILON, sm["0_0"]))
-    for i in range(2, k + 1):
-        for j in range(i):
-            moves.add((sm[f"{i}_exzero"], EPSILON, sm[f"{j}_0"]))
-    moves.add((sm["s_ini"], "a", sm[f"{k}_1,allone"]))
-
-    existential = {sm[f"{i}_{x}"] for i in range(k + 1) for x in (0, 1)}
-    existential |= {sm[f"{i}_exzero"] for i in range(2, k + 1)}
-    accepting = {sm[f"{i}_0"] for i in range(k + 1)} | {sm["s_ini"]}
-
+    _check_cap(_evenodd_afa_moves(k), "evenodd_afa_rt", "moves")
+    names, reading, silent, existential, accepting = _evenodd_rt_parts(k)
+    moves = [(src, "a", dst) for src, dst in reading]
+    moves += [(src, EPSILON, dst) for src, dst in silent]
     return OneWayAfa(
-        state_count=len(sm),
+        state_count=len(names),
         alphabet=("a",),
-        initial=sm["s_ini"],
+        initial=0,
         transitions=frozenset(moves),
         accepting=frozenset(accepting),
         existential=frozenset(existential),
         max_eps_chain=2,
-        labels=sm.labels(),
+        labels=dict(enumerate(names)),
     )
-
-
-_BASE_STATE = re.compile(r"^(\d+)_([01])$")
 
 
 def evenodd_afa_epsfree(k: int) -> OneWayAfa:
@@ -216,53 +225,45 @@ def evenodd_afa_epsfree(k: int) -> OneWayAfa:
     if k < 3:
         raise ValueError("k must be at least 3")
     _check_cap(11 * k - 14, "evenodd_afa_epsfree")
-    source = evenodd_afa_rt(k - 2)
-    names = source.labels
-    sm = _StateMap()
-    for idx in range(source.state_count):
-        sm.add(names[idx])
-    for i in range(k - 2, -1, -1):
-        for x in (0, 1):
-            sm.add(f"{i}''_{x}")
-            sm.add(f"{i}'_{x}")
-    for x in (0, 1):
-        sm.add(f"0'''_{x}")
-    assert len(sm) == 11 * k - 14
+    _check_cap(_evenodd_afa_moves(k - 2) + 4 * k - 2, "evenodd_afa_epsfree", "moves")
+    names, reading, silent, existential, accepting = _evenodd_rt_parts(k - 2)
+    # The source's bit states "i_x" are 1..bits, with "0_0" and "0_1" last,
+    # and its locating states "i_exzero" are its last k - 3 (see
+    # _evenodd_rt_parts). Bit state b gains "i''_x" at delay(b) and "i'_x"
+    # after it; "0'''_0" and "0'''_1" follow them all, at triple.
+    n = len(names)
+    bits = 2 * k - 2
+    low = bits - 1
+    triple = n + 2 * bits
+    names += [
+        f"{name[:-2]}{primes}_{name[-1]}" for name in names[1 : bits + 1] for primes in ("''", "'")
+    ]
+    names += ["0'''_0", "0'''_1"]
+    assert len(names) == 11 * k - 14
 
-    moves: set[tuple[int, str | None, int]] = set()
-    for src, sym, dst in source.transitions:
-        src_name, dst_name = names[src], names[dst]
-        if sym is not EPSILON:
-            if _BASE_STATE.match(src_name) and src_name.startswith("0_"):
-                # Lowest-bit flip gains a three-state delay chain.
-                dst_name = "0'''_" + dst_name.split("_")[1]
-            moves.add((sm[src_name], "a", sm[dst_name]))
-            continue
-        match = _BASE_STATE.match(dst_name)
-        if match:
-            i, x = match.groups()
-            if src_name.endswith(",allone") or src_name.endswith(",exzero"):
-                dst_name = f"{i}''_{x}"  # path so far has 1 edge, pad to 3
-            else:
-                dst_name = f"{i}'_{x}"  # via i_exzero: 2 edges, pad to 3
-        moves.add((sm[src_name], "a", sm[dst_name]))
-    for i in range(k - 1):
-        for x in (0, 1):
-            moves.add((sm[f"{i}''_{x}"], "a", sm[f"{i}'_{x}"]))
-            moves.add((sm[f"{i}'_{x}"], "a", sm[f"{i}_{x}"]))
-    for x in (0, 1):
-        moves.add((sm[f"0'''_{x}"], "a", sm[f"0''_{x}"]))
+    def delay(b: int) -> int:
+        return n + 2 * (b - 1)
 
-    delay_states = frozenset(range(source.state_count, len(sm)))
+    # The lowest bit's flip gains a three-state delay chain.
+    moves = [(src, "a", triple + dst - low if src >= low else dst) for src, dst in reading]
+    # A silent path reaches a bit state after one edge, or after two through
+    # a locating state; pad it to three.
+    moves += [
+        (src, "a", delay(dst) + (src >= n - (k - 3)) if dst <= bits else dst)
+        for src, dst in silent
+    ]
+    for b in range(1, bits + 1):
+        moves += [(delay(b), "a", delay(b) + 1), (delay(b) + 1, "a", b)]
+    moves += [(triple + x, "a", delay(low + x)) for x in (0, 1)]
     return OneWayAfa(
-        state_count=len(sm),
+        state_count=len(names),
         alphabet=("a",),
-        initial=source.initial,
+        initial=0,
         transitions=frozenset(moves),
-        accepting=source.accepting,
-        existential=source.existential | delay_states,
+        accepting=frozenset(accepting),
+        existential=frozenset([*existential, *range(n, len(names))]),
         max_eps_chain=0,
-        labels=sm.labels(),
+        labels=dict(enumerate(names)),
     )
 
 

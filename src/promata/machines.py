@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -95,12 +96,13 @@ class _Machine:
         for name in self._state_sets:
             states = frozenset(getattr(self, name))
             object.__setattr__(self, name, states)
-            what = f"{name} state"
             for state in states:
-                _check_state(state, count, what)
+                if type(state) is not int or not 0 <= state < count:
+                    _check_state(state, count, f"{name} state")
         self._check_rules(symbols)
         for state, label in self.labels.items():
-            _check_state(state, count, "labeled state")
+            if type(state) is not int or not 0 <= state < count:
+                _check_state(state, count, "labeled state")
             if not isinstance(label, str):
                 raise ValueError(f"label for state {state} must be a string")
         object.__setattr__(self, "_symbols", symbols)
@@ -236,15 +238,23 @@ class OneWayAfa(_Machine):
     _state_sets = ("accepting", "existential")
 
     def _check_rules(self, symbols: frozenset[str]) -> None:
-        masks: dict[tuple[int, str | None], int] = {}  # (state, label): targets
+        count = self.state_count
+        # Per label, each symbol and EPSILON: state -> mask of its targets.
+        rows: dict[str | None, defaultdict[int, int]] = {
+            sym: defaultdict(int) for sym in (*self.alphabet, EPSILON)
+        }
         for src, sym, dst in self.transitions:
-            _check_state(src, self.state_count, "transition source")
-            _check_state(dst, self.state_count, "transition target")
-            if sym is not EPSILON and sym not in symbols:
+            if type(src) is not int or type(dst) is not int or not (
+                0 <= src < count and 0 <= dst < count
+            ):
+                _check_state(src, count, "transition source")
+                _check_state(dst, count, "transition target")
+            row = rows.get(sym)
+            if row is None:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            masks[src, sym] = masks.get((src, sym), 0) | 1 << dst
-        eps_out = {src: _bits(mask) for (src, sym), mask in masks.items() if sym is EPSILON}
-        mixed = {src for src, sym in masks if sym is not EPSILON} & eps_out.keys()
+            row[src] |= 1 << dst
+        eps = rows.pop(EPSILON)
+        mixed = eps.keys() & set().union(*rows.values())
         if mixed:
             raise ValueError(
                 f"states {sorted(mixed)} mix EPSILON and symbol transitions"
@@ -253,7 +263,7 @@ class OneWayAfa(_Machine):
             raise ValueError(f"max_eps_chain must be an integer, not {self.max_eps_chain!r}")
         if self.max_eps_chain < 0:
             raise ValueError("max_eps_chain must be non-negative")
-        depth = _eps_chain_depths(eps_out)
+        depth = _eps_chain_depths(eps)
         longest = max(depth.values(), default=0)
         if longest > self.max_eps_chain:
             raise ValueError(
@@ -261,46 +271,55 @@ class OneWayAfa(_Machine):
                 f"bound {self.max_eps_chain}"
             )
         # Per symbol, and at the end of the input under EPSILON, the program
-        # _afa_stepper evaluates: (bit, target mask, existential, silent) for
-        # each state whose bit the symbol can set. Symbol states read the
-        # previous value and come first; silent states read the value being
-        # built, so they follow in EPSILON-depth order.
+        # _afa_stepper evaluates, in three parts: (bit, target mask) for each
+        # existential and for each universal state that reads the symbol,
+        # both reading the previous value; then (bit, target mask,
+        # existential) for each silent state in EPSILON-depth order, reading
+        # the value being built.
         existential = self.existential
-        programs: dict[str | None, list[tuple[int, int, bool, bool]]] = {
-            sym: [] for sym in self.alphabet
-        }
-        for (src, sym), mask in masks.items():
-            if sym is not EPSILON:
-                programs[sym].append((1 << src, mask, src in existential, False))
-        programs[EPSILON] = [
-            (1 << src, masks[src, EPSILON], src in existential, True)
+        silent = [
+            (1 << src, eps[src], src in existential)
             for src in sorted(depth, key=lambda state: (depth[state], state))
         ]
-        for sym in self.alphabet:
-            programs[sym] += programs[EPSILON]
+        programs: dict[str | None, tuple[list, list, list]] = {EPSILON: ([], [], silent)}
+        for sym, row in rows.items():
+            exists: list[tuple[int, int]] = []
+            forall: list[tuple[int, int]] = []
+            for src, mask in row.items():
+                (exists if src in existential else forall).append((1 << src, mask))
+            programs[sym] = (exists, forall, silent)
         object.__setattr__(self, "_programs", programs)
-        object.__setattr__(self, "_halted", _mask(self.accepting - eps_out.keys()))
+        object.__setattr__(self, "_halted", _mask(self.accepting - eps.keys()))
 
 
-def _eps_chain_depths(eps_out: Mapping[int, list[int]]) -> dict[int, int]:
-    """Longest EPSILON path (in edges) from each state with an EPSILON move;
-    every other state has depth 0. Raises on a cycle.
+def _eps_chain_depths(eps: Mapping[int, int]) -> dict[int, int]:
+    """Longest EPSILON path (in edges) from each state with an EPSILON move,
+    given as the mask of its EPSILON targets; every other state has depth 0.
+    Raises on a cycle.
 
-    Iterative topological pass from the sinks backwards, so chain length is
-    bounded by memory rather than by the interpreter's recursion limit, and
-    only states on an EPSILON move are visited."""
+    A state's depth is one more than the deepest of its silent targets that
+    have EPSILON moves themselves, or 1 when it has none, so only the moves
+    between such states are walked. Iterative topological pass from the
+    sinks backwards, so chain length is bounded by memory rather than by
+    the interpreter's recursion limit."""
+    silent = _mask(eps)
     sources: dict[int, list[int]] = {}
-    for src, targets in eps_out.items():
+    pending: dict[int, int] = {}
+    ready = []
+    for src, mask in eps.items():
+        targets = _bits(mask & silent)
         for dst in targets:
             sources.setdefault(dst, []).append(src)
-    pending = {src: len(targets) for src, targets in eps_out.items()}
-    depth: dict[int, int] = {}
-    ready = [state for state in sources if state not in eps_out]
+        if targets:
+            pending[src] = len(targets)
+        else:
+            ready.append(src)
+    depth = dict.fromkeys(eps, 1)
     while ready:
         state = ready.pop()
-        reach = depth.get(state, 0) + 1
+        reach = depth[state] + 1
         for src in sources.get(state, ()):
-            if depth.get(src, 0) < reach:
+            if depth[src] < reach:
                 depth[src] = reach
             pending[src] -= 1
             if not pending[src]:
@@ -513,6 +532,9 @@ def _words(alphabet: tuple[str, ...], max_length: int) -> Iterator[str]:
     """Every word over alphabet up to max_length, shortest first; words of
     one length come in the lexicographic order that alphabet's sequence
     gives its symbols. One word is held at a time."""
+    if len(alphabet) == 1:
+        yield from map(alphabet[0].__mul__, range(max_length + 1))
+        return
     for length in range(max_length + 1):
         yield from map("".join, itertools.product(alphabet, repeat=length))
 
@@ -918,11 +940,22 @@ def _afa_stepper(afa: OneWayAfa) -> Stepper:
     )
 
 
-def _evaluate(program: list[tuple[int, int, bool, bool]], prev: int, out: int) -> int:
+def _evaluate(
+    program: tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int, bool]]],
+    prev: int,
+    out: int,
+) -> int:
     """One backward step of an AFA program (see OneWayAfa._check_rules):
     prev is the value after the step's symbol, out the bits set so far."""
-    for bit, mask, existential, silent in program:
-        hit = (out if silent else prev) & mask
+    exists, forall, silent = program
+    for bit, mask in exists:
+        if prev & mask:
+            out |= bit
+    for bit, mask in forall:
+        if prev & mask == mask:
+            out |= bit
+    for bit, mask, existential in silent:
+        hit = out & mask
         if hit if existential else hit == mask:
             out |= bit
     return out

@@ -193,6 +193,18 @@ def test_build_above_the_state_cap_exits_3(capsys, argv):
     assert err.startswith("resource cap:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["evenodd-afa", "evenodd-afa-epsfree"])
+def test_build_above_the_move_cap_exits_3(capsys, kind):
+    """rt(100000) has 700,002 states, within the state cap, but about
+    1.5e10 moves; epsfree(100000) is above the state cap."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "build", kind, "--k", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap:") and err.count("\n") == 1
+
+
 def test_simulate_dfa(tmp_path, capsys):
     path = tmp_path / "d.json"
     run_cli(capsys, "build", "evenodd-dfa", "--k", "1", "--out", str(path))

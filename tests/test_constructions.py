@@ -6,6 +6,7 @@ comparison, geometric decay) over an explicit range of inputs.
 """
 
 import decimal
+import hashlib
 import math
 import random
 import time
@@ -21,6 +22,7 @@ from promata import (
     afa_accepts,
     critical_lengths,
     dfa_run,
+    dumps,
     evenodd_afa_epsfree,
     evenodd_afa_rt,
     evenodd_dfa,
@@ -50,14 +52,22 @@ def test_evenodd_dfa_size(k):
     assert evenodd_dfa(k).state_count == 2 ** (k + 1)
 
 
+def _evenodd_afa_moves(k):
+    return (3 * k * k + 23 * k + 4) // 2
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_evenodd_afa_size(k):
-    assert evenodd_afa_rt(k).state_count == 7 * k + 2
+    machine = evenodd_afa_rt(k)
+    assert machine.state_count == 7 * k + 2
+    assert len(machine.transitions) == _evenodd_afa_moves(k)
 
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_evenodd_afa_epsfree_size(k):
-    assert evenodd_afa_epsfree(k).state_count == 11 * k - 14
+    machine = evenodd_afa_epsfree(k)
+    assert machine.state_count == 11 * k - 14
+    assert len(machine.transitions) == _evenodd_afa_moves(k - 2) + 4 * k - 2
 
 
 def test_evenodd_constructions_reject_bad_order():
@@ -137,6 +147,50 @@ def test_evenodd_epsfree_has_no_silent_moves():
 
     machine = evenodd_afa_epsfree(5)
     assert all(sym is not EPSILON for _, sym, _ in machine.transitions)
+
+
+# sha256 of dumps(machine): every state, label, move and state set of the
+# EvenOdd alternating machines as they were first built from named states.
+_EVENODD_AFA_SHA256 = {
+    ("rt", 1): "eaeecd5b6bbd938f77d5644bb73fabde7bb46b9aae82c01be1811ea9ba4e6133",
+    ("rt", 2): "04b76c5130cef3c592c9f8828190a22a9c8e61785635f611d607295c4b8a9340",
+    ("rt", 3): "10f9487b0e914b955522542572f0c904c17c3b874c6ebe82be871b6cb3d68bcc",
+    ("rt", 4): "f1edfaa99677e72d6676079ae3157d81c1c8446f96d8f15fdb0a035458691db4",
+    ("rt", 5): "c3b990529fd7b6b0f8995f2d333434c6c69677cadd71d0e0ed08283595618669",
+    ("rt", 6): "0716eb28d01327bbb08e40514e43a43c153b1cb5ce362c53392ff8eb153df5cc",
+    ("rt", 7): "2b9b443106dc0482c15ecc301831e07f7ca48cedca865436c2fe5e0c301ec76e",
+    ("rt", 8): "af1d63703bbeec486324e8f9c453eec1b46eef28b4f2af6238fabc8a911a29bb",
+    ("epsfree", 3): "47b15d76751edcec63daa978d9ab5a722e1c480a826b02a8b2d7c955f24ceb2f",
+    ("epsfree", 4): "647bf2d25047fe687468008dd7d3c172de76b75dd2aed6a3adc8e43a1af1776c",
+    ("epsfree", 5): "a5ef403a54f288dc2f5fb036c629c1c0abb9f125eb5fb06084494914437b3d20",
+    ("epsfree", 6): "5df541610f19bf90138021c98aa0c52a6e42d848ce93f8b5b741752c1417de16",
+    ("epsfree", 7): "9c20bc7d65a248d2c3ab6fddb82387eadea07660ba2d63950133ae92ee06b094",
+    ("epsfree", 8): "73a334886e4f571f80ab1b78013d83165b89d541831b3c0733e4af9ef8138727",
+}
+
+
+@pytest.mark.parametrize("kind, k", sorted(_EVENODD_AFA_SHA256), ids=str)
+def test_evenodd_afas_keep_their_serialized_form(kind, k):
+    build = {"rt": evenodd_afa_rt, "epsfree": evenodd_afa_epsfree}[kind]
+    digest = hashlib.sha256(dumps(build(k)).encode()).hexdigest()
+    assert digest == _EVENODD_AFA_SHA256[kind, k]
+
+
+def test_evenodd_afas_cap_their_moves_before_building_them():
+    """rt(833) has 5,833 states but 1,050,415 moves, above the cap of 2^20;
+    the state check still comes first."""
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="^evenodd_afa_rt needs 1050415 moves, "):
+        evenodd_afa_rt(833)
+    with pytest.raises(ResourceCapError, match="^evenodd_afa_rt needs 15001150002 moves, "):
+        evenodd_afa_rt(100_000)
+    with pytest.raises(ResourceCapError, match="^evenodd_afa_epsfree needs 1048730 moves, "):
+        evenodd_afa_epsfree(833)
+    with pytest.raises(ResourceCapError, match="^evenodd_afa_rt needs 700000002 states, "):
+        evenodd_afa_rt(100_000_000)
+    with pytest.raises(ResourceCapError, match="^evenodd_afa_epsfree needs 1099986 states, "):
+        evenodd_afa_epsfree(100_000)
+    assert time.perf_counter() - start < 1
 
 
 def test_evenodd_problem_classification():

@@ -30,6 +30,8 @@ from promata import (
     OneWayPfa,
     PromiseProblem,
     TwoWayMachine,
+    evenodd_afa_epsfree,
+    evenodd_afa_rt,
     evenodd_problem,
     front_coded,
     lasvegas_success,
@@ -178,6 +180,19 @@ def _afa_reference(afa, word):
         return value[(state, pos)]
 
     return accepts(afa.initial, 0)
+
+
+@pytest.mark.parametrize(
+    "build, k",
+    [(evenodd_afa_rt, k) for k in range(1, 5)] + [(evenodd_afa_epsfree, k) for k in (3, 4)],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_evenodd_afas_match_the_reference_semantics(build, k):
+    """The EvenOdd alternating machines run every unary word up to 2^(k+2)
+    symbols, not only the promise's lengths, as their definition says."""
+    machine = build(k)
+    for n in range(2 ** (k + 2) + 1):
+        assert machine_accepts(machine, "a" * n) == _afa_reference(machine, "a" * n), n
 
 
 def _half_kept(instances):
