@@ -1,7 +1,8 @@
 """Problem families and the machines built for them, with exact state budgets.
 
-Each builder assembles its machine from named states so the structure stays
-auditable; the advertised state counts are enforced at construction time.
+A builder that names its states lists the names once and numbers them in
+that order, so the structure stays auditable; the advertised state counts are
+enforced at construction time.
 """
 
 from __future__ import annotations
@@ -32,28 +33,6 @@ from .machines import (
 )
 
 DEFAULT_ITERATION_CAP = 10**6
-
-
-class _StateMap:
-    """Allocates consecutive indices for named states."""
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-
-    def add(self, name: str) -> int:
-        if name in self.index:
-            raise ValueError(f"state {name!r} created twice")
-        self.index[name] = len(self.index)
-        return self.index[name]
-
-    def __getitem__(self, name: str) -> int:
-        return self.index[name]
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def labels(self) -> dict[int, str]:
-        return {idx: name for name, idx in self.index.items()}
 
 
 def _check_cap(count: int, what: str, unit: str = "states") -> None:
@@ -376,6 +355,11 @@ def trios_ladder(n: int) -> tuple[Fraction, ...]:
     return tuple(probs)
 
 
+def _chain(names: list[str], last: str) -> Iterable[tuple[str, str]]:
+    """The (state, next state) pairs of the run names[0] -> ... -> names[-1] -> last."""
+    return zip(names, [*names[1:], last])
+
+
 def trios_lasvegas_pfa(n: int, r: int) -> LasVegasPfa:
     """Zero-error probabilistic acceptor for TRIOS(n, r); exactly 4n+3 states.
 
@@ -389,55 +373,43 @@ def trios_lasvegas_pfa(n: int, r: int) -> LasVegasPfa:
     if n < 1 or r < 1:
         raise ValueError("n and r must be at least 1")
     _check_cap(4 * n + 3, "trios_lasvegas_pfa")
-    ladder = trios_ladder(n)
-    sm = _StateMap()
-    sm.add("q_ini")
-    sm.add("q_acc")
-    sm.add("q_rej")
-    for j in range(1, n + 1):
-        sm.add(f"s_{j}")
-    for j in range(1, 2 * n + 1):
-        sm.add(f"t_{j},0")
-    for j in range(1, n + 1):
-        sm.add(f"t_{j},1")
-    assert len(sm) == 4 * n + 3
+    ladder = [f"s_{j}" for j in range(1, n + 1)]
+    third = [f"t_{j},0" for j in range(1, 2 * n + 1)]
+    second = [f"t_{j},1" for j in range(1, n + 1)]
+    names = ["q_ini", "q_acc", "q_rej", *ladder, *third, *second]
+    idx = {name: i for i, name in enumerate(names)}
+    assert len(idx) == len(names) == 4 * n + 3
 
     one = Fraction(1)
     transitions: dict[tuple[int, str], tuple[tuple[int, Fraction], ...]] = {}
-    transitions[(sm["q_ini"], "0")] = ((sm["q_ini"], one),)
-    transitions[(sm["q_ini"], "1")] = ((sm["q_ini"], one),)
-    transitions[(sm["q_ini"], "#")] = ((sm["s_1"], one),)
-    for j in range(1, n + 1):
-        p = ladder[j - 1]
-        for bit in "01":
-            row: list[tuple[int, Fraction]] = [(sm[f"t_1,{bit}"], p)]
-            if p != 1:
-                row.append((sm[f"s_{j + 1}"], 1 - p))
-            transitions[(sm[f"s_{j}"], bit)] = tuple(row)
-    for j in range(1, 2 * n):
-        for bit in "01":
-            transitions[(sm[f"t_{j},0"], bit)] = ((sm[f"t_{j + 1},0"], one),)
-    transitions[(sm[f"t_{2 * n},0"], "1")] = ((sm["q_acc"], one),)
-    transitions[(sm[f"t_{2 * n},0"], "0")] = ((sm["q_ini"], one),)
-    for j in range(1, n):
-        for bit in "01":
-            transitions[(sm[f"t_{j},1"], bit)] = ((sm[f"t_{j + 1},1"], one),)
-    transitions[(sm[f"t_{n},1"], "0")] = ((sm["q_rej"], one),)
-    transitions[(sm[f"t_{n},1"], "1")] = ((sm["q_ini"], one),)
     for sym in "01#":
-        transitions[(sm["q_acc"], sym)] = ((sm["q_acc"], one),)
-        transitions[(sm["q_rej"], sym)] = ((sm["q_rej"], one),)
+        transitions[(idx["q_ini"], sym)] = ((idx["s_1" if sym == "#" else "q_ini"], one),)
+        transitions[(idx["q_acc"], sym)] = ((idx["q_acc"], one),)
+        transitions[(idx["q_rej"], sym)] = ((idx["q_rej"], one),)
+    for (src, dst), p in zip(_chain(ladder[:-1], ladder[-1]), trios_ladder(n)):
+        for bit in "01":
+            transitions[(idx[src], bit)] = ((idx[f"t_1,{bit}"], p), (idx[dst], 1 - p))
+    # The last rung probes with probability 1.
+    for bit in "01":
+        transitions[(idx[ladder[-1]], bit)] = ((idx[f"t_1,{bit}"], one),)
+    for probe, evidence, verdict in ((third, "1", "q_acc"), (second, "0", "q_rej")):
+        for src, dst in _chain(probe[:-1], probe[-1]):
+            for bit in "01":
+                transitions[(idx[src], bit)] = ((idx[dst], one),)
+        for bit in "01":
+            target = verdict if bit == evidence else "q_ini"
+            transitions[(idx[probe[-1]], bit)] = ((idx[target], one),)
 
-    roles = {idx: ROLE_NEUTRAL for idx in range(len(sm))}
-    roles[sm["q_acc"]] = ROLE_ACCEPTING
-    roles[sm["q_rej"]] = ROLE_REJECTING
+    roles = {state: ROLE_NEUTRAL for state in range(len(names))}
+    roles[idx["q_acc"]] = ROLE_ACCEPTING
+    roles[idx["q_rej"]] = ROLE_REJECTING
     return LasVegasPfa(
-        state_count=len(sm),
+        state_count=len(names),
         alphabet=("0", "1", "#"),
-        initial=sm["q_ini"],
+        initial=idx["q_ini"],
         transitions=transitions,
         roles=roles,
-        labels=sm.labels(),
+        labels=dict(enumerate(names)),
     )
 
 
@@ -455,45 +427,34 @@ def trios_dfa(n: int, r: int) -> OneWayDfa:
     _check_power_cap(n, "trios_dfa")
     count = 3 * (1 << n) + n - 2
     _check_cap(count, "trios_dfa")
-    sm = _StateMap()
-    sm.add("seg")
-    prefixes = [""]
-    for length in range(1, n):
-        prefixes += ["".join(bits) for bits in product("01", repeat=length)]
-    for prefix in prefixes:
-        sm.add(f"x:{prefix}")
-    for length in range(n, 0, -1):
-        for bits in product("01", repeat=length):
-            sm.add("u:" + "".join(bits))
-    for i in range(n, 0, -1):
-        sm.add(f"v:{i}")
-    assert len(sm) == count
+    prefixes = ["".join(bits) for size in range(n) for bits in product("01", repeat=size)]
+    suffixes = ["".join(bits) for size in range(n, 0, -1) for bits in product("01", repeat=size)]
+    skip = [f"v:{i}" for i in range(n, 0, -1)]
+    names = ["seg", *(f"x:{word}" for word in prefixes), *(f"u:{word}" for word in suffixes)]
+    names += skip
+    idx = {name: i for i, name in enumerate(names)}
+    assert len(idx) == len(names) == count
 
-    transitions: dict[tuple[int, str], int] = {}
-    transitions[(sm["seg"], "#")] = sm["x:"]
+    transitions = {(idx["seg"], "#"): idx["x:"]}
     for prefix in prefixes:
         for bit in "01":
             word = prefix + bit
             target = f"x:{word}" if len(word) < n else f"u:{word}"
-            transitions[(sm[f"x:{prefix}"], bit)] = sm[target]
-    for length in range(n, 0, -1):
-        for bits in product("01", repeat=length):
-            suffix = "".join(bits)
-            target = f"u:{suffix[1:]}" if length > 1 else f"v:{n}"
-            transitions[(sm[f"u:{suffix}"], suffix[0])] = sm[target]
-    for i in range(n, 1, -1):
+            transitions[(idx[f"x:{prefix}"], bit)] = idx[target]
+    for suffix in suffixes:
+        target = f"u:{suffix[1:]}" if len(suffix) > 1 else skip[0]
+        transitions[(idx[f"u:{suffix}"], suffix[0])] = idx[target]
+    for src, dst in _chain(skip, "seg"):
         for bit in "01":
-            transitions[(sm[f"v:{i}"], bit)] = sm[f"v:{i - 1}"]
-    for bit in "01":
-        transitions[(sm["v:1"], bit)] = sm["seg"]
+            transitions[(idx[src], bit)] = idx[dst]
 
     return OneWayDfa(
-        state_count=len(sm),
+        state_count=len(names),
         alphabet=("0", "1", "#"),
-        initial=sm["seg"],
+        initial=idx["seg"],
         transitions=transitions,
-        accepting=frozenset({sm["seg"]}),
-        labels=sm.labels(),
+        accepting=frozenset({idx["seg"]}),
+        labels=dict(enumerate(names)),
     )
 
 
@@ -514,87 +475,47 @@ def trios_twoway_dfa(n: int, r: int) -> TwoWayMachine:
         raise ValueError("n and r must be at least 1")
     count = max(9 * n + 1, 11)
     _check_cap(count, "trios_twoway_dfa")
-    sm = _StateMap()
-    sm.add("seek#")
-    for d in range(2 * n - 1, 0, -1):
-        sm.add(f"goU:{d}")
-    sm.add("readU")
-    for d in range(n - 1, 0, -1):
-        for b in "01":
-            sm.add(f"cmpL:{d}:{b}")
-    for b in "01":
-        sm.add(f"atX:{b}")
-    for d in range(n - 2, 0, -1):
-        sm.add(f"goU2:{d}")
-    sm.add("phase2")
-    for d in range(2 * n, 0, -1):
-        sm.add(f"goV:{d}")
-    sm.add("readV")
-    for d in range(n - 1, 0, -1):
-        for c in "01":
-            sm.add(f"vL:{d}:{c}")
-    for c in "01":
-        sm.add(f"atU:{c}")
-    assert len(sm) == count
+    go_u = [f"goU:{d}" for d in range(2 * n - 1, 0, -1)]
+    go_u2 = [f"goU2:{d}" for d in range(n - 2, 0, -1)]
+    go_v = [f"goV:{d}" for d in range(2 * n, 0, -1)]
+    down = range(n - 1, 0, -1)
+    names = ["seek#", *go_u, "readU", *(f"cmpL:{d}:{b}" for d in down for b in "01")]
+    names += ["atX:0", "atX:1", *go_u2, "phase2", *go_v, "readV"]
+    names += [*(f"vL:{d}:{c}" for d in down for c in "01"), "atU:0", "atU:1"]
+    idx = {name: i for i, name in enumerate(names)}
+    assert len(idx) == len(names) == count
 
-    moves: set[tuple[int, str, int, int]] = set()
-    moves.add((sm["seek#"], LEFT_MARKER, sm["seek#"], RIGHT))
-    for bit in "01":
-        moves.add((sm["seek#"], bit, sm["seek#"], RIGHT))
-    first_goal = f"goU:{2 * n - 1}" if 2 * n - 1 >= 1 else "readU"
-    moves.add((sm["seek#"], "#", sm[first_goal], RIGHT))
-    for d in range(2 * n - 1, 0, -1):
-        target = f"goU:{d - 1}" if d > 1 else "readU"
-        for bit in "01":
-            moves.add((sm[f"goU:{d}"], bit, sm[target], RIGHT))
+    moves = {(idx["seek#"], sym, idx["seek#"], RIGHT) for sym in (LEFT_MARKER, "0", "1")}
+
+    def walk(head: str, syms: str, run: list[str], last: str, move: int) -> None:
+        """head reads one of syms into the run, whose states step on either
+        bit towards last."""
+        for src, dst in _chain([head, *run], last):
+            moves.update((idx[src], sym, idx[dst], move) for sym in (syms if src == head else "01"))
+
+    walk("seek#", "#", go_u, "readU", RIGHT)
     for b in "01":
-        target = f"cmpL:{n - 1}:{b}" if n > 1 else f"atX:{b}"
-        moves.add((sm["readU"], b, sm[target], LEFT))
-    for d in range(n - 1, 0, -1):
-        for b in "01":
-            target = f"cmpL:{d - 1}:{b}" if d > 1 else f"atX:{b}"
-            for bit in "01":
-                moves.add((sm[f"cmpL:{d}:{b}"], bit, sm[target], LEFT))
-    for b in "01":
+        walk("readU", b, [f"cmpL:{d}:{b}" for d in down], f"atX:{b}", LEFT)
         # Match: step over to the previous second-block bit; the head travel
         # is n-1 cells, folded into the reading move.
-        if n == 1:
-            moves.add((sm[f"atX:{b}"], b, sm["readU"], STAY))
-        elif n == 2:
-            moves.add((sm[f"atX:{b}"], b, sm["readU"], RIGHT))
-        else:
-            moves.add((sm[f"atX:{b}"], b, sm[f"goU2:{n - 2}"], RIGHT))
-        moves.add((sm[f"atX:{b}"], "#", sm["phase2"], STAY))
-    for d in range(n - 2, 0, -1):
-        target = f"goU2:{d - 1}" if d > 1 else "readU"
-        for bit in "01":
-            moves.add((sm[f"goU2:{d}"], bit, sm[target], RIGHT))
-    moves.add((sm["phase2"], "#", sm[f"goV:{2 * n}"], RIGHT))
-    for d in range(2 * n, 0, -1):
-        target = f"goV:{d - 1}" if d > 1 else "readV"
-        for bit in "01":
-            moves.add((sm[f"goV:{d}"], bit, sm[target], RIGHT))
+        walk(f"atX:{b}", b, go_u2, "readU", RIGHT if n > 1 else STAY)
+        moves.add((idx[f"atX:{b}"], "#", idx["phase2"], STAY))
+    walk("phase2", "#", go_v, "readV", RIGHT)
     for c in "01":
-        target = f"vL:{n - 1}:{c}" if n > 1 else f"atU:{c}"
-        moves.add((sm["readV"], c, sm[target], LEFT))
-    for d in range(n - 1, 0, -1):
-        for c in "01":
-            target = f"vL:{d - 1}:{c}" if d > 1 else f"atU:{c}"
-            for bit in "01":
-                moves.add((sm[f"vL:{d}:{c}"], bit, sm[target], LEFT))
-    moves.add((sm["atU:1"], "0", sm["seek#"], RIGHT))
-    moves.add((sm["atU:1"], "1", sm[f"goV:{n}"], RIGHT))
+        walk("readV", c, [f"vL:{d}:{c}" for d in down], f"atU:{c}", LEFT)
+    moves.add((idx["atU:1"], "0", idx["seek#"], RIGHT))
+    moves.add((idx["atU:1"], "1", idx[f"goV:{n}"], RIGHT))
     for bit in "01":
-        moves.add((sm["atU:0"], bit, sm[f"goV:{n}"], RIGHT))
+        moves.add((idx["atU:0"], bit, idx[f"goV:{n}"], RIGHT))
 
     return TwoWayMachine(
-        state_count=len(sm),
+        state_count=len(names),
         alphabet=("0", "1", "#"),
-        initial=sm["seek#"],
+        initial=idx["seek#"],
         transitions=frozenset(moves),
-        accepting=frozenset({sm["seek#"]}),
+        accepting=frozenset({idx["seek#"]}),
         deterministic=True,
-        labels=sm.labels(),
+        labels=dict(enumerate(names)),
     )
 
 

@@ -159,19 +159,60 @@ class OneWayNfa(_Machine):
             row = succ[sym]
             row[src] = row.get(src, 0) | 1 << dst
         eps = succ.pop(EPSILON)
-        closure = {}
-        for state in eps:
-            reach = frontier = 1 << state
-            while frontier:
-                frontier = _image(frontier, eps) & ~reach
-                reach |= frontier
-            closure[state] = reach
+        closure = _eps_closures(eps) if eps else {}
         if closure:
             for rows in succ.values():
                 for src, targets in rows.items():
                     rows[src] = targets | _image(targets, closure)
         object.__setattr__(self, "_closure", closure)
         object.__setattr__(self, "_succ", succ)
+
+
+def _eps_closures(eps: Mapping[int, int]) -> dict[int, int]:
+    """The EPSILON closure, as a bitmask, of each state with an EPSILON move,
+    given as the mask of its EPSILON targets.
+
+    A closure is its strongly connected component's states, their targets
+    and the closures of those targets. Tarjan's algorithm finishes each
+    component after every component it reaches, so one pass fills the
+    closures sinks first; it keeps its own stack, so chain length is bounded
+    by memory rather than by the interpreter's recursion limit."""
+    closure: dict[int, int] = {}
+    order: dict[int, int] = {}
+    low: dict[int, int] = {}
+    open_states: list[int] = []
+    for root in eps:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        open_states.append(root)
+        path = [(root, iter(_bits(eps[root])))]
+        while path:
+            state, targets = path[-1]
+            for dst in targets:
+                if dst not in eps:  # closes to itself
+                    continue
+                if dst not in order:
+                    order[dst] = low[dst] = len(order)
+                    open_states.append(dst)
+                    path.append((dst, iter(_bits(eps[dst]))))
+                    break
+                if dst not in closure:  # dst's component is still open
+                    low[state] = min(low[state], order[dst])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[state])
+                if low[state] == order[state]:
+                    members = []
+                    while not members or members[-1] != state:
+                        members.append(open_states.pop())
+                    out = 0
+                    for member in members:
+                        out |= 1 << member | eps[member]
+                    closure.update(dict.fromkeys(members, out | _image(out, closure)))
+    return closure
 
 
 @dataclass(frozen=True)

@@ -217,9 +217,48 @@ def test_trios_dfa_size(n):
     assert trios_dfa(n, 1).state_count == 3 * 2**n + n - 2
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_trios_twoway_size(n):
-    assert trios_twoway_dfa(n, 1).state_count <= 12 * n + 8
+    assert trios_twoway_dfa(n, 1).state_count == max(9 * n + 1, 11) <= 12 * n + 8
+
+
+# sha256 of dumps(machine) for trios_dfa(n, 1), trios_twoway_dfa(n, 1) and
+# trios_lasvegas_pfa(n, 2): every state, label, move, probability and state
+# set of the TRIOS machines as they were first built from named states.
+_TRIOS_SHA256 = {
+    ("dfa", 1): "a0c0a028c408422ffd9a320f442850741a1f9399b272f2a0e2ab6052156dc1e9",
+    ("dfa", 2): "13461b3d8ee41a263cbd56f7253d7c59a26a26792797ea75dbf6536fdcaac16c",
+    ("dfa", 3): "af7410ba2c2b09f79d937b0cf9e372a46fac841296e85333e57bec7dbf54b68d",
+    ("dfa", 4): "23072f0428f06aec373a26afdbfea561ee2c9b8782444b6a9358e62ede244494",
+    ("dfa", 5): "045411e287e77a564704f76a41df20981c60df8d3c1cddfb3bfa126927ad9ca5",
+    ("dfa", 6): "796b2daaf569ba55851ab4c8acc836a54244e75f639dbb8be165d5a60c9f88b4",
+    ("twoway", 1): "16b90ed697514d15a7918c3d393039922bc45be9e28b3b80a5cfae32b93b2f5e",
+    ("twoway", 2): "3fb34c7e7119626841b4e529b129f1fd092e589e3a80031094974bb7fc0048bb",
+    ("twoway", 3): "312a70cf3f58dee9333c5c84ea2aeef7b52c30f91c3ca5d2ca6dd7bcbd0ec5c4",
+    ("twoway", 4): "cbad1c4825edb5900437c37a094c87f409127211bbf44bc0aa876a3bb078f9a0",
+    ("twoway", 5): "00f7be1daa4ed50a1449466dc661e956e419bf683c7064dbafb37f359a324c65",
+    ("twoway", 6): "944223c91f469ef32aed5885756ffb987fb09e36d00d2b861d0b50851a4baf5f",
+    ("twoway", 7): "285d9e6313a9ababdf7cf79246b99c89dd427d9d3421f3e4560dbfd9c109f496",
+    ("twoway", 8): "5eb55eab4a3109c8986a2890f23209a92e8087b0028d9faecc41e35983484b5d",
+    ("pfa", 1): "352b24e991e551c24ca1f080dc991a936b9093e0d5db65bc0d85513c14706a33",
+    ("pfa", 2): "55c1bac0d20cb3f4b280d90661e7922a2a60f04b05cce9039f399235accec379",
+    ("pfa", 3): "627afe1291adc5034dc62a4ab78101fdf9596a6fb4a2aff8cf3c6f1c48caf337",
+    ("pfa", 4): "5bc47d474b36ac80482131a78f0f4eef897be6d4f64419864775dcbf86ec1765",
+    ("pfa", 5): "d98e9a6dffe2266617cb9569969bbdc85603e9e1d640e65b19ede12e8d877fc8",
+    ("pfa", 6): "c209c85573a5eec3faeeba03b38d8a2cb647908437f5d2e4d186ef5e96b29c96",
+    ("pfa", 7): "7c3ff4b5c89e768e2a49f5f19b01600ffe3f81441116c042b22e499f1c8fe240",
+    ("pfa", 8): "76fe3ba5bff15d7f3d4b4c90c776994ab7b255267ddc73376c629b9852cb094b",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(_TRIOS_SHA256), ids=str)
+def test_trios_machines_keep_their_serialized_form(kind, n):
+    machine = {
+        "dfa": lambda: trios_dfa(n, 1),
+        "twoway": lambda: trios_twoway_dfa(n, 1),
+        "pfa": lambda: trios_lasvegas_pfa(n, 2),
+    }[kind]()
+    assert hashlib.sha256(dumps(machine).encode()).hexdigest() == _TRIOS_SHA256[kind, n]
 
 
 def test_trios_ladder_probabilities():

@@ -35,7 +35,7 @@ from promata import (
     twoway_accepts,
 )
 from promata.machines import (
-    DEFAULT_STATE_CAP, LEFT, RIGHT, STAY, RunResult, _fold, _mask, _run, _stepper
+    DEFAULT_STATE_CAP, LEFT, RIGHT, STAY, RunResult, _fold, _image, _mask, _run, _stepper
 )
 
 
@@ -206,6 +206,70 @@ def test_nfa_epsilon_closure_reaches_accept():
     assert nfa_accepts(nfa, "a")
     assert not nfa_accepts(nfa, "")
     assert not nfa_accepts(nfa, "aa")
+
+
+def _breadth_first_closures(eps):
+    """Each silent state's EPSILON closure by its own breadth-first search
+    over bitmasks: the reference for OneWayNfa's pass over components."""
+    closure = {}
+    for state in eps:
+        reach = frontier = 1 << state
+        while frontier:
+            frontier = _image(frontier, eps) & ~reach
+            reach |= frontier
+        closure[state] = reach
+    return closure
+
+
+def test_nfa_closures_match_breadth_first_search():
+    rng = random.Random("closures")
+    cyclic = 0
+    for _ in range(300):
+        size = rng.randint(1, 30)
+        moves = {
+            (rng.randrange(size), rng.choice(("a", EPSILON, EPSILON)), rng.randrange(size))
+            for _ in range(rng.randint(0, 3 * size))
+        }
+        eps = {}
+        for src, sym, dst in moves:
+            if sym is EPSILON:
+                eps[src] = eps.get(src, 0) | 1 << dst
+        nfa = OneWayNfa(size, ("a",), 0, frozenset(moves), frozenset())
+        expected = _breadth_first_closures(eps)
+        assert nfa._closure == expected
+        # Two silent states reach each other: a cycle through both.
+        cyclic += any(
+            expected[dst] >> src & 1
+            for src, reach in expected.items() for dst in expected if dst != src and reach >> dst & 1
+        )
+    assert cyclic > 100
+
+
+def test_nfa_long_epsilon_chain_closes_in_one_pass():
+    """A breadth-first search from each silent state made this cubic: an
+    8,000-state chain took over a minute to construct."""
+    size = 20_000
+
+    def timed(successor):
+        start = time.perf_counter()
+        nfa = OneWayNfa(
+            state_count=size,
+            alphabet=("a",),
+            initial=0,
+            transitions=frozenset((q, EPSILON, successor(q)) for q in range(size - 1)),
+            accepting=frozenset({size - 1}),
+        )
+        assert time.perf_counter() - start < 1
+        return nfa
+
+    chain = timed(lambda q: q + 1)
+    # The chain's silent states, closed into one component.
+    loop = timed(lambda q: (q + 1) % (size - 1))
+    assert chain._closure[0] == (1 << size) - 1
+    assert chain._closure[size - 2] == 3 << (size - 2)
+    assert loop._closure == dict.fromkeys(range(size - 1), (1 << (size - 1)) - 1)
+    assert nfa_accepts(chain, "")
+    assert not nfa_accepts(chain, "a")
 
 
 def test_nfa_accepts_iff_some_branch_does():
