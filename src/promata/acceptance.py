@@ -55,6 +55,7 @@ from .machines import (
     _afa_stepper,
     _dfa_block,
     _resumed_outcomes,
+    _unary_outcomes,
     front_coded,
     promise_check,
 )
@@ -173,10 +174,10 @@ def criterion_2(checks: _Checks, tier: str) -> None:
         horizon = 2 ** (k + 3)
         report = promise_check(machine, evenodd_problem(k), horizon)
         checks.expect(f"rt({k}) solves", report.verdict == SOLVES)
-        # One fold over a^0..a^horizon: each length resumes from the one before.
+        # a^0..a^horizon read off one orbit of the machine's valuations.
         period = 2 ** (k + 1)
         powers = front_coded(("a" * n, "yes") for n in range(horizon + 1))
-        runs = _resumed_outcomes(_afa_stepper(machine), machine.symbols, powers)
+        runs = _unary_outcomes(_afa_stepper(machine), "a", powers)
         agree = all(accepted == (n % period == 0) for n, _, accepted in runs)
         checks.expect(f"rt({k}) divisibility cross-check", agree)
     for k in range(1, 6):
@@ -320,7 +321,7 @@ def criterion_8(checks: _Checks, tier: str) -> None:
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10)):
         machine = up_pfa(p)
         # One fold over a^0..a^40: each length resumes from the one before.
-        runs = _resumed_outcomes(_pfa_stepper(machine), machine.symbols, powers)
+        runs = _resumed_outcomes(_pfa_stepper(machine), powers)
         ok = all(dist.accept == p**j for j, _, dist in runs)
         checks.expect(f"geometric acceptance p={p}", ok)
     checks.expect("critical pair 1/2", critical_lengths(Fraction(1, 2)) == (0, 2))

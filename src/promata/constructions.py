@@ -530,19 +530,17 @@ def up_problem(p: Fraction) -> PromiseProblem:
         raise ValueError("p must be strictly between 0 and 1")
 
     def enumerator(max_length: int):
-        num = den = 1  # p^j = num / den, one multiplication per length
-        previous = 0
-        for j in range(max_length + 1):
-            if 4 * num >= 3 * den:
-                yield previous, "a" * (j - previous), "yes"
-                previous = j
-            elif 4 * num <= den:
-                yield previous, "a" * (j - previous), "no"
-                previous = j
-                num, den = 0, 1  # p < 1: every longer length is no; stop multiplying
-                continue
-            num *= p.numerator
-            den *= p.denominator
+        # A + 1, the first length with p^j < 3/4, and R, the first with
+        # p^j <= 1/4 (see critical_lengths), as far as max_length reaches.
+        last_yes = _first_power_under(p, 3, True, max_length) - 1
+        first_no = _first_power_under(p, 1, False, max_length)
+        yield 0, "", "yes"
+        for j in range(1, last_yes + 1):
+            yield j - 1, "a", "yes"
+        if first_no <= max_length:
+            yield last_yes, "a" * (first_no - last_yes), "no"
+            for j in range(first_no + 1, max_length + 1):
+                yield j - 1, "a", "no"
 
     return PromiseProblem(
         alphabet=("a",),
@@ -576,32 +574,45 @@ def critical_lengths(
 ) -> tuple[int, int]:
     """(A, R): the last length with p^j >= 3/4 and first with p^j <= 1/4.
 
-    Logarithms only guess each length. Exact integer comparisons of the
-    powers confirm or correct the guess, so boundary cases land on the right
-    side whatever the guess. Raises ResourceCapError when R would exceed the
-    iteration cap, at once when the guess exceeds it by more than rounding
-    could explain.
+    Raises ResourceCapError when R would exceed the iteration cap, at once
+    when the guess exceeds it by more than rounding could explain (see
+    _first_power_under).
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise ValueError("p must be strictly between 0 and 1")
+    reject_from = _first_power_under(p, 1, False, iteration_cap)
+    if reject_from > iteration_cap:
+        raise ResourceCapError(f"critical lengths exceed the iteration cap {iteration_cap}")
+    return _first_power_under(p, 3, True, iteration_cap) - 1, reject_from
+
+
+def _first_power_under(p: Fraction, quarters: int, strict: bool, bound: int) -> int:
+    """The least length j with p^j < quarters / 4 (p^j <= quarters / 4
+    unless strict), or bound + 1 when no length up to bound has it, for
+    0 < p < 1.
+
+    Logarithms only guess the length. Exact integer comparisons of the
+    powers confirm or correct the guess, so boundary cases land on the right
+    side whatever the guess. A guess beyond bound by more than a relative
+    1e-9, far above any rounding error, is taken as it is, and no power is
+    computed.
+    """
     num, den = p.numerator, p.denominator
     # -ln p: log1p keeps its precision near 1, and the logarithms of the
-    # integers stay finite below the float range. The guess of R is refused
-    # only beyond a relative 1e-9 of slack, far above any rounding error.
+    # integers stay finite below the float range.
     rate = -math.log1p(-(den - num) / den) if 2 * num > den else math.log(den) - math.log(num)
-    capped = f"critical lengths exceed the iteration cap {iteration_cap}"
-    if math.log(4) > rate * (iteration_cap * (1 + 1e-9) + 1):
-        raise ResourceCapError(capped)
-    reject_from = _first_length(
-        lambda j: j > iteration_cap or 4 * num**j <= den**j, math.ceil(math.log(4) / rate)
-    )
-    if reject_from > iteration_cap:
-        raise ResourceCapError(capped)
-    accept_until = _first_length(
-        lambda j: 4 * num**j < 3 * den**j, math.floor(math.log(4 / 3) / rate) + 1
-    )
-    return accept_until - 1, reject_from
+    depth = math.log(4 / quarters)
+    if depth > rate * (bound * (1 + 1e-9) + 1):
+        return bound + 1
+
+    def holds(j: int) -> bool:
+        if j > bound:
+            return True
+        power, mark = 4 * num**j, quarters * den**j
+        return power < mark if strict else power <= mark
+
+    return _first_length(holds, math.ceil(depth / rate))
 
 
 def _first_length(holds: Callable[[int], bool], guess: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import AlphabetMismatchError, InputDomainError
+from .errors import AlphabetMismatchError, InputDomainError, ResourceCapError
 
 EPSILON = None  # transition label for moves that consume no input
 
@@ -39,6 +39,9 @@ FAILS = "fails"
 
 # The most states a construction builds or a machine file may declare.
 DEFAULT_STATE_CAP = 1 << 20
+# The most bits an NFA's EPSILON closure masks may hold together (64 MiB):
+# a chain of n silent states needs about n^2, so about 23,000 states fit.
+CLOSURE_BIT_CAP = 1 << 29
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -176,8 +179,11 @@ def _eps_closures(eps: Mapping[int, int]) -> dict[int, int]:
     and the closures of those targets. Tarjan's algorithm finishes each
     component after every component it reaches, so one pass fills the
     closures sinks first; it keeps its own stack, so chain length is bounded
-    by memory rather than by the interpreter's recursion limit."""
+    by memory rather than by the interpreter's recursion limit. A
+    component's members share one mask, and the masks' bit lengths are
+    summed as they are made: ResourceCapError above CLOSURE_BIT_CAP."""
     closure: dict[int, int] = {}
+    spent = 0
     order: dict[int, int] = {}
     low: dict[int, int] = {}
     open_states: list[int] = []
@@ -211,7 +217,13 @@ def _eps_closures(eps: Mapping[int, int]) -> dict[int, int]:
                     out = 0
                     for member in members:
                         out |= 1 << member | eps[member]
-                    closure.update(dict.fromkeys(members, out | _image(out, closure)))
+                    out |= _image(out, closure)
+                    spent += out.bit_length()
+                    if spent > CLOSURE_BIT_CAP:
+                        raise ResourceCapError(
+                            f"EPSILON closures exceed {CLOSURE_BIT_CAP} bits of masks"
+                        )
+                    closure.update(dict.fromkeys(members, out))
     return closure
 
 
@@ -650,29 +662,32 @@ def _orbit(
         path.append(nxt)
 
 
-def _orbit_at(path: list, entry: int, length: int) -> object:
-    """The value after length steps, read off an orbit by index arithmetic."""
+def _orbit_at(path: list, entry: int | None, length: int) -> object:
+    """The value after length steps, read off an orbit by index arithmetic;
+    entry is None only for a path walked at least length steps."""
     if length < len(path):
         return path[length]
     return path[entry + (length - entry) % (len(path) - entry)]
 
 
 def _unary_at(
-    step: Callable[[object, str], object], sym: str, start: object, length: int
-) -> tuple[list, object]:
-    """The orbit of sym from start, walked up to its first repeat or for
-    length steps, whichever comes first, and the value after length steps
-    read off it. Costs min(length, distinct values) steps."""
-    path = [start]
-    seen = {start: 0}
-    value = start
-    for i in range(1, length + 1):
+    step: Callable[[object, str], object], sym: str, path: list, seen: dict, length: int
+) -> tuple[list, int | None]:
+    """The orbit of sym walked on from path[-1] up to its first repeat or
+    until it is length steps long, whichever comes first: path, extended in
+    place (path[i] is the value after i symbols, seen maps each value on it
+    to its index), and the index where the cycle it then runs around begins,
+    None when nothing repeats within length steps. _orbit_at reads the value
+    after any number of steps off the result. Costs min(length, distinct
+    values) steps in all, however many calls extend one path."""
+    value = path[-1]
+    for i in range(len(path), length + 1):
         value = step(value, sym)
         entry = seen.setdefault(value, i)
         if entry != i:
-            return path, _orbit_at(path, entry, length)
+            return path, entry
         path.append(value)
-    return path, value
+    return path, None
 
 
 def _run(stepper: Stepper, word: str) -> object:
@@ -685,7 +700,9 @@ def _run(stepper: Stepper, word: str) -> object:
     keeps the plain _fold.
     """
     if _unary(word):
-        return stepper.outcome(_unary_at(stepper.step, word[0], stepper.start, len(word))[1])
+        start = stepper.start
+        path, entry = _unary_at(stepper.step, word[0], [start], {start: 0}, len(word))
+        return stepper.outcome(_orbit_at(path, entry, len(word)))
     step = stepper.step
     memo: dict[tuple[object, str], object] = {}
     value = stepper.start
@@ -712,7 +729,8 @@ def _dfa_block(
     """Run sym^length from start: (state, None) at the end, or (None, i)
     when the symbol at index i has no move. Reads the run off sym's orbit,
     where the stuck value None is a fixed point."""
-    path, state = _unary_at(_dfa_stepper(dfa).step, sym, start, length)
+    path, entry = _unary_at(_dfa_stepper(dfa).step, sym, [start], {start: 0}, length)
+    state = _orbit_at(path, entry, length)
     return (None, path.index(None) - 1) if state is None else (state, None)
 
 
@@ -1055,20 +1073,22 @@ def _shared_prefix(a: str, b: str) -> int:
 
 
 def _resumed_outcomes(
-    stepper: Stepper, symbols: frozenset[str], coded: Iterable[tuple[int, str, str]]
+    stepper: Stepper, coded: Iterable[tuple[int, str, str]]
 ) -> Iterator[tuple[int, str, object]]:
     """(index, class, outcome) for each instance of a front-coded stream
-    whose words lie over symbols, as PromiseProblem._coded checks.
+    whose words lie over the stepper's alphabet, as PromiseProblem._coded
+    checks.
 
     Each run resumes from the value the previous run reached after the
     instance's first keep symbols and steps only its suffix, so a sweep of
     words that extend one another costs one step per new symbol. A reverse
-    stepper over two or more symbols reads the stream re-coded over the
-    reversed words, so it resumes from the longest suffix a word shares with
-    the previous one; over one symbol every word is its own reversal, so the
-    stream's keeps already serve.
+    stepper reads the stream re-coded over the reversed words, so it
+    resumes from the longest suffix a word shares with the previous one.
+    It serves streams over two or more symbols, and PFAs, whose values
+    never repeat; promise_check reads any other unary stream off its
+    symbol's orbit (see _unary_outcomes).
     """
-    if stepper.reverse and len(symbols) > 1:
+    if stepper.reverse:
         coded = front_coded((word[::-1], cls) for word, cls in _decode(coded))
     step, outcome = stepper.step, stepper.outcome
     path = [stepper.start]  # path[i]: the value after i symbols of previous
@@ -1080,6 +1100,26 @@ def _resumed_outcomes(
             value = step(value, sym)
             append(value)
         yield index, cls, outcome(value)
+
+
+def _unary_outcomes(
+    stepper: Stepper, sym: str, coded: Iterable[tuple[int, str, str]]
+) -> Iterator[tuple[int, str, object]]:
+    """(index, class, outcome) for each instance of a front-coded stream
+    over the one symbol sym, as _resumed_outcomes yields them, read off
+    sym's orbit from the stepper's start (see _unary_at) by the instance's
+    length alone. The orbit is walked only as the lengths grow, and stops
+    at its first repeat, so the stream costs min(longest word, distinct
+    values) steps. Over one symbol every word is its own reversal, so a
+    reverse stepper reads the same orbit. The values must be hashable.
+    """
+    step, outcome = stepper.step, stepper.outcome
+    path, seen, entry = [stepper.start], {stepper.start: 0}, None
+    for index, (keep, suffix, cls) in enumerate(coded):
+        length = keep + len(suffix)
+        if entry is None and length >= len(path):
+            path, entry = _unary_at(step, sym, path, seen, length)
+        yield index, cls, outcome(_orbit_at(path, entry, length))
 
 
 def _instances_for(
@@ -1103,16 +1143,23 @@ def promise_check(
     The machine solves the problem on the checked range iff it accepts every
     yes instance and rejects (or gets stuck on) every no instance; behavior
     outside the promise is not examined. An empty instance range solves
-    vacuously. Each instance resumes after the symbols the problem's
-    front-coded enumeration keeps from the previous one (see
-    _resumed_outcomes). A two-way machine steps through its memoized
-    crossing table (see _twoway_stepper): a cold step costs about as much
-    as a short word run afresh, and a repeated one a dictionary lookup.
+    vacuously. Over one symbol each instance is read off the symbol's orbit
+    by its length (see _unary_outcomes), so a sweep a^0, a^1, ..., a^n costs
+    min(n, distinct values) steps. Over two or more symbols each instance
+    resumes after the symbols the problem's front-coded enumeration keeps
+    from the previous one (see _resumed_outcomes). A two-way machine steps
+    through its memoized crossing table (see _twoway_stepper): a cold step
+    costs about as much as a short word run afresh, and a repeated one a
+    dictionary lookup.
     """
     stepper = _stepper(machine)
     coded = _instances_for(machine, problem, max_length)
     measured = {"instances": len(coded), "max_length": max_length}
-    for index, cls, accepted in _resumed_outcomes(stepper, machine.symbols, coded):
+    if len(machine.alphabet) == 1:
+        runs = _unary_outcomes(stepper, machine.alphabet[0], coded)
+    else:
+        runs = _resumed_outcomes(stepper, coded)
+    for index, cls, accepted in runs:
         if accepted != (cls == "yes"):
             word = _word_at(coded, index)
             return VerificationReport(

@@ -243,7 +243,7 @@ def lasvegas_success(
     coded = _instances_for(pfa, problem, max_length)
     measured: dict[str, object] = {"instances": len(coded), "threshold": threshold}
     min_success: Fraction | None = None
-    runs = _resumed_outcomes(_pfa_stepper(pfa), pfa.symbols, coded)
+    runs = _resumed_outcomes(_pfa_stepper(pfa), coded)
     for index, cls, dist in runs:
         good, bad = (
             (dist.accept, dist.reject) if cls == "yes" else (dist.reject, dist.accept)

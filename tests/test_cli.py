@@ -284,6 +284,28 @@ def test_simulate_long_epsilon_chain(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "accept"
 
 
+def test_simulate_above_the_closure_cap_exits_3(tmp_path, capsys):
+    """A 30,000-state silent chain needs about 9 * 10^8 bits of closure
+    masks, above the cap; the 20,000-state chain needs 4 * 10^8 and runs."""
+    for size, code in ((30_000, 3), (20_000, 0)):
+        chain = {
+            "type": "nfa",
+            "states": size,
+            "alphabet": ["a"],
+            "initial": 0,
+            "accepting": [size - 1],
+            "transitions": [[q, "", q + 1] for q in range(size - 1)],
+        }
+        path = tmp_path / f"chain{size}.json"
+        path.write_text(json.dumps(chain))
+        got, out, err = run_cli(capsys, "simulate", "--machine", str(path), "--word", "a")
+        assert got == code, err
+        if code:
+            assert err.startswith("resource cap: EPSILON closures exceed")
+        else:
+            assert json.loads(out)["outcome"] == "reject"
+
+
 def test_prob_exact_and_neutral_merge(tmp_path, capsys):
     path = tmp_path / "p.json"
     run_cli(capsys, "build", "trios-pfa", "--n", "1", "--r", "1", "--out", str(path))

@@ -8,6 +8,8 @@ word, so verification steps over no symbol twice.
 """
 
 import os
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -15,12 +17,15 @@ import pytest
 
 from promata import (
     SOLVES,
+    ResourceCapError,
+    critical_lengths,
     evenodd_problem,
     expeq_problem,
     parity_problem,
     promise_check,
     trios_dfa,
     trios_problem,
+    up_dfa,
     up_problem,
 )
 from promata import machines
@@ -125,6 +130,61 @@ def test_up_stream_matches_oracle(p):
     p = Fraction(*p)
     for max_length in (0, 1, 2, 30, 120):
         _check_stream(up_problem(p), lambda n: _up_oracle(p, n), max_length)
+
+
+def _up_multiplying_stream(p, max_length):
+    """UP's stream as its first enumerator made it, multiplying p^j once
+    per length up to the first no instance."""
+    num = den = 1
+    previous = 0
+    for j in range(max_length + 1):
+        if 4 * num >= 3 * den:
+            yield previous, "a" * (j - previous), "yes"
+            previous = j
+        elif 4 * num <= den:
+            yield previous, "a" * (j - previous), "no"
+            previous = j
+            num, den = 0, 1
+            continue
+        num *= p.numerator
+        den *= p.denominator
+
+
+def test_up_stream_matches_the_multiplying_enumerator():
+    """Seeded p from near 0 to near 1, at horizons on and around A and R.
+    A p whose R lies beyond critical_lengths' iteration cap still
+    enumerates at a horizon short of it."""
+    rng = random.Random(3117)
+    # p^j lands on 3/4 or 1/4 at 3/4, 1/2 and 1/4.
+    ps = [Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), Fraction(1, 10**400)]
+    ps += [Fraction(999999, 10**6), Fraction(10**400 - 1, 10**400)]
+    while len(ps) < 150:
+        den = rng.choice([rng.randint(2, 60), rng.randint(2, 10**6), 10 ** rng.randint(1, 4)])
+        num = rng.randint(max(1, den - max(1, den // rng.choice([1, 4, 100]))), den - 1)
+        if num * 1500 < den * 1499 or rng.random() < 0.2:  # keeps R below about 2,000
+            ps.append(Fraction(num, den))
+    for p in ps:
+        try:
+            a_len, r_len = critical_lengths(p, 2500)
+        except ResourceCapError:
+            a_len = r_len = 300
+        horizons = {0, 1, 2, a_len - 1, a_len, a_len + 1, r_len - 1, r_len, r_len + 1}
+        horizons.add(rng.randint(0, 2 * r_len))
+        for max_length in sorted(h for h in horizons if h >= 0):
+            got = list(up_problem(p).enumerator(max_length))
+            assert got == list(_up_multiplying_stream(p, max_length)), (p, max_length)
+
+
+def test_up_check_near_one_is_quick():
+    """At p = 99999/100000 (A = 28,768, R = 138,629) the multiplying
+    enumerator took 39 s to list the instances up to R + 5."""
+    p = Fraction(99999, 100000)
+    _, reject_from = critical_lengths(p)
+    start = time.perf_counter()
+    report = promise_check(up_dfa(p), up_problem(p), reject_from + 5)
+    assert time.perf_counter() - start < 3
+    assert report.verdict == SOLVES
+    assert report.measured == {"instances": 28_769 + 6, "max_length": reject_from + 5}
 
 
 @pytest.mark.parametrize("n, r", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])

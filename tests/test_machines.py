@@ -21,6 +21,7 @@ from promata import (
     OneWayNfa,
     OneWayPfa,
     PromiseProblem,
+    ResourceCapError,
     TwoWayMachine,
     afa_accepts,
     dfa_run,
@@ -34,6 +35,7 @@ from promata import (
     remove_epsilon,
     twoway_accepts,
 )
+from promata import machines
 from promata.machines import (
     DEFAULT_STATE_CAP, LEFT, RIGHT, STAY, RunResult, _fold, _image, _mask, _run, _stepper
 )
@@ -270,6 +272,27 @@ def test_nfa_long_epsilon_chain_closes_in_one_pass():
     assert loop._closure == dict.fromkeys(range(size - 1), (1 << (size - 1)) - 1)
     assert nfa_accepts(chain, "")
     assert not nfa_accepts(chain, "a")
+
+
+def test_nfa_closure_masks_are_charged_once_per_component(monkeypatch):
+    """The closures of a 200-state silent chain hold 199 masks of 200 bits;
+    the 199 states of a silent cycle share one mask of 199 bits."""
+
+    def build(successor):
+        return OneWayNfa(
+            200, ("a",), 0, frozenset((q, EPSILON, successor(q)) for q in range(199)), frozenset()
+        )
+
+    monkeypatch.setattr(machines, "CLOSURE_BIT_CAP", 199 * 200)
+    build(lambda q: q + 1)
+    monkeypatch.setattr(machines, "CLOSURE_BIT_CAP", 199 * 200 - 1)
+    with pytest.raises(ResourceCapError, match="EPSILON closures"):
+        build(lambda q: q + 1)
+    monkeypatch.setattr(machines, "CLOSURE_BIT_CAP", 199)
+    build(lambda q: (q + 1) % 199)
+    monkeypatch.setattr(machines, "CLOSURE_BIT_CAP", 198)
+    with pytest.raises(ResourceCapError, match="EPSILON closures"):
+        build(lambda q: (q + 1) % 199)
 
 
 def test_nfa_accepts_iff_some_branch_does():

@@ -6,7 +6,9 @@ machines step through their memoized crossing table). These tests check,
 on seeded random machines, on enumeration orders chosen to defeat that
 sharing and on a stream that keeps less than the shared prefix, that the
 verdict, the counterexample and the measured figures all equal those of
-simulating every instance from scratch.
+simulating every instance from scratch. Over one symbol promise_check
+reads each instance off the machine's orbit instead; its report must equal
+the resumed fold's on unary streams of every non-probabilistic model.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from promata import (
     TwoWayMachine,
     evenodd_afa_epsfree,
     evenodd_afa_rt,
+    evenodd_dfa,
     evenodd_problem,
     front_coded,
     lasvegas_success,
@@ -41,6 +44,7 @@ from promata import (
     trios_problem,
     trios_twoway_dfa,
 )
+from promata import machines
 from promata.machines import (
     LEFT,
     LEFT_MARKER,
@@ -48,8 +52,11 @@ from promata.machines import (
     RIGHT_MARKER,
     STAY,
     Stepper,
+    VerificationReport,
     _decode,
     _resumed_outcomes,
+    _stepper,
+    _unary_outcomes,
     _word_at,
 )
 
@@ -58,34 +65,34 @@ MAX_LENGTH = 5
 WORDS = ["".join(w) for n in range(MAX_LENGTH + 1) for w in itertools.product(ALPHABET, repeat=n)]
 
 
-def _random_dfa(rng):
+def _random_dfa(rng, alphabet=ALPHABET):
     size = rng.randint(1, 5)
     transitions = {
         (q, sym): rng.randrange(size)
         for q in range(size)
-        for sym in ALPHABET
+        for sym in alphabet
         if rng.random() < 0.85
     }
     accepting = frozenset(q for q in range(size) if rng.random() < 0.5)
-    return OneWayDfa(size, ALPHABET, rng.randrange(size), transitions, accepting)
+    return OneWayDfa(size, alphabet, rng.randrange(size), transitions, accepting)
 
 
-def _random_nfa(rng):
+def _random_nfa(rng, alphabet=ALPHABET):
     """Symbol moves plus EPSILON moves, cycles among them allowed."""
     size = rng.randint(1, 5)
     moves = set()
     for src in range(size):
         for dst in range(size):
-            for sym in ALPHABET:
+            for sym in alphabet:
                 if rng.random() < 0.3:
                     moves.add((src, sym, dst))
             if src != dst and rng.random() < 0.15:
                 moves.add((src, EPSILON, dst))
     accepting = frozenset(q for q in range(size) if rng.random() < 0.4)
-    return OneWayNfa(size, ALPHABET, rng.randrange(size), frozenset(moves), accepting)
+    return OneWayNfa(size, alphabet, rng.randrange(size), frozenset(moves), accepting)
 
 
-def _random_afa(rng):
+def _random_afa(rng, alphabet=ALPHABET):
     """Mixed existential and universal states over two symbols; silent
     moves only go to higher-numbered states, so they stay acyclic."""
     size = rng.randint(1, 6)
@@ -95,13 +102,13 @@ def _random_afa(rng):
             for dst in rng.sample(range(src + 1, size), rng.randint(1, size - src - 1)):
                 moves.add((src, EPSILON, dst))
             continue
-        for sym in ALPHABET:
+        for sym in alphabet:
             for dst in range(size):
                 if rng.random() < 0.35:
                     moves.add((src, sym, dst))
     return OneWayAfa(
         state_count=size,
-        alphabet=ALPHABET,
+        alphabet=alphabet,
         initial=rng.randrange(size),
         transitions=frozenset(moves),
         accepting=frozenset(q for q in range(size) if rng.random() < 0.5),
@@ -110,14 +117,14 @@ def _random_afa(rng):
     )
 
 
-def _random_twoway(rng):
+def _random_twoway(rng, alphabet=ALPHABET):
     """Deterministic or not, with STAY moves, self-loops and moves on both
     endmarkers; none walks off the tape."""
     size = rng.randint(1, 5)
     deterministic = rng.random() < 0.4
     moves = set()
     for src in range(size):
-        for sym in (LEFT_MARKER, *ALPHABET, RIGHT_MARKER):
+        for sym in (LEFT_MARKER, *alphabet, RIGHT_MARKER):
             allowed = [
                 move
                 for move in (LEFT, STAY, RIGHT)
@@ -127,7 +134,7 @@ def _random_twoway(rng):
                 moves.add((src, sym, rng.randrange(size), rng.choice(allowed)))
     return TwoWayMachine(
         state_count=size,
-        alphabet=ALPHABET,
+        alphabet=alphabet,
         initial=rng.randrange(size),
         transitions=frozenset(moves),
         accepting=frozenset(q for q in range(size) if rng.random() < 0.4),
@@ -369,7 +376,7 @@ def test_unary_sweep_steps_once_per_symbol():
         calls.clear()
         stepper = Stepper(0, step, lambda value: value, reverse)
         coded = front_coded(sweep)
-        outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("a"), coded)]
+        outcomes = [v for _, _, v in _resumed_outcomes(stepper, coded)]
         assert outcomes == list(range(n + 1))
         assert len(calls) == n
     words = [("ab", "yes"), ("abab", "yes"), ("b", "no"), ("abba", "yes"), ("bba", "no")]
@@ -378,15 +385,15 @@ def test_unary_sweep_steps_once_per_symbol():
         calls.clear()
         stepper = Stepper(0, step, lambda value: value, reverse)
         coded = front_coded(words)
-        outcomes = [v for _, _, v in _resumed_outcomes(stepper, frozenset("ab"), coded)]
+        outcomes = [v for _, _, v in _resumed_outcomes(stepper, coded)]
         assert outcomes == [2, 4, 1, 4, 3]
         assert len(calls) == steps
 
 
 def test_unary_reverse_run_names_the_first_foreign_symbol():
-    """A one-symbol AFA reads its words backwards, resuming on the stream's
-    own keeps; of two foreign symbols in a suffix the first in the word is
-    named, not the first read."""
+    """A one-symbol AFA, which reads its words backwards, names the first
+    of two foreign symbols in a suffix as it lies in the word, not the
+    first it would read."""
     afa = OneWayAfa(
         1, ("a",), 0, frozenset({(0, "a", 0)}), frozenset({0}), frozenset({0})
     )
@@ -398,6 +405,111 @@ def test_unary_reverse_run_names_the_first_foreign_symbol():
     )
     with pytest.raises(InputDomainError, match="'b'"):
         promise_check(afa, problem, 3)
+
+
+def _resumed_report(machine, problem, max_length):
+    """promise_check's report as the resumed fold over every instance gives it."""
+    coded = problem._coded(max_length)
+    measured = {"instances": len(coded), "max_length": max_length}
+    for index, cls, accepted in _resumed_outcomes(_stepper(machine), coded):
+        if accepted != (cls == "yes"):
+            counterexample = (_word_at(coded, index), cls, "accept" if accepted else "reject")
+            return VerificationReport(FAILS, counterexample, measured)
+    return VerificationReport(SOLVES, measured=measured)
+
+
+def _unary_problems(rng, max_length):
+    """Brute-forced residue problems (every keep 0), and a hand-written
+    stream whose lengths jump both ways and whose keeps rise and fall."""
+    for _ in range(3):
+        period = rng.randint(1, 7)
+        yes = set(rng.sample(range(period), rng.randint(0, period)))
+        no = set(rng.sample(sorted(set(range(period)) - yes), rng.randint(0, period - len(yes))))
+        yield PromiseProblem(
+            alphabet=("a",),
+            yes_member=lambda w, yes=yes, period=period: len(w) % period in yes,
+            no_member=lambda w, no=no, period=period: len(w) % period in no,
+        )
+    labels = {n: rng.choice(("yes", "no")) for n in range(max_length + 1)}
+    coded, length = [], 0
+    for _ in range(rng.randint(1, 40)):
+        target = rng.randint(0, max_length)
+        keep = rng.randint(0, min(length, target))
+        coded.append((keep, "a" * (target - keep), labels[target]))
+        length = target
+    yield PromiseProblem(
+        alphabet=("a",),
+        yes_member=lambda w: False,
+        no_member=lambda w: False,
+        # A shorter horizon reads the stream up to its first longer word.
+        enumerator=lambda m: itertools.takewhile(lambda i: i[0] + len(i[1]) <= m, coded),
+    )
+
+
+@pytest.mark.parametrize("model", ["dfa", "nfa", "afa", "2dfa/2nfa"])
+def test_unary_promise_check_matches_the_resumed_fold(model):
+    """Over one symbol promise_check reads each instance off the orbit; its
+    report must be the one the resumed fold gives, verdict, counterexample
+    and measured figures alike, on runs that get stuck, close over silent
+    moves, read backwards or cross the tape both ways."""
+    make = {
+        "dfa": _random_dfa, "nfa": _random_nfa, "afa": _random_afa, "2dfa/2nfa": _random_twoway
+    }[model]
+    rng = random.Random(f"unary:{model}")
+    verdicts, kinds = set(), set()
+    for _ in range(40):
+        machine = make(rng, ("a",))
+        kinds.add(getattr(machine, "deterministic", None))
+        max_length = rng.randint(0, 40)
+        for problem in _unary_problems(rng, max_length):
+            for horizon in (max_length, max_length // 2):
+                report = promise_check(machine, problem, horizon)
+                assert report == _resumed_report(machine, problem, horizon)
+                verdicts.add(report.verdict)
+    assert verdicts == {SOLVES, FAILS}
+    if model == "2dfa/2nfa":
+        assert kinds == {True, False}
+
+
+def test_unary_check_steps_once_per_distinct_value(monkeypatch):
+    """EvenOdd(1) up to a^1000000 costs evenodd_dfa(1) at most 5 steps:
+    its 4-state cycle is walked once, not a million symbols."""
+    calls = [0]
+    build = _stepper
+
+    def counting(machine):
+        stepper = build(machine)
+
+        def step(value, sym):
+            calls[0] += 1
+            return stepper.step(value, sym)
+
+        return stepper._replace(step=step)
+
+    monkeypatch.setattr(machines, "_stepper", counting)
+    report = promise_check(evenodd_dfa(1), evenodd_problem(1), 10**6)
+    measured = {"instances": 500_001, "max_length": 10**6}
+    assert report == VerificationReport(SOLVES, measured=measured)
+    assert calls[0] <= 5
+
+
+def test_unary_outcomes_walk_the_orbit_only_as_far_as_the_lengths_reach():
+    """The orbit is walked only as far as the longest word read so far:
+    the first instance takes 3 steps, the shorter second and the empty
+    last read the walked path, and only the third walks on."""
+    calls = []
+
+    def step(value, sym):
+        calls.append(value)
+        return (value + 1) % 1000
+
+    stepper = Stepper(0, step, lambda value: value)
+    coded = [(0, "aaa", "yes"), (1, "a", "no"), (2, "aaaaa", "yes"), (0, "", "no")]
+    runs = _unary_outcomes(stepper, "a", coded)
+    assert next(runs) == (0, "yes", 3)
+    assert len(calls) == 3
+    assert list(runs) == [(1, "no", 2), (2, "yes", 7), (3, "no", 0)]
+    assert len(calls) == 7
 
 
 def test_word_at_matches_decode_with_any_valid_keeps():
